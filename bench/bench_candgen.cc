@@ -32,6 +32,7 @@
 #include "datagen/ontology_synthesizer.h"
 #include "datagen/query_generator.h"
 #include "linking/candidate_generator.h"
+#include "load_gen.h"
 #include "text/ngram_index.h"
 #include "util/env.h"
 #include "util/json_writer.h"
@@ -68,12 +69,6 @@ struct SizeResult {
   double speedup_p50 = 0.0;
 };
 
-double Percentile(std::vector<double>& sorted_us, double p) {
-  if (sorted_us.empty()) return 0.0;
-  size_t idx = static_cast<size_t>(p * static_cast<double>(sorted_us.size() - 1));
-  return sorted_us[idx];
-}
-
 /// Measures one retrieval path over the query set; fills recall/latency and
 /// returns the per-query candidate sets for the overlap computation.
 PathResult MeasurePath(const linking::CandidateGenerator& generator,
@@ -105,8 +100,8 @@ PathResult MeasurePath(const linking::CandidateGenerator& generator,
   }
   std::sort(latencies.begin(), latencies.end());
   result.recall = static_cast<double>(hits) / static_cast<double>(queries.size());
-  result.p50_us = Percentile(latencies, 0.50);
-  result.p99_us = Percentile(latencies, 0.99);
+  result.p50_us = bench::PercentileSorted(latencies, 0.50);
+  result.p99_us = bench::PercentileSorted(latencies, 0.99);
   result.mean_us = total_us / static_cast<double>(queries.size());
   return result;
 }

@@ -7,10 +7,11 @@
 // the wire deadline_us field becomes RequestOptions::deadline, so admission
 // control, micro-batching and deadline enforcement are exactly the
 // in-process semantics — and a completion thread waits on the returned
-// futures in FIFO order (the dispatcher resolves them in near-FIFO order, so
-// head-of-line waiting is cheap), encodes LinkResponse frames and hands the
-// bytes back to the event loop through a wakeup pipe. Health, Stats and
-// Drain frames are answered inline on the loop.
+// futures in FIFO order (shards take requests in FIFO order and resolve
+// them in near-FIFO order, so head-of-line waiting is cheap), encodes
+// LinkResponse frames and hands the bytes back to the event loop through a
+// wakeup pipe. Health, Stats and Drain frames are answered inline on the
+// loop.
 //
 // Backpressure: the admission queue's kBlock policy blocks SubmitLink on the
 // event-loop thread, which stops the server reading new frames until the

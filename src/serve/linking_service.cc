@@ -16,7 +16,6 @@ namespace {
 /// Registry handles for `ncl.serve.*`, resolved once.
 struct ServeMetrics {
   obs::Gauge* queue_depth;
-  obs::Gauge* effective_max_batch;
   obs::Counter* admitted;
   obs::Counter* rejected;
   obs::Counter* shed;
@@ -33,7 +32,6 @@ const ServeMetrics& GetServeMetrics() {
   static const ServeMetrics metrics = [] {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
     return ServeMetrics{registry.GetGauge("ncl.serve.queue_depth"),
-                        registry.GetGauge("ncl.serve.effective_max_batch"),
                         registry.GetCounter("ncl.serve.admit"),
                         registry.GetCounter("ncl.serve.reject"),
                         registry.GetCounter("ncl.serve.shed"),
@@ -84,12 +82,6 @@ void LinkingService::Init() {
   NCL_CHECK(config_.queue_capacity > 0) << "queue_capacity must be positive";
   NCL_CHECK(config_.max_batch > 0) << "max_batch must be positive";
   NCL_CHECK(config_.num_shards > 0) << "num_shards must be positive";
-  if (config_.adaptive_batch) {
-    NCL_CHECK(config_.min_batch > 0 && config_.min_batch <= config_.max_batch)
-        << "adaptive batching needs 0 < min_batch <= max_batch";
-  }
-  pool_ = std::make_unique<ThreadPool>(config_.num_shards);
-  dispatcher_ = std::thread([this] { DispatchLoop(); });
   if (config_.slo.enabled) {
     if (config_.slo.slow_log_n > 0) {
       slow_log_ = std::make_unique<SlowRequestLog>(config_.slo.slow_log_n);
@@ -102,6 +94,22 @@ void LinkingService::Init() {
       probe.queue_depth = queue_.size();
       return probe;
     });
+  }
+  shards_.reserve(config_.num_shards);
+  try {
+    for (size_t s = 0; s < config_.num_shards; ++s) {
+      shards_.emplace_back([this] { ShardLoop(); });
+    }
+  } catch (...) {
+    // Thread creation failed: join the shards already running before the
+    // members they use unwind.
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stopping_ = true;
+    }
+    cv_work_.notify_all();
+    for (std::thread& shard : shards_) shard.join();
+    throw;
   }
 }
 
@@ -141,8 +149,8 @@ std::future<LinkResult> LinkingService::SubmitLink(
   PendingRequest request;
   request.id = g_next_request_id.fetch_add(1, std::memory_order_relaxed);
   // Hop 0 of the request's trace lane: the admission span (covering any
-  // blocking wait for queue space) starts the flow edge the dispatcher's
-  // marker finishes.
+  // blocking wait for queue space) starts the flow edge the dispatch marker
+  // finishes.
   NCL_TRACE_SPAN_FLOW("ncl.serve.admit", obs::RequestFlowId(request.id, 0), 0);
   request.query = std::move(query);
   request.tenant = options.ontology.empty() ? std::string(kDefaultTenant)
@@ -257,10 +265,9 @@ LinkResult LinkingService::Link(std::vector<std::string> query,
   return SubmitLink(std::move(query), options).get();
 }
 
-void LinkingService::ProcessSlice(
+uint64_t LinkingService::ProcessSlice(
     PendingRequest* requests, size_t count,
-    const std::shared_ptr<const ModelSnapshot>& snapshot,
-    std::atomic<uint64_t>* candidates) {
+    const std::shared_ptr<const ModelSnapshot>& snapshot) {
   const ServeMetrics& metrics = GetServeMetrics();
   const auto dispatched = std::chrono::steady_clock::now();
   const bool tracing = obs::TracingEnabled();
@@ -298,6 +305,7 @@ void LinkingService::ProcessSlice(
   // The surviving queries score as one LinkBatch workload: lock-step GEMM
   // tiles span the whole slice. A scoring exception fails every live
   // request in the slice — they shared one computation.
+  uint64_t scored_candidates = 0;
   if (!live.empty()) {
     NCL_TRACE_SPAN("ncl.serve.slice");
     std::vector<std::vector<std::string>> queries;
@@ -335,7 +343,6 @@ void LinkingService::ProcessSlice(
     // linker's PhaseTimings.
     const double per_request_us =
         watch.ElapsedMicros() / static_cast<double>(live.size());
-    uint64_t scored_candidates = 0;
     for (size_t r = 0; r < live.size(); ++r) {
       LinkResult& result = results[live[r]];
       result.service_us = per_request_us;
@@ -358,7 +365,6 @@ void LinkingService::ProcessSlice(
       tenant->m_completed->Increment();
       tenant->m_e2e_us->RecordMicros(result.queue_us + result.service_us);
     }
-    candidates->fetch_add(scored_candidates, std::memory_order_relaxed);
   }
 
   for (size_t i = 0; i < count; ++i) {
@@ -375,116 +381,94 @@ void LinkingService::ProcessSlice(
     }
     requests[i].promise.set_value(std::move(results[i]));
   }
+  return scored_candidates;
 }
 
-void LinkingService::DispatchLoop() {
+void LinkingService::ShardLoop() {
   const ServeMetrics& metrics = GetServeMetrics();
+  // A pass takes its share of the backlog, capped at one shard's share of a
+  // full max_batch.
+  const size_t pass_cap =
+      (config_.max_batch + config_.num_shards - 1) / config_.num_shards;
   for (;;) {
-    std::vector<PendingRequest> batch;
+    std::vector<PendingRequest> pass;
+    // (end index into `pass`, pinned snapshot), one entry per tenant group.
+    std::vector<std::pair<size_t, std::shared_ptr<const ModelSnapshot>>> groups;
+    bool more_queued = false;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_work_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
-      // Adaptive mode sizes the tick to the backlog: a shallow queue
-      // dispatches immediately in small batches (latency), a deep one fills
-      // batches up to max_batch (cross-query GEMM throughput).
-      size_t effective = config_.max_batch;
-      if (config_.adaptive_batch) {
-        effective = std::clamp(queue_.size(), config_.min_batch,
-                               config_.max_batch);
-      }
-      metrics.effective_max_batch->Set(static_cast<double>(effective));
-      const size_t take = std::min(effective, queue_.size());
-      batch.reserve(take);
+      if (queue_.empty()) return;  // stopping, and nothing left to serve
+      const size_t take = std::min(
+          (queue_.size() + config_.num_shards - 1) / config_.num_shards,
+          pass_cap);
+      pass.reserve(take);
       for (size_t i = 0; i < take; ++i) {
         PendingRequest& front = queue_.front();
         front.tenant_state->queued--;
         front.tenant_state->m_queue_depth->Set(
             static_cast<double>(front.tenant_state->queued));
-        batch.push_back(std::move(front));
+        pass.push_back(std::move(front));
         queue_.pop_front();
       }
-      dispatch_busy_ = true;
+      // Group by tenant (stable: intra-tenant arrival order is preserved)
+      // and pin one snapshot per group before releasing the lock. Dequeue
+      // is FIFO, so across shards a later request never pins an older
+      // version than an earlier one; a concurrent per-tenant Publish only
+      // affects later passes.
+      std::stable_sort(pass.begin(), pass.end(),
+                       [](const PendingRequest& a, const PendingRequest& b) {
+                         return a.tenant < b.tenant;
+                       });
+      for (size_t begin = 0; begin < pass.size();) {
+        size_t end = begin + 1;
+        while (end < pass.size() && pass[end].tenant == pass[begin].tenant) {
+          ++end;
+        }
+        groups.emplace_back(end, CurrentSnapshot(pass[begin].tenant));
+        begin = end;
+      }
+      busy_shards_++;
+      more_queued = !queue_.empty();
       PublishQueueDepthLocked();
     }
-    cv_space_.notify_all();
-
-    // One clock read stamps the whole tick: queue_wait ends (and batch
-    // formation starts) here for every drained request.
+    // One clock read stamps the whole pass: queue_wait ends (and batch
+    // formation starts) here for every request taken.
     const auto drained = std::chrono::steady_clock::now();
-    for (PendingRequest& request : batch) request.drained = drained;
+    for (PendingRequest& request : pass) request.drained = drained;
+    cv_space_.notify_all();
+    if (more_queued) cv_work_.notify_one();  // hand the rest to an idle shard
 
     batches_.fetch_add(1, std::memory_order_relaxed);
-    metrics.batch_size->Record(batch.size());
-    // Group the tick's batch by tenant (stable: intra-tenant arrival order
-    // is preserved) so each group pins *one* snapshot and scores exactly as
-    // it would on a single-tenant service — a concurrent per-tenant Publish
-    // only affects the next tick.
-    std::stable_sort(batch.begin(), batch.end(),
-                     [](const PendingRequest& a, const PendingRequest& b) {
-                       return a.tenant < b.tenant;
-                     });
-    std::atomic<uint64_t> batch_candidates{0};
+    metrics.batch_size->Record(pass.size());
+    uint64_t pass_candidates = 0;
     {
       NCL_TRACE_SPAN("ncl.serve.batch");
       if (obs::TracingEnabled()) {
-        // Hop 1 of each request's trace lane: a marker on the dispatcher
-        // thread finishing the admit edge and starting the shard edge.
-        for (const PendingRequest& request : batch) {
+        // Hop 1 of each request's trace lane: a marker on the shard that
+        // took it, finishing the admit edge and starting the request edge.
+        for (const PendingRequest& request : pass) {
           NCL_TRACE_SPAN_FLOW("ncl.serve.dispatch",
                               obs::RequestFlowId(request.id, 1),
                               obs::RequestFlowId(request.id, 0));
         }
       }
-      // Contiguous slices within each tenant group; every slice is one
-      // LinkBatch workload against its group's pinned snapshot, and all
-      // slices — across groups — fan out over the shard pool together.
-      struct SliceTask {
-        size_t begin = 0;
-        size_t count = 0;
-        size_t group = 0;  ///< index into `snapshots`
-      };
-      std::vector<std::shared_ptr<const ModelSnapshot>> snapshots;
-      std::vector<SliceTask> tasks;
-      size_t group_begin = 0;
-      while (group_begin < batch.size()) {
-        size_t group_end = group_begin + 1;
-        while (group_end < batch.size() &&
-               batch[group_end].tenant == batch[group_begin].tenant) {
-          ++group_end;
-        }
-        snapshots.push_back(CurrentSnapshot(batch[group_begin].tenant));
-        const size_t group_size = group_end - group_begin;
-        const size_t slices = std::min(config_.num_shards, group_size);
-        for (size_t s = 0; s < slices; ++s) {
-          const size_t begin = group_size * s / slices;
-          const size_t end = group_size * (s + 1) / slices;
-          tasks.push_back(
-              SliceTask{group_begin + begin, end - begin, snapshots.size() - 1});
-        }
-        group_begin = group_end;
-      }
-      if (tasks.size() <= 1) {
-        ProcessSlice(batch.data() + tasks[0].begin, tasks[0].count,
-                     snapshots[tasks[0].group], &batch_candidates);
-      } else {
-        pool_->ParallelFor(tasks.size(), [&](size_t t) {
-          ProcessSlice(batch.data() + tasks[t].begin, tasks[t].count,
-                       snapshots[tasks[t].group], &batch_candidates);
-        });
+      size_t begin = 0;
+      for (const auto& [end, snapshot] : groups) {
+        pass_candidates +=
+            ProcessSlice(pass.data() + begin, end - begin, snapshot);
+        begin = end;
       }
     }
-    metrics.candidates_per_batch->Record(
-        batch_candidates.load(std::memory_order_relaxed));
+    metrics.candidates_per_batch->Record(pass_candidates);
 
+    bool idle = false;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      dispatch_busy_ = false;
+      busy_shards_--;
+      idle = busy_shards_ == 0 && queue_.empty();
     }
-    cv_idle_.notify_all();
+    if (idle) cv_idle_.notify_all();
   }
 }
 
@@ -511,15 +495,13 @@ void LinkingService::StopInternal(bool fail_queued) {
     }
   }
   cv_space_.notify_all();  // release submitters blocked on a full queue
-  cv_work_.notify_all();
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    cv_idle_.wait(lock, [this] { return queue_.empty() && !dispatch_busy_; });
+    cv_idle_.wait(lock, [this] { return queue_.empty() && busy_shards_ == 0; });
     stopping_ = true;
   }
   cv_work_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  pool_.reset();
+  for (std::thread& shard : shards_) shard.join();
   if (slo_ != nullptr) {
     // Final window so runs shorter than one check interval still report,
     // then stop the thread (its probe reads state torn down below).

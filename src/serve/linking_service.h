@@ -14,61 +14,60 @@
 //     deadline fails with DeadlineExceeded instead of burning a shard on an
 //     answer nobody is waiting for.
 //
-//   * A micro-batching scheduler: a dispatcher thread drains up to
-//     `max_batch` queued requests per tick (or, with `adaptive_batch`, a
-//     queue-depth-driven batch between `min_batch` and `max_batch`) and
-//     splits the batch into `num_shards` contiguous slices, one slice per
-//     worker. Each shard scores its whole slice as *one*
-//     ModelSnapshot::LinkBatch workload, so candidates from different
-//     queries in the slice share lock-step GEMM tiles (see
-//     NclLinker::LinkBatchDetailed); Phase-II parallelism comes from
-//     batching across queries, not from fanning one query's k candidates
-//     out — which saturates the pool with far less synchronisation per unit
-//     of work.
+//   * Pull-based shards: `num_shards` shard threads take work straight from
+//     the admission queue. Each pass takes its share of the backlog —
+//     ceil(queued / num_shards) requests, at most ceil(max_batch /
+//     num_shards) — wakes another idle shard if requests remain, and scores
+//     the pass as *one* ModelSnapshot::LinkBatch workload per tenant, so
+//     candidates from different queries share lock-step GEMM tiles (see
+//     NclLinker::LinkBatchDetailed). No shard waits for another: a shard
+//     that finishes early takes the next request at once, so one slow
+//     query never holds the queue behind it.
 //
-//   * Snapshot pinning: each batch pins the registry's current snapshot
-//     once and every request in the batch scores against that immutable
-//     snapshot, so a concurrent Publish (hot model swap) is torn-read-free
-//     by construction — in-flight batches finish on the old model, the next
-//     batch picks up the new one.
+//   * Snapshot pinning: a pass pins the registry's current snapshot while it
+//     still holds the admission lock, and every request in the pass scores
+//     against that immutable snapshot, so a concurrent Publish (hot model
+//     swap) is torn-read-free by construction. Dequeue is FIFO, so versions
+//     never go backwards in submission order, across shards too.
 //
 //   * Multi-tenancy: a service constructed over a TenantRegistry hosts one
-//     model per ontology behind one shared admission queue and shard pool.
-//     RequestOptions::ontology selects the tenant; each dispatch tick
-//     groups its drained batch by tenant and pins one snapshot per tenant
-//     group (per-tenant results are bit-identical to a single-tenant
-//     service hosting only that model). ServeConfig::tenant_quota caps each
-//     tenant's share of the queue, with the overload policy applied within
-//     the offending tenant — so one ontology's overload sheds its own
-//     requests, never a neighbour's — and every admission/shed/completion
-//     event is mirrored onto per-tenant `ncl.serve.<tenant>.*` metrics.
+//     model per ontology behind one shared admission queue and shard set.
+//     RequestOptions::ontology selects the tenant; each pass groups its
+//     requests by tenant and pins one snapshot per group (per-tenant
+//     results are bit-identical to a single-tenant service hosting only
+//     that model). ServeConfig::tenant_quota caps each tenant's share of
+//     the queue, with the overload policy applied within the offending
+//     tenant — so one ontology's overload sheds its own requests, never a
+//     neighbour's — and every admission/shed/completion event is mirrored
+//     onto per-tenant `ncl.serve.<tenant>.*` metrics.
 //
 // Lifecycle: construct → (traffic) → Drain() *or* Shutdown(). Drain stops
 // admission and completes everything queued; Shutdown stops admission and
-// fails queued requests with Unavailable. Both are terminal and idempotent;
-// the destructor implies Shutdown.
+// fails queued requests with Unavailable. Both wait for an empty queue and
+// no busy shard, are terminal and idempotent; the destructor implies
+// Shutdown.
 //
-// Observability (`ncl.serve.*`): queue_depth and effective_max_batch
-// gauges; admitted / rejected / shed / deadline_exceeded / completed
-// counters; batch_size, candidates_per_batch, queue_wait_us, service_us and
-// e2e_us histograms (e2e = queue wait + service); per-batch
-// `ncl.serve.batch` and per-slice `ncl.serve.slice` trace spans.
+// Observability (`ncl.serve.*`): queue_depth gauge; admitted / rejected /
+// shed / deadline_exceeded / completed counters; batch_size (requests per
+// pass), candidates_per_batch, queue_wait_us, service_us and e2e_us
+// histograms (e2e = queue wait + service); per-pass `ncl.serve.batch` and
+// per-tenant-group `ncl.serve.slice` trace spans.
 //
 // Request-flow tracing: every admitted request gets a process-unique id.
 // When tracing is on, admission records an `ncl.serve.admit` span starting
-// flow edge 0, the dispatcher tick records one `ncl.serve.dispatch` marker
-// per request (finishes edge 0, starts edge 1), each shard records an
-// `ncl.serve.request` span per slice member (finishes edge 1, starts edge
-// 2), and the linker's `ncl.link.query` span finishes edge 2 — so one
-// request renders as a connected lane across the submitter, dispatcher and
-// shard threads in Perfetto (see obs::RequestFlowId). Every LinkResult also
-// carries its request id and a RequestTimings stage breakdown (queue wait /
-// batch formation / candidate generation / ED / ranking), populated from
-// the linker's per-query PhaseTimings.
+// flow edge 0, the shard that takes the request records an
+// `ncl.serve.dispatch` marker (finishes edge 0, starts edge 1) and then an
+// `ncl.serve.request` span (finishes edge 1, starts edge 2), and the
+// linker's `ncl.link.query` span finishes edge 2 — so one request renders
+// as a connected lane from the submitter into the shard's linker phases in
+// Perfetto (see obs::RequestFlowId). Every LinkResult also carries its
+// request id and a RequestTimings stage breakdown (queue wait / batch
+// formation / candidate generation / ED / ranking), populated from the
+// linker's per-query PhaseTimings.
 //
 // SLO watchdog: with `ServeConfig::slo.enabled`, the service owns an
 // SloWatchdog fed every completed request (rolling-window p50/p99, error
-// budget, stall detection over the dispatch probe — see serve/slo.h) and a
+// budget, stall detection over the shard-pass probe — see serve/slo.h) and a
 // SlowRequestLog keeping the N slowest requests with full stage breakdowns.
 
 #pragma once
@@ -91,7 +90,6 @@
 #include "serve/model_snapshot.h"
 #include "serve/slo.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace ncl::obs {
 class Counter;
@@ -113,21 +111,11 @@ struct ServeConfig {
   /// Admission queue bound (must be > 0).
   size_t queue_capacity = 256;
   OverloadPolicy policy = OverloadPolicy::kBlock;
-  /// Requests drained per scheduler tick (must be > 0). With adaptive
-  /// batching this is the ceiling.
+  /// Bounds a shard pass: one pass takes at most ceil(max_batch /
+  /// num_shards) requests (must be > 0).
   size_t max_batch = 16;
-  /// Worker shards scoring micro-batch slices in parallel (must be > 0).
+  /// Shard threads pulling passes from the admission queue (must be > 0).
   size_t num_shards = 4;
-  /// Adapt the per-tick batch size to the observed admission-queue depth:
-  /// each tick takes clamp(queue_depth, min_batch, max_batch) requests, so
-  /// a lightly loaded service dispatches small low-latency batches while a
-  /// backlogged one grows its batches (and with them the cross-query GEMM
-  /// tiles) up to max_batch. The choice is published on the
-  /// `ncl.serve.effective_max_batch` gauge.
-  bool adaptive_batch = false;
-  /// Floor for the adaptive batch size (must be > 0 and <= max_batch when
-  /// adaptive_batch is on).
-  size_t min_batch = 1;
   /// Deadline applied to requests that don't carry their own (zero = none).
   std::chrono::microseconds default_deadline{0};
   /// Max queued requests *per tenant* (0 = no per-tenant cap). When a
@@ -194,14 +182,14 @@ struct ServeStats {
   uint64_t shed = 0;
   uint64_t deadline_exceeded = 0;
   uint64_t completed = 0;  ///< requests that scored successfully
-  uint64_t batches = 0;
+  uint64_t batches = 0;  ///< shard passes taken
   size_t queue_depth = 0;      ///< current
   size_t max_queue_depth = 0;  ///< high-water mark observed
   /// Keyed by tenant id; only tenants that have submitted appear.
   std::map<std::string, TenantStats> tenants;
 };
 
-/// \brief The service: admission queue -> micro-batcher -> worker shards.
+/// \brief The service: admission queue -> pull-based shard threads.
 class LinkingService {
  public:
   /// Single-tenant form: every request scores against `registry`'s current
@@ -213,7 +201,7 @@ class LinkingService {
   LinkingService(SnapshotRegistry* registry, ServeConfig config = {});
 
   /// Multi-tenant form: requests carry RequestOptions::ontology and each
-  /// dispatch tick groups its batch by tenant, pinning one snapshot per
+  /// shard pass groups its requests by tenant, pinning one snapshot per
   /// tenant group, so per-tenant results are bit-identical to a
   /// single-tenant service hosting only that model. `tenants` must outlive
   /// the service; tenants may publish before or after construction.
@@ -234,11 +222,11 @@ class LinkingService {
   LinkResult Link(std::vector<std::string> query, RequestOptions options = {});
 
   /// Stop admission, serve everything already queued, then stop the
-  /// scheduler. Terminal and idempotent.
+  /// shards. Terminal and idempotent.
   void Drain();
 
   /// Stop admission, fail queued requests with Unavailable, then stop the
-  /// scheduler (the in-flight batch still completes). Terminal, idempotent.
+  /// shards (passes already taken still complete). Terminal, idempotent.
   void Shutdown();
 
   ServeStats stats() const;
@@ -294,15 +282,16 @@ class LinkingService {
   std::shared_ptr<const ModelSnapshot> CurrentSnapshot(
       const std::string& tenant) const;
 
-  void DispatchLoop();
-  /// Score one contiguous micro-batch slice on the calling shard: enforce
+  /// One shard thread: take a pass from the admission queue, score it,
+  /// repeat until the service stops.
+  void ShardLoop();
+  /// Score one tenant group of a pass on the calling shard: enforce
   /// deadlines, then hand the surviving queries to the snapshot as one
-  /// LinkBatch workload. Adds the number of candidates returned to
-  /// `candidates` (feeds `ncl.serve.candidates_per_batch`).
-  void ProcessSlice(PendingRequest* requests, size_t count,
-                    const std::shared_ptr<const ModelSnapshot>& snapshot,
-                    std::atomic<uint64_t>* candidates);
-  /// Shared constructor tail (config validation, pool + threads).
+  /// LinkBatch workload. Returns the number of candidates scored (feeds
+  /// `ncl.serve.candidates_per_batch`).
+  uint64_t ProcessSlice(PendingRequest* requests, size_t count,
+                        const std::shared_ptr<const ModelSnapshot>& snapshot);
+  /// Shared constructor tail (config validation, SLO machinery, shards).
   void Init();
   void StopInternal(bool fail_queued);
   void PublishQueueDepthLocked();
@@ -314,13 +303,13 @@ class LinkingService {
   const ServeConfig config_;
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_work_;   ///< dispatcher: queue non-empty / stop
+  std::condition_variable cv_work_;   ///< idle shards: queue non-empty / stop
   std::condition_variable cv_space_;  ///< blocked submitters: space freed
-  std::condition_variable cv_idle_;   ///< stop: queue empty + batch done
+  std::condition_variable cv_idle_;   ///< stop: queue empty + no busy shard
   std::deque<PendingRequest> queue_;
   bool accepting_ = true;
   bool stopping_ = false;
-  bool dispatch_busy_ = false;
+  size_t busy_shards_ = 0;  ///< shards between taking a pass and finishing it
   size_t max_queue_depth_ = 0;
   /// Tenant id -> accounting state; entries are created on first use and
   /// never erased (PendingRequest holds raw pointers into the values).
@@ -338,13 +327,12 @@ class LinkingService {
   bool stopped_ = false;   ///< guarded by stop_mutex_
 
   /// SLO machinery (null when config_.slo.enabled is off). The watchdog's
-  /// probe reads this service, so both stop before the dispatcher's state
-  /// is torn down.
+  /// probe reads this service, so both stop before the service's state is
+  /// torn down.
   std::unique_ptr<SlowRequestLog> slow_log_;
   std::unique_ptr<SloWatchdog> slo_;
 
-  std::unique_ptr<ThreadPool> pool_;
-  std::thread dispatcher_;
+  std::vector<std::thread> shards_;
 };
 
 }  // namespace ncl::serve

@@ -86,10 +86,15 @@ std::shared_ptr<const ModelSnapshot> SnapshotRegistry::Current() const {
 uint64_t SnapshotRegistry::Publish(std::shared_ptr<ModelSnapshot> snapshot) {
   NCL_CHECK(snapshot != nullptr);
   uint64_t version;
+  // If the registry held the outgoing snapshot's last reference, it dies
+  // after the lock is released: Current() callers (shards pinning under the
+  // service's admission lock) never wait on a model teardown.
+  std::shared_ptr<const ModelSnapshot> outgoing;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     version = next_version_++;
     snapshot->version_.store(version, std::memory_order_release);
+    outgoing = std::move(current_);
     current_ = std::move(snapshot);
   }
   const SnapshotMetrics& metrics = GetSnapshotMetrics();

@@ -174,7 +174,7 @@ void SloWatchdog::Evaluate() {
   }
 
   // --- Stall detection: a full queue with a frozen batch counter means no
-  // dispatch tick completed since the last check.
+  // shard took a pass since the last check.
   if (probe_) {
     const Probe probe = probe_();
     const bool pinned = probe.queue_capacity > 0 &&

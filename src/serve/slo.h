@@ -13,13 +13,13 @@
 //     `latency_target_us` or whose error rate exceeds `error_budget_pct`
 //     increments the violation counters and logs one structured warning.
 //
-//   * The stall detector watches dispatch progress through a caller-supplied
-//     probe (queue depth, queue capacity, completed batches). A queue pinned
-//     at capacity while the batch counter stays frozen for
-//     `stall_deadline_multiple` consecutive checks means the dispatcher or
-//     every shard is wedged — the strongest signal available without
-//     preempting threads — and logs a structured `slo_stall` warning plus
-//     the `ncl.serve.slo.stalls` counter.
+//   * The stall detector watches shard progress through a caller-supplied
+//     probe (queue depth, queue capacity, shard passes taken). A queue
+//     pinned at capacity while the pass counter stays frozen for
+//     `stall_deadline_multiple` consecutive checks means every shard is
+//     wedged — the strongest signal available without preempting threads —
+//     and logs a structured `slo_stall` warning plus the
+//     `ncl.serve.slo.stalls` counter.
 //
 //   * SlowRequestLog keeps the N slowest completed requests with their full
 //     stage breakdown (RequestTimings) and query text. The hot-path Offer is
@@ -136,11 +136,11 @@ struct SloWindowStats {
 /// evaluation thread, `ncl.serve.slo.*` metrics, structured warnings.
 class SloWatchdog {
  public:
-  /// Dispatch-progress reading for the stall detector.
+  /// Shard-progress reading for the stall detector.
   struct Probe {
     size_t queue_depth = 0;
     size_t queue_capacity = 0;
-    uint64_t batches = 0;  ///< completed dispatch ticks
+    uint64_t batches = 0;  ///< shard passes taken from the queue
   };
 
   /// \param probe called from the watchdog thread each check; must be

@@ -1,8 +1,8 @@
 // LinkingService unit tests: admission policies bound the queue, deadlines
-// fail instead of waiting forever, micro-batches fan out across shards, and
-// the Drain/Shutdown lifecycle resolves every future exactly once. A fake
-// snapshot with controllable latency stands in for the real linker so
-// saturation is cheap to produce.
+// fail instead of waiting forever, bursts fan out across shards without one
+// slow query holding up the rest, and the Drain/Shutdown lifecycle resolves
+// every future exactly once. A fake snapshot with controllable latency
+// stands in for the real linker so saturation is cheap to produce.
 
 #include "serve/linking_service.h"
 
@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -92,8 +93,8 @@ TEST(LinkingServiceTest, MicroBatchFansOutAcrossShards) {
   for (size_t i = 0; i < kRequests; ++i) futures.push_back(service.SubmitLink(Query()));
   for (auto& f : futures) EXPECT_TRUE(f.get().status.ok());
   EXPECT_EQ(snapshot->calls(), kRequests);
-  // The burst cannot have been served one-at-a-time: with 4 shards and
-  // batches of up to 8, far fewer ticks than requests are needed.
+  // The burst cannot have been served one-at-a-time: the backlog builds
+  // while the shards score, and each pass takes up to ceil(8 / 4) of it.
   EXPECT_LT(service.stats().batches, kRequests);
 }
 
@@ -323,6 +324,62 @@ TEST(LinkingServiceTest, ShutdownFailsQueuedRequests) {
   EXPECT_GT(unavailable, 0u);
 }
 
+/// Snapshot that holds queries starting with "slow" until Release(); every
+/// other query answers at once.
+class SlowQueryGate : public FakeSnapshot {
+ public:
+  std::vector<linking::ScoredCandidate> Link(
+      const std::vector<std::string>& query) const override {
+    if (!query.empty() && query[0] == "slow") {
+      std::unique_lock<std::mutex> lock(mutex_);
+      slow_scoring_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return released_; });
+    }
+    return FakeSnapshot::Link(query);
+  }
+
+  /// Wait (up to `timeout`) until a slow query is being scored.
+  bool WaitForSlowQuery(std::chrono::milliseconds timeout) const {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, timeout, [this] { return slow_scoring_; });
+  }
+
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
+  mutable bool slow_scoring_ = false;
+  bool released_ = false;
+};
+
+TEST(LinkingServiceTest, SlowQueryDoesNotHoldUpRequestsBehindIt) {
+  SnapshotRegistry registry;
+  auto snapshot = std::make_shared<SlowQueryGate>();
+  registry.Publish(snapshot);
+  ServeConfig config;
+  config.num_shards = 2;
+  LinkingService service(&registry, config);
+
+  std::future<LinkResult> slow = service.SubmitLink({"slow", "query"});
+  EXPECT_TRUE(snapshot->WaitForSlowQuery(5s));
+  // One shard is stuck scoring the slow query; the other must serve a
+  // request submitted behind it without waiting for the slow one.
+  std::future<LinkResult> fast = service.SubmitLink(Query());
+  const bool fast_served = fast.wait_for(5s) == std::future_status::ready;
+  snapshot->Release();
+  EXPECT_TRUE(fast_served) << "a fast request waited behind a slow one";
+  EXPECT_TRUE(fast.get().status.ok());
+  EXPECT_TRUE(slow.get().status.ok());
+}
+
 /// Snapshot that records LinkBatch slice sizes (the service's shard slices
 /// call LinkBatch, not per-query Link).
 class BatchRecordingSnapshot : public FakeSnapshot {
@@ -382,37 +439,6 @@ TEST(LinkingServiceTest, ShardSlicesScoreAsLinkBatchWorkloads) {
   EXPECT_GT(multi, 0u);
 }
 
-TEST(LinkingServiceTest, AdaptiveBatchServesBurstsAndPublishesGauge) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(1ms));
-  ServeConfig config;
-  config.adaptive_batch = true;
-  config.min_batch = 2;
-  config.max_batch = 8;
-  config.num_shards = 2;
-  LinkingService service(&registry, config);
-
-  std::vector<std::future<LinkResult>> futures;
-  for (size_t i = 0; i < 24; ++i) futures.push_back(service.SubmitLink(Query()));
-  for (auto& f : futures) EXPECT_TRUE(f.get().status.ok());
-  // Backlogged ticks must grow past one-request batches.
-  EXPECT_LT(service.stats().batches, 24u);
-  obs::Gauge* gauge = obs::MetricsRegistry::Global().GetGauge(
-      "ncl.serve.effective_max_batch");
-  EXPECT_GE(gauge->value(), static_cast<double>(config.min_batch));
-  EXPECT_LE(gauge->value(), static_cast<double>(config.max_batch));
-}
-
-TEST(LinkingServiceTest, AdaptiveBatchRejectsBadBounds) {
-  SnapshotRegistry registry;
-  ServeConfig config;
-  config.adaptive_batch = true;
-  config.min_batch = 9;
-  config.max_batch = 8;
-  EXPECT_DEATH(LinkingService(&registry, config),
-               "min_batch <= max_batch");
-}
-
 TEST(LinkingServiceTest, CandidatesPerBatchHistogramCountsScoredCandidates) {
   obs::Histogram* histogram = obs::MetricsRegistry::Global().GetHistogram(
       "ncl.serve.candidates_per_batch");
@@ -424,7 +450,7 @@ TEST(LinkingServiceTest, CandidatesPerBatchHistogramCountsScoredCandidates) {
   EXPECT_TRUE(service.Link(Query()).status.ok());
   service.Drain();
 
-  // The tick recorded its candidate total (the fake returns 1 per query).
+  // The pass recorded its candidate total (the fake returns 1 per query).
   EXPECT_GT(histogram->Stats().count, count_before);
 }
 

@@ -57,8 +57,8 @@ class SaltedSnapshot : public ModelSnapshot {
 };
 
 /// Snapshot whose Link blocks until Release(): pins requests in the
-/// admission queue deterministically (the dispatcher is stuck in
-/// ParallelFor while the gate is closed).
+/// admission queue deterministically (every shard that reaches the gate is
+/// stuck there while it is closed).
 class GatedSnapshot : public ModelSnapshot {
  public:
   std::vector<linking::ScoredCandidate> Link(
@@ -98,8 +98,8 @@ RequestOptions Tenant(const std::string& ontology) {
   return options;
 }
 
-/// Spin until `snapshot` has absorbed `n` requests (the dispatcher drained
-/// them out of the admission queue into the gated scorer).
+/// Spin until `snapshot` has absorbed `n` requests (shards took them out of
+/// the admission queue into the gated scorer).
 void WaitForEntered(const GatedSnapshot& snapshot, uint64_t n) {
   for (int i = 0; i < 2000 && snapshot.entered() < n; ++i) {
     std::this_thread::sleep_for(1ms);
@@ -185,7 +185,7 @@ TEST(TenantServiceTest, QuotaShedsOnlyTheOffendingTenant) {
   config.max_batch = 1;
   LinkingService service(&registry, config);
 
-  // First request enters the (closed) gate, occupying the dispatcher.
+  // First request enters the (closed) gate, occupying the only shard.
   auto in_flight = service.SubmitLink(Query(), Tenant("icd9"));
   WaitForEntered(*gate, 1);
 

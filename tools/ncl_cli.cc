@@ -26,8 +26,8 @@
 //   ncl serve-eval <dir> [--k K] [--shards N] [--clients C] [--max-batch B]
 //       Same eval set, but through the ncl::serve LinkingService: the model
 //       is published as a snapshot and C closed-loop client threads stream
-//       the queries through the micro-batching scheduler. Reports accuracy,
-//       MRR, throughput and the ncl.serve admission counters.
+//       the queries through the admission queue and shard threads. Reports
+//       accuracy, MRR, throughput and the ncl.serve admission counters.
 //       --slow-log-n <N> additionally enables the SLO watchdog for the run
 //       and prints the rolling-window report plus the N slowest requests
 //       with their per-stage breakdown.
