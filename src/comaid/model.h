@@ -58,15 +58,19 @@ std::string VariantName(const ComAidConfig& config);
 
 /// \brief The model: parameters + forward/score entry points.
 ///
+/// Phase II has one tape-free scorer, ScoreLogProbFastBatch. The autodiff
+/// tape is the training forward pass and the reference the scorer's parity
+/// tests compare against (ScoreLogProb / ScoreLogProbIds).
+///
 /// Thread-safety: while no weight mutation is in flight, the scoring entry
-/// points (ScoreLogProb / ScoreLogProbIds / ScoreLogProbFast / EncodeConcept
-/// / NextWordLogProbs) are safe to call concurrently. The tape paths read
-/// parameter values through private tapes; the fast path additionally shares
-/// the concept-encoding cache, whose readers are lock-free and whose lazy
-/// fills are race-safe (see ConceptEncodingCache). Weight mutation —
-/// training, InitializeEmbeddings, model loading — must be single-threaded
-/// and must not overlap any scoring call; each mutation ends with
-/// NotifyWeightsChanged(), which invalidates the encoding cache.
+/// points (ScoreLogProb / ScoreLogProbIds / ScoreLogProbFastBatch /
+/// EncodeConcept / NextWordLogProbs) are safe to call concurrently. The tape
+/// paths read parameter values through private tapes; the batched scorer
+/// additionally shares the concept-encoding cache, whose readers are
+/// lock-free and whose lazy fills are race-safe (see ConceptEncodingCache).
+/// Weight mutation — training, InitializeEmbeddings, model loading — must be
+/// single-threaded and must not overlap any scoring call; each mutation ends
+/// with NotifyWeightsChanged(), which invalidates the encoding cache.
 class ComAidModel {
  public:
   /// Special decoder tokens (always present in the model vocabulary).
@@ -75,6 +79,8 @@ class ComAidModel {
   static constexpr const char* kUnk = "<unk>";
 
   /// \param onto the ontology; must outlive the model.
+  /// \param config structural attention requires config.beta >= 1
+  ///        (Def. 4.1: the structural context is β ancestor slots).
   /// \param extra_snippets additional token sequences whose words join the
   ///        model vocabulary (typically the labeled training aliases).
   ComAidModel(ComAidConfig config, const ontology::Ontology* onto,
@@ -97,7 +103,7 @@ class ComAidModel {
 
   /// \brief log p(q | c; Θ): teacher-forced log-likelihood of decoding the
   /// query from the concept (Eq. 3). Thread-safe after training. Reference
-  /// tape-based path; prefer ScoreLogProbFast in inference hot loops.
+  /// tape-based path; prefer ScoreLogProbFastBatch in inference hot loops.
   double ScoreLogProb(ontology::ConceptId concept_id,
                       const std::vector<std::string>& query_tokens) const;
 
@@ -106,49 +112,33 @@ class ComAidModel {
   double ScoreLogProbIds(ontology::ConceptId concept_id,
                          const std::vector<text::WordId>& target) const;
 
-  /// \brief Tape-free log p(q | c; Θ) — the Phase II hot-loop entry point.
-  ///
-  /// Numerically equivalent to ScoreLogProbIds (within float round-off; the
-  /// parity test pins the two within 1e-5) but builds no autodiff graph and
-  /// reuses the concept's cached encoding, so the encoder runs once per
-  /// concept instead of once per (query, candidate) pair. `ctx` supplies
-  /// per-thread scratch; pass nullptr to use an internal thread_local one.
-  /// Thread-safe under the same contract as ScoreLogProb.
-  double ScoreLogProbFast(ontology::ConceptId concept_id,
-                          const std::vector<text::WordId>& target,
-                          InferenceContext* ctx = nullptr) const;
-
-  /// Convenience overload: maps tokens, then scores tape-free.
-  double ScoreLogProbFast(ontology::ConceptId concept_id,
-                          const std::vector<std::string>& query_tokens) const;
-
   /// Default lock-step width of the batched scorer: enough lanes to amortise
   /// the weight-matrix streaming, small enough that the per-step activation
   /// working set stays cache-resident.
   static constexpr size_t kDefaultScoreLanes = 32;
 
-  /// \brief Batched tape-free scoring: fill `lanes[i].log_prob` with
-  /// log p(target_i | concept_i) for every lane.
+  /// \brief Tape-free log p(q | c; Θ) — the Phase II scorer: fill
+  /// `lanes[i].log_prob` with log p(target_i | concept_i) for every lane.
   ///
-  /// Stacks up to `max_lanes` candidates per decode step into one
-  /// activation matrix, so the k independent mat-vecs of k ScoreLogProbFast
-  /// calls become GemmNT calls over the shared LSTM/composite/softmax
-  /// weights. Ragged target lengths are masked by sorting lanes longest
+  /// Reuses each concept's cached encoding, so the encoder runs once per
+  /// concept instead of once per (query, candidate) pair, and builds no
+  /// autodiff graph. Stacks up to `max_lanes` candidates per decode step
+  /// into one activation matrix, so the LSTM/composite/softmax weights are
+  /// applied by GemmNT calls that stream each weight once per step for the
+  /// whole tile. Ragged target lengths are masked by sorting lanes longest
   /// first and shrinking the active row prefix as short lanes emit <eos>.
-  /// Each lane computes exactly the single-lane arithmetic with the same
-  /// canonical reduction order, so results are bit-stable under any lane
-  /// order, batch composition, or `max_lanes` (pinned by tests); parity
-  /// with the tape path stays within the usual 1e-5 bounds.
-  ///
-  /// Thread-safe under the same contract as ScoreLogProbFast; `ctx`
-  /// supplies per-thread scratch (nullptr uses an internal thread_local).
+  /// Every lane reduces in the same canonical order, so results are
+  /// bit-identical under any lane order, batch composition, or `max_lanes`
+  /// (max_lanes = 1 is the per-candidate computation), and agree with
+  /// ScoreLogProbIds within 1e-5 (both pinned by tests). Decoder scratch is
+  /// one reusable buffer set per thread. Thread-safe under the same contract
+  /// as ScoreLogProb.
   void ScoreLogProbFastBatch(BatchScoreLane* lanes, size_t num_lanes,
-                             BatchInferenceContext* ctx = nullptr,
                              size_t max_lanes = kDefaultScoreLanes) const;
 
   /// \brief Eagerly fill the concept-encoding cache for the whole ontology
   /// (on `pool` when given). Returns the number of encodings computed.
-  /// Optional: ScoreLogProbFast fills the cache lazily per concept.
+  /// Optional: ScoreLogProbFastBatch fills the cache lazily per concept.
   size_t PrecomputeConceptEncodings(ThreadPool* pool = nullptr) const;
 
   /// Drop all cached concept encodings (they are recomputed on demand).
@@ -209,15 +199,12 @@ class ComAidModel {
   nn::VarId Forward(nn::Tape& tape, ontology::ConceptId concept_id,
                     const std::vector<text::WordId>& target) const;
 
-  // --- Inference fast path (comaid/inference.cc) -------------------------
+  // --- Tape-free scoring (comaid/inference.cc, batch_inference.cc) ---------
 
   /// Row pointer into the embedding table.
   const float* EmbeddingRow(text::WordId word) const {
     return embeddings_->value.row_data(static_cast<size_t>(word));
   }
-
-  /// Number of composite blocks in Eq. 8 under this config.
-  size_t CompositePieces() const;
 
   /// Tape-free encoder pass filling `out` for one concept.
   void ComputeConceptEncoding(ontology::ConceptId concept_id,
@@ -228,8 +215,7 @@ class ComAidModel {
   const ConceptEncoding& EncodingFor(ontology::ConceptId concept_id) const;
 
   /// One lock-step tile of ScoreLogProbFastBatch (batch_inference.cc).
-  void ScoreBatchTile(BatchScoreLane* lanes, size_t num_lanes,
-                      BatchInferenceContext* ctx) const;
+  void ScoreBatchTile(BatchScoreLane* lanes, size_t num_lanes) const;
 
   ComAidConfig config_;
   const ontology::Ontology* onto_;
@@ -250,8 +236,8 @@ class ComAidModel {
   /// Concept descriptions pre-mapped to model word ids.
   std::vector<std::vector<text::WordId>> concept_words_;
 
-  /// Memo of query-independent encoder work, lazily filled by the inference
-  /// fast path and cleared by NotifyWeightsChanged().
+  /// Memo of query-independent encoder work, lazily filled by
+  /// ScoreLogProbFastBatch and cleared by NotifyWeightsChanged().
   mutable std::unique_ptr<ConceptEncodingCache> encoding_cache_;
   std::atomic<uint64_t> weights_version_{0};
 };

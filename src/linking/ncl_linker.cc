@@ -65,45 +65,28 @@ const std::vector<text::WordId>* BuildTarget(
 }
 
 /// ED core shared by LinkDetailed and LinkBatchDetailed: fill
-/// `lanes[i].log_prob` for every lane. Batched mode scores
-/// ed_batch_lanes-sized tiles (each tile one pool task, so threads and
-/// lock-step batching compose); scores are bit-identical to the unbatched
-/// fast path either way.
-void ScoreLanes(const comaid::ComAidModel& model, const NclConfig& config,
-                ThreadPool* pool, std::vector<comaid::BatchScoreLane>& lanes) {
+/// `lanes[i].log_prob` for every lane. Each kDefaultScoreLanes-wide
+/// lock-step tile is one pool task, so threads and batching compose; scores
+/// are bit-identical however the lanes are split.
+void ScoreLanes(const comaid::ComAidModel& model, ThreadPool* pool,
+                std::vector<comaid::BatchScoreLane>& lanes) {
+  constexpr size_t kGrain = comaid::ComAidModel::kDefaultScoreLanes;
   const size_t n = lanes.size();
-  if (n == 0) return;
-  if (config.use_fast_scoring && config.batch_ed) {
-    const size_t grain = std::max<size_t>(1, config.ed_batch_lanes);
-    const size_t chunks = (n + grain - 1) / grain;
-    auto score_chunk = [&](size_t c) {
-      const size_t start = c * grain;
-      model.ScoreLogProbFastBatch(lanes.data() + start,
-                                  std::min(grain, n - start),
-                                  /*ctx=*/nullptr, grain);
-    };
-    if (pool != nullptr && chunks > 1) {
-      pool->ParallelFor(chunks, score_chunk);
-    } else {
-      for (size_t c = 0; c < chunks; ++c) score_chunk(c);
-    }
-    return;
-  }
-  auto score_one = [&](size_t i) {
-    lanes[i].log_prob =
-        config.use_fast_scoring
-            ? model.ScoreLogProbFast(lanes[i].concept_id, *lanes[i].target)
-            : model.ScoreLogProbIds(lanes[i].concept_id, *lanes[i].target);
+  const size_t chunks = (n + kGrain - 1) / kGrain;
+  auto score_chunk = [&](size_t c) {
+    const size_t start = c * kGrain;
+    model.ScoreLogProbFastBatch(lanes.data() + start,
+                                std::min(kGrain, n - start));
   };
-  if (pool != nullptr && n > 1) {
-    pool->ParallelFor(n, score_one);
+  if (pool != nullptr && chunks > 1) {
+    pool->ParallelFor(chunks, score_chunk);
   } else {
-    for (size_t i = 0; i < n; ++i) score_one(i);
+    for (size_t c = 0; c < chunks; ++c) score_chunk(c);
   }
 }
 
 /// Post-scoring per-candidate pass: length normalisation and the optional
-/// MAP concept prior (Eq. 11), identical for both scoring paths.
+/// MAP concept prior (Eq. 11), shared by LinkDetailed and LinkBatchDetailed.
 ScoredCandidate Finalize(const NclConfig& config,
                          const comaid::BatchScoreLane& lane) {
   double log_prob = lane.log_prob;
@@ -195,7 +178,7 @@ std::vector<ScoredCandidate> NclLinker::LinkDetailed(
   }
   {
     NCL_TRACE_SPAN("ncl.link.score");
-    ScoreLanes(*model_, config_, pool_.get(), lanes);
+    ScoreLanes(*model_, pool_.get(), lanes);
     local.score_us = watch.ElapsedMicros();
   }
 
@@ -276,7 +259,7 @@ std::vector<std::vector<ScoredCandidate>> NclLinker::LinkBatchDetailed(
   watch.Reset();
   {
     NCL_TRACE_SPAN("ncl.link.score");
-    ScoreLanes(*model_, config_, pool_.get(), lanes);
+    ScoreLanes(*model_, pool_.get(), lanes);
   }
   const double score_us = watch.ElapsedMicros();
   for (size_t q = 0; q < num_queries; ++q) {

@@ -45,21 +45,9 @@ struct NclConfig {
   /// default: with shared-word removal the raw sum deliberately rewards
   /// candidates that explain more of the query lexically (Eq. 3 semantics).
   bool length_normalize = false;
-  /// Threads for parallel encode-decode scoring (paper uses ten).
+  /// Threads for parallel encode-decode scoring (paper uses ten). Lanes
+  /// split across threads in ComAidModel::kDefaultScoreLanes-wide tiles.
   size_t scoring_threads = 10;
-  /// Score Phase II with the tape-free fast path (cached concept encodings,
-  /// zero graph allocations). Off => the reference tape-based scorer; both
-  /// agree within float round-off (pinned by the parity tests).
-  bool use_fast_scoring = true;
-  /// Batch the ED phase: score candidates in lock-step tiles through
-  /// ComAidModel::ScoreLogProbFastBatch so the decoder weights stream once
-  /// per decode step instead of once per candidate. Requires
-  /// use_fast_scoring; per-candidate scores are bit-identical to the
-  /// unbatched fast path (shared canonical reduction order).
-  bool batch_ed = true;
-  /// Lock-step width for batched ED scoring; also the per-task grain when
-  /// the batch is split across scoring threads.
-  size_t ed_batch_lanes = 32;
   /// Optional non-uniform concept prior for MAP estimation (Eq. 11): maps
   /// concept id -> prior probability. Candidates absent from the map get
   /// `default_prior`. When empty, the uniform-prior MLE of Eq. 12 applies.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 
 #include "util/logging.h"
@@ -100,6 +101,15 @@ Status ParameterStore::Save(const std::string& path) const {
 Status ParameterStore::Load(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open " + path);
+  std::error_code ec;
+  const uint64_t file_bytes = std::filesystem::file_size(path, ec);
+  if (ec) return Status::IOError("cannot size " + path + ": " + ec.message());
+  // Bytes left after the read position (0 once a read has failed): counts
+  // and lengths beyond it are forged or truncated and must not allocate.
+  auto bytes_left = [&in, file_bytes]() -> uint64_t {
+    const std::streamoff pos = in.tellg();
+    return pos < 0 ? 0 : file_bytes - static_cast<uint64_t>(pos);
+  };
 
   auto read_u32 = [&in]() {
     uint32_t v = 0;
@@ -114,9 +124,16 @@ Status ParameterStore::Load(const std::string& path) {
 
   if (read_u32() != kMagic) return Status::IOError("bad magic in " + path);
   if (read_u32() != kVersion) return Status::IOError("bad version in " + path);
+  // Each record holds at least a name length, rows and cols (3 x u64).
   uint64_t count = read_u64();
+  if (!in || count > bytes_left() / (3 * sizeof(uint64_t))) {
+    return Status::IOError("truncated checkpoint " + path);
+  }
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t name_len = read_u64();
+    if (!in || name_len > bytes_left()) {
+      return Status::IOError("truncated checkpoint " + path);
+    }
     std::string name(name_len, '\0');
     in.read(name.data(), static_cast<std::streamsize>(name_len));
     uint64_t rows = read_u64();

@@ -123,7 +123,7 @@ class NclSnapshot : public ModelSnapshot {
   const comaid::ComAidModel& model() const { return *model_; }
   const linking::NclLinker& linker() const { return *linker_; }
 
-  /// The NclConfig defaults appropriate for a serving shard: fast scoring,
+  /// The NclConfig defaults appropriate for a serving shard: scoring is
   /// single-threaded per query (the service parallelises across queries).
   static linking::NclConfig MakeServingConfig() {
     linking::NclConfig config;

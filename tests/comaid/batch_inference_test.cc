@@ -1,10 +1,10 @@
-// Tests for the batched Phase-II scorer: parity with the tape path and the
-// single-lane fast path, bit-stability across lane counts and batch
-// compositions (the ScoreLogProbFastBatch determinism contract), ragged
-// target handling including empty residues, structural-attention fallback
-// lanes, and context reuse. Run under the asan/tsan presets when touching
-// the lock-step loop — the shrinking-prefix masking is exactly the kind of
-// code that hides off-by-one reads.
+// Tests for the Phase-II scorer: parity with the tape path in every
+// attention variant, bit-stability across lane counts and batch
+// compositions (the ScoreLogProbFastBatch determinism contract; one-lane
+// tiles are the per-candidate computation), ragged target handling
+// including empty residues, and per-thread scratch reuse. Run under the
+// asan/tsan presets when touching the lock-step loop — the shrinking-prefix
+// masking is exactly the kind of code that hides off-by-one reads.
 
 #include <gtest/gtest.h>
 
@@ -80,58 +80,72 @@ LaneSet MakeLanes(const ComAidModel& model, const ontology::Ontology& onto) {
   return set;
 }
 
-TEST(BatchInferenceTest, MatchesSingleLaneBitExactAcrossVariants) {
-  // Each batched lane must reproduce the unbatched fast path exactly: both
-  // run the same canonical per-element reduction order, so this is ==, not
-  // NEAR. Variants cover both attention switches (structural attention
-  // exercises the mixed-width fallback: root-level concepts have no
-  // ancestors).
-  ontology::Ontology onto = MakeOntology();
+/// The four COM-AID variants of the Fig. 6 ablation.
+std::vector<ComAidConfig> AllVariants() {
+  std::vector<ComAidConfig> variants;
   for (bool text : {true, false}) {
     for (bool structural : {true, false}) {
       ComAidConfig config = SmallConfig();
       config.text_attention = text;
       config.structural_attention = structural;
-      ComAidModel model(config, &onto, {{"ckd"}});
-      LaneSet set = MakeLanes(model, onto);
-      model.ScoreLogProbFastBatch(set.lanes.data(), set.lanes.size());
-      for (const BatchScoreLane& lane : set.lanes) {
-        EXPECT_EQ(lane.log_prob,
-                  model.ScoreLogProbFast(lane.concept_id, *lane.target))
-            << VariantName(config) << " concept " << lane.concept_id;
-      }
+      variants.push_back(config);
+    }
+  }
+  return variants;
+}
+
+TEST(BatchInferenceTest, MatchesSingleLaneBitExactAcrossVariants) {
+  // Each lane of one whole batch must reproduce that lane scored alone, as a
+  // batch of one: both run the same canonical per-element reduction order,
+  // so this is ==, not NEAR. The variants cover both attention switches.
+  ontology::Ontology onto = MakeOntology();
+  for (const ComAidConfig& config : AllVariants()) {
+    ComAidModel model(config, &onto, {{"ckd"}});
+    LaneSet set = MakeLanes(model, onto);
+    model.ScoreLogProbFastBatch(set.lanes.data(), set.lanes.size());
+    for (const BatchScoreLane& lane : set.lanes) {
+      BatchScoreLane alone{lane.concept_id, lane.target, 0.0};
+      model.ScoreLogProbFastBatch(&alone, 1);
+      EXPECT_EQ(lane.log_prob, alone.log_prob)
+          << VariantName(config) << " concept " << lane.concept_id;
     }
   }
 }
 
 TEST(BatchInferenceTest, MatchesTapeWithinTolerance) {
   ontology::Ontology onto = MakeOntology();
-  ComAidModel model(SmallConfig(), &onto, {{"ckd"}});
-  LaneSet set = MakeLanes(model, onto);
-  model.ScoreLogProbFastBatch(set.lanes.data(), set.lanes.size());
-  for (const BatchScoreLane& lane : set.lanes) {
-    EXPECT_NEAR(lane.log_prob,
-                model.ScoreLogProbIds(lane.concept_id, *lane.target), 1e-5)
-        << "concept " << lane.concept_id;
+  for (const ComAidConfig& config : AllVariants()) {
+    ComAidModel model(config, &onto, {{"ckd"}});
+    LaneSet set = MakeLanes(model, onto);
+    model.ScoreLogProbFastBatch(set.lanes.data(), set.lanes.size());
+    for (const BatchScoreLane& lane : set.lanes) {
+      EXPECT_NEAR(lane.log_prob,
+                  model.ScoreLogProbIds(lane.concept_id, *lane.target), 1e-5)
+          << VariantName(config) << " concept " << lane.concept_id;
+    }
   }
 }
 
 TEST(BatchInferenceTest, InvariantToMaxLanesAndRepeats) {
   // The tiling knob must not change a single bit of any score, and repeated
-  // runs must agree exactly (determinism).
+  // runs must agree exactly (determinism). max_lanes = 1 is the
+  // per-candidate computation, so this also pins batched == unbatched.
   ontology::Ontology onto = MakeOntology();
-  ComAidModel model(SmallConfig(), &onto, {{"ckd"}});
-  LaneSet reference = MakeLanes(model, onto);
-  model.ScoreLogProbFastBatch(reference.lanes.data(), reference.lanes.size());
+  for (const ComAidConfig& config : AllVariants()) {
+    ComAidModel model(config, &onto, {{"ckd"}});
+    LaneSet reference = MakeLanes(model, onto);
+    model.ScoreLogProbFastBatch(reference.lanes.data(), reference.lanes.size());
 
-  for (size_t max_lanes : {size_t{1}, size_t{3}, size_t{32}}) {
-    for (int repeat = 0; repeat < 2; ++repeat) {
-      LaneSet set = MakeLanes(model, onto);
-      model.ScoreLogProbFastBatch(set.lanes.data(), set.lanes.size(),
-                                  /*ctx=*/nullptr, max_lanes);
-      for (size_t i = 0; i < set.lanes.size(); ++i) {
-        EXPECT_EQ(set.lanes[i].log_prob, reference.lanes[i].log_prob)
-            << "max_lanes=" << max_lanes << " lane " << i;
+    for (size_t max_lanes : {size_t{1}, size_t{3}, size_t{32}}) {
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        LaneSet set = MakeLanes(model, onto);
+        model.ScoreLogProbFastBatch(set.lanes.data(), set.lanes.size(),
+                                    max_lanes);
+        for (size_t i = 0; i < set.lanes.size(); ++i) {
+          EXPECT_EQ(set.lanes[i].log_prob, reference.lanes[i].log_prob)
+              << VariantName(config) << " max_lanes=" << max_lanes
+              << " lane " << i;
+        }
       }
     }
   }
@@ -170,30 +184,27 @@ TEST(BatchInferenceTest, ParityHoldsAfterTraining) {
   LaneSet set = MakeLanes(model, onto);
   model.ScoreLogProbFastBatch(set.lanes.data(), set.lanes.size());
   for (const BatchScoreLane& lane : set.lanes) {
-    EXPECT_EQ(lane.log_prob,
-              model.ScoreLogProbFast(lane.concept_id, *lane.target));
     EXPECT_NEAR(lane.log_prob,
                 model.ScoreLogProbIds(lane.concept_id, *lane.target), 1e-5);
   }
 }
 
-TEST(BatchInferenceTest, ExplicitContextReuseAcrossShapes) {
-  // One context reused across differently shaped batches must not leak
-  // state between calls (buffers only ever grow).
+TEST(BatchInferenceTest, ContextReuseAcrossShapes) {
+  // One thread's scratch is reused across differently shaped batches and
+  // must not leak state between calls (buffers only ever grow).
   ontology::Ontology onto = MakeOntology();
   ComAidModel model(SmallConfig(), &onto, {});
-  BatchInferenceContext ctx;
 
   LaneSet big = MakeLanes(model, onto);
-  model.ScoreLogProbFastBatch(big.lanes.data(), big.lanes.size(), &ctx);
+  model.ScoreLogProbFastBatch(big.lanes.data(), big.lanes.size());
   std::vector<double> first;
   for (const auto& lane : big.lanes) first.push_back(lane.log_prob);
 
   // A small interleaved batch, then the big one again.
   LaneSet small = MakeLanes(model, onto);
-  model.ScoreLogProbFastBatch(small.lanes.data(), 2, &ctx);
+  model.ScoreLogProbFastBatch(small.lanes.data(), 2);
   LaneSet again = MakeLanes(model, onto);
-  model.ScoreLogProbFastBatch(again.lanes.data(), again.lanes.size(), &ctx);
+  model.ScoreLogProbFastBatch(again.lanes.data(), again.lanes.size());
   for (size_t i = 0; i < again.lanes.size(); ++i) {
     EXPECT_EQ(again.lanes[i].log_prob, first[i]) << "lane " << i;
   }

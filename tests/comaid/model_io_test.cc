@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
 
 #include "comaid/trainer.h"
 
@@ -88,6 +90,86 @@ TEST(ModelIoTest, MissingFileFails) {
   ontology::Ontology onto = MakeOntology();
   auto loaded = LoadModel("/nonexistent-xyz/model.bin", &onto);
   EXPECT_FALSE(loaded.ok());
+}
+
+// Forged checkpoints: one u64 field overwritten in an otherwise valid file.
+// Each must come back as a Status, never an abort or a huge allocation.
+//
+// model.bin: magic u32 | version u32 | dim u64 | beta u64 | text u32 |
+//            structural u32 | seed u64 | vocabulary count u64 | words...
+// .params:   magic u32 | version u32 | count u64 | first name length u64 ...
+constexpr std::streamoff kDimOffset = 8;
+constexpr std::streamoff kBetaOffset = 16;
+constexpr std::streamoff kVocabCountOffset = 40;
+constexpr std::streamoff kFirstParamNameOffset = 16;
+
+/// Saves a small model (structural attention on, beta 2) under `name`.
+std::string SaveCheckpoint(const ontology::Ontology& onto,
+                           const std::string& name) {
+  ComAidConfig config;
+  config.dim = 8;
+  ComAidModel model(config, &onto, {{"ckd", "5"}});
+  std::string path = testing::TempDir() + "/ncl_model_io_" + name + ".bin";
+  EXPECT_TRUE(SaveModel(model, path).ok());
+  return path;
+}
+
+void PatchU64(const std::string& file, std::streamoff offset, uint64_t value) {
+  std::fstream out(file, std::ios::in | std::ios::out | std::ios::binary);
+  out.seekp(offset);
+  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  ASSERT_TRUE(out.good()) << file;
+}
+
+/// Loads `path` and returns the status code, removing the checkpoint.
+StatusCode LoadCode(const std::string& path, const ontology::Ontology& onto) {
+  auto loaded = LoadModel(path, &onto);
+  std::remove(path.c_str());
+  std::remove((path + ".params").c_str());
+  return loaded.status().code();
+}
+
+TEST(ModelIoTest, ForgedVocabularyCountIsRejected) {
+  ontology::Ontology onto = MakeOntology();
+  const std::string path = SaveCheckpoint(onto, "vocab_count");
+  PatchU64(path, kVocabCountOffset, uint64_t{1} << 40);
+  EXPECT_EQ(LoadCode(path, onto), StatusCode::kIOError);
+}
+
+TEST(ModelIoTest, ForgedParameterNameLengthIsRejected) {
+  ontology::Ontology onto = MakeOntology();
+  const std::string path = SaveCheckpoint(onto, "name_length");
+  PatchU64(path + ".params", kFirstParamNameOffset, uint64_t{1} << 40);
+  EXPECT_EQ(LoadCode(path, onto), StatusCode::kIOError);
+}
+
+TEST(ModelIoTest, ForgedZeroDimIsRejected) {
+  ontology::Ontology onto = MakeOntology();
+  const std::string path = SaveCheckpoint(onto, "dim_zero");
+  PatchU64(path, kDimOffset, 0);
+  EXPECT_EQ(LoadCode(path, onto), StatusCode::kInvalidArgument);
+}
+
+TEST(ModelIoTest, ForgedDimTooLargeForParamsIsRejected) {
+  ontology::Ontology onto = MakeOntology();
+  const std::string path = SaveCheckpoint(onto, "dim_large");
+  PatchU64(path, kDimOffset, uint64_t{1} << 40);
+  EXPECT_EQ(LoadCode(path, onto), StatusCode::kInvalidArgument);
+}
+
+TEST(ModelIoTest, ForgedNegativeBetaIsRejected) {
+  ontology::Ontology onto = MakeOntology();
+  const std::string path = SaveCheckpoint(onto, "beta_negative");
+  // SaveModel widens the int32 beta, so -1 is stored as all ones.
+  PatchU64(path, kBetaOffset, static_cast<uint64_t>(int64_t{-1}));
+  EXPECT_EQ(LoadCode(path, onto), StatusCode::kInvalidArgument);
+}
+
+TEST(ModelIoTest, ForgedZeroBetaWithStructuralAttentionIsRejected) {
+  ontology::Ontology onto = MakeOntology();
+  const std::string path = SaveCheckpoint(onto, "beta_zero");
+  PatchU64(path, kBetaOffset, 0);
+  EXPECT_EQ(LoadCode(path, onto), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -210,5 +210,19 @@ TEST(ComAidModelTest, StructuralVariantEncodesAncestors) {
   EXPECT_TRUE(std::isfinite(score));
 }
 
+TEST(ComAidModelTest, StructuralAttentionRequiresPositiveBeta) {
+  // β = 0 would leave the structural attention nothing to attend over, so
+  // the composite vector would not match W_d; the constructor refuses it.
+  ontology::Ontology onto = MakeOntology();
+  ComAidConfig config = SmallConfig();
+  config.beta = 0;
+  EXPECT_DEATH(ComAidModel(config, &onto, {}), "Def. 4.1");
+  // Without structural attention β is unused, and 0 stays legal.
+  config.structural_attention = false;
+  ComAidModel model(config, &onto, {});
+  EXPECT_TRUE(std::isfinite(model.ScoreLogProb(onto.FindByCode("D50.0"),
+                                               {"anemia"})));
+}
+
 }  // namespace
 }  // namespace ncl::comaid

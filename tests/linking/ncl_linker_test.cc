@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "comaid/trainer.h"
 
 namespace ncl::linking {
@@ -110,25 +112,40 @@ TEST(NclLinkerTest, KCapsPhaseOneCandidates) {
 }
 
 TEST(NclLinkerTest, FastAndTapeScoringAgree) {
-  // The default tape-free scorer must reproduce the tape path's ranking and
-  // log-probabilities within the inference fast path's parity bound.
+  // The linker's tape-free scores must reproduce the tape scorer on each
+  // candidate's shared-word residue (§5) within the parity bound, and rank
+  // the candidates the same way.
   Fixture f;
-  NclConfig fast_config;
-  fast_config.use_fast_scoring = true;
-  NclConfig tape_config;
-  tape_config.use_fast_scoring = false;
-  NclLinker fast(f.model.get(), f.candidates.get(), nullptr, fast_config);
-  NclLinker tape(f.model.get(), f.candidates.get(), nullptr, tape_config);
+  NclLinker linker(f.model.get(), f.candidates.get(), nullptr);
   for (const std::vector<std::string>& query :
        {std::vector<std::string>{"ckd", "5"},
         std::vector<std::string>{"iron", "anemia", "nos"},
         std::vector<std::string>{"anemia", "blood", "loss"}}) {
-    auto rf = fast.LinkDetailed(query);
-    auto rt = tape.LinkDetailed(query);
-    ASSERT_EQ(rf.size(), rt.size());
-    for (size_t i = 0; i < rf.size(); ++i) {
-      EXPECT_EQ(rf[i].concept_id, rt[i].concept_id);
-      EXPECT_NEAR(rf[i].log_prob, rt[i].log_prob, 1e-5);
+    auto scored = linker.LinkDetailed(query);
+    ASSERT_FALSE(scored.empty());
+    const std::vector<text::WordId> query_ids = f.model->MapTokens(query);
+    std::vector<ScoredCandidate> tape;
+    for (const ScoredCandidate& candidate : scored) {
+      const auto& description = f.model->ConceptWords(candidate.concept_id);
+      std::vector<text::WordId> residue;
+      for (text::WordId word : query_ids) {
+        if (std::find(description.begin(), description.end(), word) ==
+            description.end()) {
+          residue.push_back(word);
+        }
+      }
+      const double log_prob =
+          f.model->ScoreLogProbIds(candidate.concept_id, residue);
+      EXPECT_NEAR(candidate.log_prob, log_prob, 1e-5);
+      tape.push_back(ScoredCandidate{candidate.concept_id, log_prob, -log_prob});
+    }
+    std::sort(tape.begin(), tape.end(),
+              [](const ScoredCandidate& a, const ScoredCandidate& b) {
+                if (a.log_prob != b.log_prob) return a.log_prob > b.log_prob;
+                return a.concept_id < b.concept_id;
+              });
+    for (size_t i = 0; i < scored.size(); ++i) {
+      EXPECT_EQ(scored[i].concept_id, tape[i].concept_id);
     }
   }
 }
@@ -213,54 +230,42 @@ TEST(NclLinkerTest, NoCandidatesYieldsEmptyRanking) {
   EXPECT_TRUE(linker.Link({"xylophone"}, 3).empty());
 }
 
-TEST(NclLinkerTest, BatchedEdMatchesUnbatchedBitExact) {
-  // batch_ed reroutes Phase II through the lock-step scorer; scores — not
-  // just the ranking — must be bit-identical to the per-candidate fast path
-  // (shared canonical reduction order).
-  Fixture f;
-  NclConfig batched;
-  batched.batch_ed = true;
-  NclConfig single;
-  single.batch_ed = false;
-  NclLinker a(f.model.get(), f.candidates.get(), nullptr, batched);
-  NclLinker b(f.model.get(), f.candidates.get(), nullptr, single);
-  for (const std::vector<std::string>& query :
-       {std::vector<std::string>{"ckd", "5"},
-        std::vector<std::string>{"iron", "anemia", "nos"},
-        std::vector<std::string>{"anemia", "blood", "loss"},
-        std::vector<std::string>{}}) {
-    auto ra = a.LinkDetailed(query);
-    auto rb = b.LinkDetailed(query);
-    ASSERT_EQ(ra.size(), rb.size());
-    for (size_t i = 0; i < ra.size(); ++i) {
-      EXPECT_EQ(ra[i].concept_id, rb[i].concept_id);
-      EXPECT_EQ(ra[i].log_prob, rb[i].log_prob);
-    }
-  }
-}
-
 TEST(NclLinkerTest, BatchedEdInvariantToLaneWidthAndThreads) {
+  // A pooled LinkBatchDetailed pass spans more than one kDefaultScoreLanes
+  // tile, so its lanes split into several pool tasks. Its scores must be
+  // bit-identical to per-query LinkDetailed (one narrow tile per query),
+  // on one thread and on four.
   Fixture f;
-  NclConfig base;
-  base.batch_ed = true;
-  base.ed_batch_lanes = 32;
-  base.scoring_threads = 1;
-  NclLinker reference(f.model.get(), f.candidates.get(), nullptr, base);
-  auto expected = reference.LinkDetailed({"kidney", "disease", "5"});
+  std::vector<std::vector<std::string>> queries;
+  for (int repeat = 0; repeat < 4; ++repeat) {
+    queries.push_back({"iron", "anemia", "kidney", "disease"});
+    queries.push_back({"anemia", "blood", "loss", "chronic", "5"});
+    queries.push_back({"deficiency", "kidney", "unspecified"});
+  }
+  NclConfig serial;
+  serial.scoring_threads = 1;
+  NclLinker reference(f.model.get(), f.candidates.get(), nullptr, serial);
+  std::vector<std::vector<ScoredCandidate>> expected;
+  size_t total_lanes = 0;
+  for (const auto& query : queries) {
+    expected.push_back(reference.LinkDetailed(query));
+    total_lanes += expected.back().size();
+  }
+  ASSERT_GT(total_lanes, comaid::ComAidModel::kDefaultScoreLanes);
 
-  for (size_t lanes : {size_t{1}, size_t{3}, size_t{8}}) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      NclConfig config = base;
-      config.ed_batch_lanes = lanes;
-      config.scoring_threads = threads;
-      NclLinker linker(f.model.get(), f.candidates.get(), nullptr, config);
-      auto got = linker.LinkDetailed({"kidney", "disease", "5"});
-      ASSERT_EQ(got.size(), expected.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].concept_id, expected[i].concept_id)
-            << "lanes=" << lanes << " threads=" << threads;
-        EXPECT_EQ(got[i].log_prob, expected[i].log_prob)
-            << "lanes=" << lanes << " threads=" << threads;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    NclConfig config;
+    config.scoring_threads = threads;
+    NclLinker linker(f.model.get(), f.candidates.get(), nullptr, config);
+    auto got = linker.LinkBatchDetailed(queries);
+    ASSERT_EQ(got.size(), queries.size());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      ASSERT_EQ(got[q].size(), expected[q].size()) << "query " << q;
+      for (size_t i = 0; i < got[q].size(); ++i) {
+        EXPECT_EQ(got[q][i].concept_id, expected[q][i].concept_id)
+            << "threads=" << threads << " query " << q;
+        EXPECT_EQ(got[q][i].log_prob, expected[q][i].log_prob)
+            << "threads=" << threads << " query " << q;
       }
     }
   }

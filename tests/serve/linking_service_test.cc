@@ -191,23 +191,6 @@ TEST(LinkingServiceTest, QueueWaitPastDeadlineFailsDeadlineExceeded) {
   EXPECT_EQ(service.stats().deadline_exceeded, exceeded);
 }
 
-TEST(LinkingServiceTest, DefaultDeadlineAppliesToEveryRequest) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(20ms));
-  ServeConfig config;
-  config.max_batch = 1;
-  config.num_shards = 1;
-  config.default_deadline = 1ms;
-  LinkingService service(&registry, config);
-
-  std::future<LinkResult> head = service.SubmitLink(Query());
-  std::future<LinkResult> second = service.SubmitLink(Query());
-  // head is dispatched immediately (within its deadline); second waits
-  // ~20ms behind it and blows the 1ms default.
-  EXPECT_TRUE(head.get().status.ok());
-  EXPECT_EQ(second.get().status.code(), StatusCode::kDeadlineExceeded);
-}
-
 TEST(LinkingServiceTest, BlockPolicyCompletesEverythingWithoutLoss) {
   SnapshotRegistry registry;
   registry.Publish(std::make_shared<FakeSnapshot>(1ms));
@@ -267,6 +250,7 @@ TEST(LinkingServiceTest, DrainRacingConcurrentSubmitsResolvesEveryFuture) {
   constexpr size_t kPerThread = 50;
   std::mutex futures_mutex;
   std::vector<std::future<LinkResult>> futures;
+  std::atomic<size_t> submitted{0};
   std::vector<std::thread> submitters;
   for (size_t t = 0; t < kSubmitters; ++t) {
     submitters.emplace_back([&] {
@@ -274,11 +258,16 @@ TEST(LinkingServiceTest, DrainRacingConcurrentSubmitsResolvesEveryFuture) {
         std::future<LinkResult> f = service.SubmitLink(Query());
         std::lock_guard<std::mutex> lock(futures_mutex);
         futures.push_back(std::move(f));
+        submitted.fetch_add(1, std::memory_order_release);
       }
     });
   }
-  // Start the drain mid-burst, concurrent with the submitters.
-  std::this_thread::sleep_for(2ms);
+  // Start the drain mid-burst, concurrent with the submitters, but only once
+  // some work is queued (a fixed sleep can elapse before any submitter runs
+  // on a busy host).
+  while (submitted.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
   std::thread drainer([&] { service.Drain(); });
   for (auto& t : submitters) t.join();
   drainer.join();
@@ -359,6 +348,32 @@ class SlowQueryGate : public FakeSnapshot {
   mutable bool slow_scoring_ = false;
   bool released_ = false;
 };
+
+TEST(LinkingServiceTest, DefaultDeadlineAppliesToEveryRequest) {
+  SnapshotRegistry registry;
+  auto snapshot = std::make_shared<SlowQueryGate>();
+  registry.Publish(snapshot);
+  ServeConfig config;
+  config.max_batch = 1;
+  config.num_shards = 1;
+  // Far above a shard's wake-up time, so the head request always makes it.
+  config.default_deadline = 100ms;
+  LinkingService service(&registry, config);
+
+  // The head request holds the only shard until Release(); the second one
+  // queues behind it and is released only after its default deadline.
+  std::future<LinkResult> head = service.SubmitLink({"slow", "query"});
+  EXPECT_TRUE(snapshot->WaitForSlowQuery(5s));
+  std::future<LinkResult> second = service.SubmitLink(Query());
+  // Read after SubmitLink returns, so it is no earlier than the enqueue
+  // time the deadline counts from.
+  const auto second_submitted = std::chrono::steady_clock::now();
+  std::this_thread::sleep_until(second_submitted + config.default_deadline +
+                                10ms);
+  snapshot->Release();
+  EXPECT_TRUE(head.get().status.ok());
+  EXPECT_EQ(second.get().status.code(), StatusCode::kDeadlineExceeded);
+}
 
 TEST(LinkingServiceTest, SlowQueryDoesNotHoldUpRequestsBehindIt) {
   SnapshotRegistry registry;

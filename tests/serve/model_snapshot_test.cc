@@ -1,7 +1,7 @@
 // SnapshotRegistry / NclSnapshot tests, including the concurrency stress
 // the snapshot design exists for: COM-AID weights being retrained (and the
 // concept-encoding cache being invalidated) *while* other threads score
-// through ScoreLogProbFast. Pre-snapshot, that was a documented data race
+// through the linker. Pre-snapshot, that was a documented data race
 // (NotifyWeightsChanged clears the cache under live readers); with
 // snapshots, mutation only ever touches a model no scorer can see yet, and
 // publication is an atomic pointer swap. Run under -fsanitize=thread (the
@@ -13,7 +13,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -203,11 +205,11 @@ TEST(ModelSnapshotTest, NclSnapshotLinkBatchTracedSurfacesPhaseTimings) {
   }
 }
 
-// The satellite stress: scorers hammer ScoreLogProbFast through pinned
-// snapshots while a publisher trains fresh models (weight mutation + cache
-// invalidation) and swaps them in. Without snapshots this is the
-// Clear-under-readers race; with them TSan must stay silent and every
-// score must be finite.
+// The stress: scorers hammer NclSnapshot::Link (the batched scorer over the
+// shared concept-encoding cache) through pinned snapshots while a publisher
+// trains fresh models (weight mutation + cache invalidation) and swaps them
+// in. Without snapshots this is the Clear-under-readers race; with them
+// TSan must stay silent and every score must be finite.
 TEST(SnapshotRegistryTest, RetrainAndPublishUnderConcurrentScoring) {
   ontology::Ontology onto = MakeOntology();
   auto candidates = std::make_shared<const linking::CandidateGenerator>(
@@ -221,11 +223,18 @@ TEST(SnapshotRegistryTest, RetrainAndPublishUnderConcurrentScoring) {
   std::atomic<bool> done{false};
   std::atomic<uint64_t> scored{0};
   std::atomic<bool> saw_bad_score{false};
+  // Scorers that have finished their first Link. The publisher waits for
+  // all of them, so every publish overlaps live scoring however the
+  // scheduler orders the threads.
+  std::mutex ready_mutex;
+  std::condition_variable ready_cv;
+  int ready = 0;
 
   std::vector<std::thread> scorers;
   for (int t = 0; t < kScorers; ++t) {
     scorers.emplace_back([&] {
       const std::vector<std::string> query{"acute", "blood", "loss"};
+      bool first = true;
       while (!done.load(std::memory_order_acquire)) {
         std::shared_ptr<const ModelSnapshot> snapshot = registry.Current();
         auto ranked = snapshot->Link(query);
@@ -233,8 +242,18 @@ TEST(SnapshotRegistryTest, RetrainAndPublishUnderConcurrentScoring) {
           saw_bad_score.store(true, std::memory_order_relaxed);
         }
         scored.fetch_add(1, std::memory_order_relaxed);
+        if (first) {
+          first = false;
+          std::lock_guard<std::mutex> lock(ready_mutex);
+          ++ready;
+          ready_cv.notify_all();
+        }
       }
     });
+  }
+  {
+    std::unique_lock<std::mutex> lock(ready_mutex);
+    ready_cv.wait(lock, [&] { return ready == kScorers; });
   }
 
   // Publisher: every iteration retrains a *fresh* model (all mutation and

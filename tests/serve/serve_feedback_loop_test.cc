@@ -162,13 +162,12 @@ TEST(ServeFeedbackLoopTest, NewSnapshotScoresWithNewWeights) {
 
   auto before_model = TrainModel(onto, base, extra_vocab);
   const std::vector<std::string> feedback_query{"hemorrhagic", "anemia"};
-  const double before =
-      before_model->ScoreLogProbFast(d50_0, feedback_query);
+  const double before = before_model->ScoreLogProb(d50_0, feedback_query);
 
   Snippets with_feedback = base;
   with_feedback.push_back({d50_0, feedback_query});
   auto after_model = TrainModel(onto, with_feedback, extra_vocab);
-  const double after = after_model->ScoreLogProbFast(d50_0, feedback_query);
+  const double after = after_model->ScoreLogProb(d50_0, feedback_query);
   EXPECT_GT(after, before);
 
   // And the service picks exactly those weights up after a publish.

@@ -84,6 +84,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -258,6 +259,19 @@ int CmdTrain(const std::vector<std::string>& args,
              const std::unordered_map<std::string, std::string>& flags) {
   if (args.empty()) return Usage();
   const std::string& dir = args[0];
+  // Checked before any work: the model constructor aborts on these, and
+  // structural attention (Def. 4.1) needs at least one ancestor slot.
+  const int64_t dim = FlagInt(flags, "dim", 32);
+  const int64_t beta = FlagInt(flags, "beta", 2);
+  if (dim < 1) {
+    return Fail(Status::InvalidArgument("--dim must be >= 1, got " +
+                                        std::to_string(dim)));
+  }
+  if (beta < 1 || beta > std::numeric_limits<int32_t>::max()) {
+    return Fail(Status::InvalidArgument(
+        "--beta must be in [1, INT32_MAX] (Def. 4.1 structural context), got " +
+        std::to_string(beta)));
+  }
   auto ws = LoadWorkspace(dir);
   if (!ws.ok()) return Fail(ws.status());
 
@@ -268,7 +282,7 @@ int CmdTrain(const std::vector<std::string>& args,
         snippet.tokens, ws->onto.Get(snippet.concept_id).code));
   }
   pretrain::CbowConfig cbow;
-  cbow.dim = static_cast<size_t>(FlagInt(flags, "dim", 32));
+  cbow.dim = static_cast<size_t>(dim);
   cbow.epochs = static_cast<size_t>(FlagInt(flags, "cbow-epochs", 12));
   pretrain::WordEmbeddings embeddings = pretrain::TrainCbow(corpus, cbow);
   Status status = embeddings.Save(dir + "/embeddings.bin");
@@ -278,7 +292,7 @@ int CmdTrain(const std::vector<std::string>& args,
   // COM-AID refinement.
   comaid::ComAidConfig model_config;
   model_config.dim = cbow.dim;
-  model_config.beta = static_cast<int32_t>(FlagInt(flags, "beta", 2));
+  model_config.beta = static_cast<int32_t>(beta);
   std::vector<std::vector<std::string>> extra;
   for (const auto& snippet : ws->aliases) extra.push_back(snippet.tokens);
   comaid::ComAidModel model(model_config, &ws->onto, extra);
