@@ -1,11 +1,10 @@
 // Concept-encoding cache fills and invalidation (see comaid/inference.h).
 //
-// ComputeConceptEncoding mirrors the encoder half of ComAidModel::Forward on
+// FillConceptEncoding mirrors the encoder half of ComAidModel::Forward on
 // raw Matrix values: no tape nodes, no backward closures. The decoder half
 // lives in batch_inference.cc.
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "comaid/model.h"
 #include "util/logging.h"
@@ -31,56 +30,67 @@ const ConceptCacheMetrics& GetConceptCacheMetrics() {
 
 }  // namespace internal
 
-void ComAidModel::ComputeConceptEncoding(ontology::ConceptId concept_id,
-                                         ConceptEncoding* out) const {
+std::unique_ptr<ConceptEncoding> ComAidModel::NewConceptEncoding(
+    ontology::ConceptId concept_id) const {
+  auto encoding = std::make_unique<ConceptEncoding>();
+  encoding->encoder_states = nn::Matrix(
+      concept_words_[static_cast<size_t>(concept_id)].size(), config_.dim);
+  if (config_.structural_attention) {
+    encoding->ancestors =
+        nn::Matrix(static_cast<size_t>(config_.beta), config_.dim);
+  }
+  return encoding;
+}
+
+void ComAidModel::FillConceptEncoding(ontology::ConceptId concept_id,
+                                      float* scratch,
+                                      ConceptEncoding* out) const {
   const size_t d = config_.dim;
   const auto& words = concept_words_[static_cast<size_t>(concept_id)];
   NCL_DCHECK(!words.empty());
 
   // Encoder pass over the canonical description, keeping every h_t (the
   // text attention needs the full state sequence, Eqs. 5-6).
-  std::vector<float> zero(d, 0.0f);
-  std::vector<float> cell(d, 0.0f);
-  std::vector<float> scratch(2 * d);
-  out->encoder_states = nn::Matrix(words.size(), d);
-  const float* h_prev = zero.data();
+  float* zero = scratch;  // h_0
+  float* cell = scratch + d;
+  float* gates = scratch + 2 * d;
+  std::fill(zero, zero + 2 * d, 0.0f);
+  const float* h_prev = zero;
   for (size_t t = 0; t < words.size(); ++t) {
     float* h_out = out->encoder_states.row_data(t);
-    encoder_->StepValue(EmbeddingRow(words[t]), h_prev, cell.data(), h_out,
-                        cell.data(), scratch.data());
+    encoder_->StepValue(EmbeddingRow(words[t]), h_prev, cell, h_out, cell,
+                        gates);
     h_prev = h_out;
   }
 
-  // Structural context (Def. 4.1): final encoder states of the β ancestor
-  // slots, with duplicate slots kept so the attention softmax matches the
-  // tape path's repeated values. β >= 1 under structural attention (checked
-  // at construction), so every concept gets β rows.
-  out->ancestors = nn::Matrix();
-  if (config_.structural_attention) {
-    std::vector<ontology::ConceptId> context =
-        onto_->AncestorContext(concept_id, config_.beta);
-    out->ancestors = nn::Matrix(context.size(), d);
-    std::unordered_map<ontology::ConceptId, size_t> first_row;
-    std::vector<float> h(d);
-    for (size_t r = 0; r < context.size(); ++r) {
-      float* row = out->ancestors.row_data(r);
-      auto it = first_row.find(context[r]);
-      if (it != first_row.end()) {
-        const float* src = out->ancestors.row_data(it->second);
-        std::copy(src, src + d, row);
-        continue;
-      }
-      const auto& anc_words = concept_words_[static_cast<size_t>(context[r])];
-      std::fill(h.begin(), h.end(), 0.0f);
-      std::fill(cell.begin(), cell.end(), 0.0f);
-      for (text::WordId word : anc_words) {
-        encoder_->StepValue(EmbeddingRow(word), h.data(), cell.data(),
-                            h.data(), cell.data(), scratch.data());
-      }
-      std::copy(h.begin(), h.end(), row);
-      first_row.emplace(context[r], r);
+  // Structural context (Def. 4.1, as Ontology::AncestorContext walks it):
+  // the β nearest ancestors, padded with the depth-1 one, which is the
+  // concept itself at depth 1. A slot's representation is that concept's
+  // final encoder state, so the row is a copy of its cached encoding's
+  // (Eq. 7 shares the encoder). Duplicate slots keep duplicate rows so the
+  // attention softmax matches the tape path's repeated values.
+  ontology::ConceptId slot_id = concept_id;
+  for (size_t r = 0; r < out->ancestors.rows(); ++r) {
+    const ontology::ConceptId parent = onto_->Get(slot_id).parent;
+    if (parent != ontology::kRootConcept) slot_id = parent;
+    const float* state = out->final_state();
+    if (slot_id != concept_id) {
+      const ConceptEncoding* ancestor =
+          encoding_cache_->Peek(static_cast<size_t>(slot_id));
+      state = (ancestor != nullptr ? *ancestor : ComputeEncoding(slot_id))
+                  .final_state();
     }
+    std::copy(state, state + d, out->ancestors.row_data(r));
   }
+}
+
+const ConceptEncoding& ComAidModel::ComputeEncoding(
+    ontology::ConceptId concept_id) const {
+  std::unique_ptr<ConceptEncoding> encoding = NewConceptEncoding(concept_id);
+  std::vector<float> scratch(EncoderScratchFloats());
+  FillConceptEncoding(concept_id, scratch.data(), encoding.get());
+  return *encoding_cache_->Put(static_cast<size_t>(concept_id),
+                               std::move(encoding));
 }
 
 const ConceptEncoding& ComAidModel::EncodingFor(
@@ -89,28 +99,44 @@ const ConceptEncoding& ComAidModel::EncodingFor(
   if (const ConceptEncoding* cached = encoding_cache_->Get(slot)) {
     return *cached;
   }
-  auto encoding = std::make_unique<ConceptEncoding>();
-  ComputeConceptEncoding(concept_id, encoding.get());
-  return *encoding_cache_->Put(slot, std::move(encoding));
+  return ComputeEncoding(concept_id);
 }
 
-size_t ComAidModel::PrecomputeConceptEncodings(ThreadPool* pool) const {
-  std::vector<ontology::ConceptId> ids = onto_->AllConcepts();
-  std::atomic<size_t> computed{0};
-  auto encode_one = [&](size_t i) {
-    const size_t slot = static_cast<size_t>(ids[i]);
-    if (encoding_cache_->Get(slot) != nullptr) return;
-    auto encoding = std::make_unique<ConceptEncoding>();
-    ComputeConceptEncoding(ids[i], encoding.get());
-    encoding_cache_->Put(slot, std::move(encoding));
-    computed.fetch_add(1, std::memory_order_relaxed);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(ids.size(), encode_one);
-  } else {
-    for (size_t i = 0; i < ids.size(); ++i) encode_one(i);
+size_t ComAidModel::PrecomputeConceptEncodings() const {
+  // A structural context names only shallower concepts, so filling one
+  // depth level at a time, shallowest first, finds every ancestor row
+  // cached.
+  std::vector<std::vector<ontology::ConceptId>> levels(
+      static_cast<size_t>(onto_->max_depth()) + 1);
+  for (ontology::ConceptId id : onto_->AllConcepts()) {
+    if (encoding_cache_->Peek(static_cast<size_t>(id)) == nullptr) {
+      levels[static_cast<size_t>(onto_->Get(id).depth)].push_back(id);
+    }
   }
-  return computed.load();
+  // The calling thread allocates and installs; the helpers only fill
+  // values. Encodings allocated on the helpers would stay in their glibc
+  // malloc arenas: perfbench icd10_93k rss_mb read 247.3 MiB that way, 237.4
+  // this way.
+  const size_t scratch_floats = EncoderScratchFloats();
+  std::vector<float> scratch(NumCores() * scratch_floats);
+  size_t computed = 0;
+  for (const auto& level : levels) {
+    std::vector<std::unique_ptr<ConceptEncoding>> encodings;
+    encodings.reserve(level.size());
+    for (ontology::ConceptId id : level) {
+      encodings.push_back(NewConceptEncoding(id));
+    }
+    ParallelForOnCores(level.size(), [&](size_t worker, size_t i) {
+      FillConceptEncoding(level[i], scratch.data() + worker * scratch_floats,
+                          encodings[i].get());
+    });
+    for (size_t i = 0; i < level.size(); ++i) {
+      encoding_cache_->Put(static_cast<size_t>(level[i]),
+                           std::move(encodings[i]));
+    }
+    computed += level.size();
+  }
+  return computed;
 }
 
 void ComAidModel::InvalidateConceptEncodings() const { encoding_cache_->Clear(); }

@@ -13,6 +13,9 @@
 //   * ConceptEncodingCache memoises ConceptEncodings per concept, filled
 //     lazily on first use or eagerly for the whole ontology
 //     (ComAidModel::PrecomputeConceptEncodings). Readers are lock-free.
+//     A structural-context row is an ancestor's final encoder state, so it
+//     is copied from that ancestor's cached encoding rather than re-encoded:
+//     each concept's description goes through the encoder once per fill.
 //   * BatchScoreLane is one (concept, target) pair of a scoring call; the
 //     decoder itself runs lanes in lock-step (comaid/batch_inference.cc).
 //
@@ -43,7 +46,8 @@ namespace internal {
 /// the process shares them.
 struct ConceptCacheMetrics {
   obs::Counter* hits;           ///< Get returned a cached encoding
-  obs::Counter* misses;         ///< Get found the slot empty
+  obs::Counter* misses;         ///< Get found the slot empty (Peek counts
+                                ///< neither: only the scorer's lookups count)
   obs::Counter* fills;          ///< Put installed a new encoding
   obs::Counter* fill_races;     ///< Put lost the install race (work wasted)
   obs::Counter* invalidations;  ///< Clear calls (weight mutations)
@@ -59,9 +63,9 @@ struct ConceptEncoding {
   /// pass e_r = h_r . s is a single matvec.
   nn::Matrix encoder_states;
   /// Structural-context representations, one row per Def. 4.1 ancestor slot
-  /// (β x d). Padded/duplicated slots keep their duplicate rows so the
-  /// attention softmax matches the tape path exactly. Empty when structural
-  /// attention is off.
+  /// (β x d): each a copy of that concept's final_state(). Padded/duplicated
+  /// slots keep their duplicate rows so the attention softmax matches the
+  /// tape path exactly. Empty when structural attention is off.
   nn::Matrix ancestors;
 
   /// The concept representation h_n^c (final encoder state).
@@ -86,13 +90,18 @@ class ConceptEncodingCache {
   ConceptEncodingCache& operator=(const ConceptEncodingCache&) = delete;
 
   /// The cached encoding for `slot`, or nullptr when absent. Counts a
-  /// `ncl.concept_cache` hit or miss.
+  /// `ncl.concept_cache` hit or miss: the scorer's lookups go through here.
   const ConceptEncoding* Get(size_t slot) const {
-    const ConceptEncoding* encoding =
-        slots_[slot].load(std::memory_order_acquire);
+    const ConceptEncoding* encoding = Peek(slot);
     const auto& metrics = internal::GetConceptCacheMetrics();
     (encoding != nullptr ? metrics.hits : metrics.misses)->Increment();
     return encoding;
+  }
+
+  /// Get without counting: for the model's own probes (warm-ups, ancestor
+  /// reads), which would otherwise pad the scorer's hit ratio.
+  const ConceptEncoding* Peek(size_t slot) const {
+    return slots_[slot].load(std::memory_order_acquire);
   }
 
   /// Install `encoding` at `slot` unless another thread won the race; either

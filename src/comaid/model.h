@@ -32,10 +32,6 @@
 #include "text/vocabulary.h"
 #include "util/status.h"
 
-namespace ncl {
-class ThreadPool;
-}
-
 namespace ncl::comaid {
 
 /// Architecture/ablation configuration.
@@ -137,9 +133,17 @@ class ComAidModel {
                              size_t max_lanes = kDefaultScoreLanes) const;
 
   /// \brief Eagerly fill the concept-encoding cache for the whole ontology
-  /// (on `pool` when given). Returns the number of encodings computed.
-  /// Optional: ScoreLogProbFastBatch fills the cache lazily per concept.
-  size_t PrecomputeConceptEncodings(ThreadPool* pool = nullptr) const;
+  /// on every core (ParallelForOnCores). Returns the number of encodings
+  /// computed.
+  ///
+  /// Runs one depth level at a time, shallowest first, so each concept's
+  /// structural-context rows are copied from ancestors already cached. The
+  /// calling thread allocates and installs each level's encodings and the
+  /// helpers only fill values, which keeps the cache in the calling
+  /// thread's malloc arena. Encodings are bit-identical to lazy fills. Does
+  /// not move the cache's hit/miss counters. Optional: ScoreLogProbFastBatch
+  /// fills the cache lazily per concept.
+  size_t PrecomputeConceptEncodings() const;
 
   /// Drop all cached concept encodings (they are recomputed on demand).
   void InvalidateConceptEncodings() const;
@@ -206,12 +210,27 @@ class ComAidModel {
     return embeddings_->value.row_data(static_cast<size_t>(word));
   }
 
-  /// Tape-free encoder pass filling `out` for one concept.
-  void ComputeConceptEncoding(ontology::ConceptId concept_id,
-                              ConceptEncoding* out) const;
+  /// Floats of scratch FillConceptEncoding needs per thread.
+  size_t EncoderScratchFloats() const { return 4 * config_.dim; }
 
-  /// The cached encoding for `concept_id`, computing and installing it on a
-  /// miss.
+  /// A ConceptEncoding sized for `concept_id` (n x d encoder states, β x d
+  /// ancestor rows under structural attention), not yet filled.
+  std::unique_ptr<ConceptEncoding> NewConceptEncoding(
+      ontology::ConceptId concept_id) const;
+
+  /// Tape-free encoder pass filling `out` (from NewConceptEncoding) for one
+  /// concept. Ancestor rows are copied from the ancestors' cached
+  /// encodings, which are computed and installed first when absent; when
+  /// they are all cached the call allocates nothing.
+  void FillConceptEncoding(ontology::ConceptId concept_id, float* scratch,
+                           ConceptEncoding* out) const;
+
+  /// Compute `concept_id`'s encoding and install it (a racing fill may win;
+  /// the installed encoding is returned either way).
+  const ConceptEncoding& ComputeEncoding(ontology::ConceptId concept_id) const;
+
+  /// The scorer's lookup: the cached encoding for `concept_id` (counted as
+  /// a hit or miss), computing and installing it on a miss.
   const ConceptEncoding& EncodingFor(ontology::ConceptId concept_id) const;
 
   /// One lock-step tile of ScoreLogProbFastBatch (batch_inference.cc).

@@ -6,21 +6,20 @@
 
 #include "text/tokenizer.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace ncl::text {
 
 namespace {
 
-/// Enumerates the analyzer's term strings for a token list: the tokens
-/// themselves (when configured) and their boundary-padded char n-grams.
+/// Enumerates the analyzer's term strings for one token: the token itself
+/// (when configured) and its boundary-padded char n-grams.
 template <typename Fn>
-void ForEachTerm(const NgramIndexConfig& config,
-                 const std::vector<std::string>& tokens, Fn&& fn) {
-  for (const auto& token : tokens) {
-    if (config.index_tokens) fn(std::string_view(token));
-    for (const auto& gram : CharNgramsPadded(token, config.ngram_size)) {
-      fn(std::string_view(gram));
-    }
+void ForEachTerm(const NgramIndexConfig& config, const std::string& token,
+                 Fn&& fn) {
+  if (config.index_tokens) fn(std::string_view(token));
+  for (const auto& gram : CharNgramsPadded(token, config.ngram_size)) {
+    fn(std::string_view(gram));
   }
 }
 
@@ -45,29 +44,44 @@ int32_t NgramIndex::AddDocument(const std::vector<std::string>& tokens) {
   NCL_CHECK(!finalized_) << "cannot add documents after Finalize()";
   int32_t doc_id = static_cast<int32_t>(doc_norms_.size());
   doc_norms_.push_back(0.0);  // filled in Finalize
-  for (const auto& [term_id, tf] : AnalyzeDoc(tokens)) {
+  // One posting per distinct term, carrying its tf: the run length of the
+  // term's id in the sorted occurrence list.
+  const std::vector<int32_t> term_ids = AnalyzeDoc(tokens);
+  for (size_t i = 0; i < term_ids.size();) {
+    const int32_t term_id = term_ids[i];
+    size_t end = i + 1;
+    while (end < term_ids.size() && term_ids[end] == term_id) ++end;
     postings_[static_cast<size_t>(term_id)].push_back(
-        Posting{doc_id, static_cast<float>(tf)});
+        Posting{doc_id, static_cast<float>(end - i)});
     ++num_postings_;
+    i = end;
   }
   return doc_id;
 }
 
-std::vector<std::pair<int32_t, uint32_t>> NgramIndex::AnalyzeDoc(
+std::vector<int32_t> NgramIndex::AnalyzeDoc(
     const std::vector<std::string>& tokens) {
-  std::unordered_map<int32_t, uint32_t> tf;
-  ForEachTerm(config_, tokens, [&](std::string_view term) {
-    int32_t id = terms_.Add(term);
-    if (static_cast<size_t>(id) >= postings_.size()) {
-      postings_.resize(static_cast<size_t>(id) + 1);
+  std::vector<int32_t> term_ids;
+  for (const std::string& token : tokens) {
+    auto [it, first_seen] = token_terms_.try_emplace(token);
+    if (first_seen) {
+      // Ids come from terms_ in the same first-seen order as analysing
+      // every occurrence would assign them; a repeat adds no new term.
+      ForEachTerm(config_, token, [&](std::string_view term) {
+        it->second.push_back(terms_.Add(term));
+      });
+      if (terms_.size() > postings_.size()) postings_.resize(terms_.size());
     }
-    ++tf[id];
-  });
-  return {tf.begin(), tf.end()};
+    term_ids.insert(term_ids.end(), it->second.begin(), it->second.end());
+  }
+  std::sort(term_ids.begin(), term_ids.end());
+  return term_ids;
 }
 
 void NgramIndex::Finalize() {
   NCL_CHECK(!finalized_) << "Finalize() called twice";
+  // The analyzer memo only serves AddDocument; release it.
+  decltype(token_terms_)().swap(token_terms_);
   const double num_docs = static_cast<double>(doc_norms_.size());
   idf_.assign(postings_.size(), 0.0);
   upper_bounds_.assign(postings_.size(), 0.0f);
@@ -86,8 +100,10 @@ void NgramIndex::Finalize() {
   for (double& norm : doc_norms_) norm = std::sqrt(norm);
 
   // Pass 2: convert tf -> impact (the normalised cosine contribution),
-  // impact-order each list and record its upper bound.
-  for (size_t t = 0; t < postings_.size(); ++t) {
+  // impact-order each list and record its upper bound. Lists are
+  // independent and sort under a total order (impact desc, doc id asc), so
+  // spreading them over the cores gives the serial result exactly.
+  ParallelForOnCores(postings_.size(), [&](size_t /*worker*/, size_t t) {
     auto& plist = postings_[t];
     for (Posting& p : plist) {
       const double norm = doc_norms_[static_cast<size_t>(p.doc_id)];
@@ -101,7 +117,7 @@ void NgramIndex::Finalize() {
       return a.doc_id < b.doc_id;
     });
     if (!plist.empty()) upper_bounds_[t] = plist.front().impact;
-  }
+  });
 
   // Forward index for exact rescoring (only needed when pruning can
   // truncate accumulation). Term ids ascend in the outer loop, so each
@@ -127,10 +143,12 @@ void NgramIndex::Finalize() {
 std::vector<NgramIndex::QueryTerm> NgramIndex::AnalyzeQuery(
     const std::vector<std::string>& query) const {
   std::unordered_map<int32_t, uint32_t> tf;
-  ForEachTerm(config_, query, [&](std::string_view term) {
-    int32_t id = terms_.Lookup(term);
-    if (id != Vocabulary::kUnknown) ++tf[id];
-  });
+  for (const std::string& token : query) {
+    ForEachTerm(config_, token, [&](std::string_view term) {
+      int32_t id = terms_.Lookup(term);
+      if (id != Vocabulary::kUnknown) ++tf[id];
+    });
+  }
 
   std::vector<QueryTerm> terms;
   terms.reserve(tf.size());

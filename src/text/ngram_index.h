@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "text/tfidf_index.h"
@@ -125,9 +126,10 @@ class NgramIndex {
     double salience;  // weight * ub(term): max possible score contribution
   };
 
-  /// Map `tokens` to (term id, tf) pairs, creating new terms (index side).
-  std::vector<std::pair<int32_t, uint32_t>> AnalyzeDoc(
-      const std::vector<std::string>& tokens);
+  /// Index-side analysis: one term id per term occurrence in `tokens`,
+  /// sorted ascending, creating new terms. Each distinct token is analysed
+  /// once (token_terms_).
+  std::vector<int32_t> AnalyzeDoc(const std::vector<std::string>& tokens);
 
   /// Query-side analysis: idf-weighted, L2-normalised, salience-sorted.
   std::vector<QueryTerm> AnalyzeQuery(const std::vector<std::string>& query) const;
@@ -147,6 +149,11 @@ class NgramIndex {
   /// Only built when a pruning knob is active — the zero-knob configuration
   /// never truncates accumulation and needs no second pass.
   std::vector<std::vector<std::pair<int32_t, float>>> doc_terms_;
+  /// Build-time memo (freed by Finalize): each distinct token's term ids in
+  /// analyzer order.
+  std::unordered_map<std::string, std::vector<int32_t>, StringHash,
+                     std::equal_to<>>
+      token_terms_;
   size_t num_postings_ = 0;
   bool finalized_ = false;
 };

@@ -1,8 +1,11 @@
-// Fixed-size thread pool with a ParallelFor helper.
+// Fixed-size thread pool with a ParallelFor helper, and ParallelForOnCores,
+// a fork-join loop for one-off setup work.
 //
 // The paper's online linker evaluates the encode-decode probability of the
 // k candidate concepts on ten threads (Appendix B.1); ThreadPool provides
 // that parallelism for Phase II scoring and for batched training.
+// ParallelForOnCores spreads serving setup (the concept-encoding warm-up,
+// the ngram index's posting sort) over every core without a pool.
 //
 // Observability: every pool publishes to the global metrics registry —
 // `ncl.pool.queue_depth` (gauge), `ncl.pool.queue_wait_us` and
@@ -60,5 +63,20 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stopping_ = false;
 };
+
+/// Threads ParallelForOnCores runs on: std::thread::hardware_concurrency(),
+/// or 1 when that is unknown.
+size_t NumCores();
+
+/// \brief Run fn(worker, i) for every i in [0, count) on up to NumCores()
+/// threads: the calling thread (worker 0) plus helpers started for this
+/// call and joined before it returns. Threads take indices from a shared
+/// cursor; `worker` < NumCores() names the executing thread, so callers can
+/// give each one its own scratch. Unlike ThreadPool::ParallelFor it records
+/// no metrics or trace spans, so the helpers run nothing but `fn`. If an
+/// iteration throws, the remaining ones are skipped and the first exception
+/// is rethrown on the calling thread once every helper has joined.
+void ParallelForOnCores(size_t count,
+                        const std::function<void(size_t worker, size_t i)>& fn);
 
 }  // namespace ncl

@@ -1,15 +1,18 @@
 // Tests for the Phase-II scorer one candidate at a time — tape parity across
 // COM-AID variants — and for the concept-encoding cache behind it: lazy fill,
-// eager precompute, invalidation on weight updates (with tape parity after
-// the update), racing fills under concurrent scoring, and the hit/miss
-// counters. Scores go through ScoreLogProbFastBatch, which fills the cache.
+// eager precompute (bit-identical to lazy fills), invalidation on weight
+// updates (with tape parity after the update), racing fills under
+// concurrent scoring, and the hit/miss counters. Scores go through
+// ScoreLogProbFastBatch, which fills the cache.
 // Run these under -fsanitize=thread (the `tsan` CMake preset) when touching
 // the cache or the scoring hot loop.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "comaid/model.h"
@@ -92,20 +95,100 @@ TEST(InferenceTest, CacheFillsLazilyAndPrecomputesEagerly) {
   Score(model, onto.FindByCode("N18.5"), {});
   EXPECT_GE(model.num_cached_encodings(), 1u);
 
+  // The lazy fill of N18.5 also cached its ancestor N18: its structural
+  // context rows are copies of N18's cached final state.
   size_t computed = model.PrecomputeConceptEncodings();
   EXPECT_EQ(model.num_cached_encodings(), onto.num_concepts());
-  EXPECT_EQ(computed + 1, onto.num_concepts());  // one was already cached
+  EXPECT_EQ(computed + 2, onto.num_concepts());  // N18.5 and N18 were cached
 
   // Idempotent: everything already cached.
   EXPECT_EQ(model.PrecomputeConceptEncodings(), 0u);
 }
 
-TEST(InferenceTest, PrecomputeOnThreadPool) {
+TEST(InferenceTest, PrecomputeMatchesLazyFillBitExact) {
+  // The warm-up fills a depth level at a time on every core, copying
+  // structural-context rows from ancestors cached by earlier levels; a lazy
+  // fill caches the ancestors it reads on demand. Both must score every
+  // concept identically in all four variants. β = 3 pads every context:
+  // depth 1 with the concept itself, deeper ones with their depth-1
+  // ancestor. Scoring deepest first makes the lazy fills reach ancestors
+  // that are not cached yet.
+  ontology::Ontology onto = MakeOntology();
+  ASSERT_TRUE(onto.AddConcept("N18.51",
+                              {"chronic", "kidney", "disease", "stage", "5",
+                               "on", "dialysis"},
+                              onto.FindByCode("N18.5"))
+                  .ok());
+  std::vector<ontology::ConceptId> ids = onto.AllConcepts();
+  std::reverse(ids.begin(), ids.end());
+  for (bool text : {true, false}) {
+    for (bool structural : {true, false}) {
+      ComAidConfig config = SmallConfig();
+      config.beta = 3;
+      config.text_attention = text;
+      config.structural_attention = structural;
+      ComAidModel warmed(config, &onto, {{"ckd"}});
+      ComAidModel lazy(config, &onto, {{"ckd"}});
+      EXPECT_EQ(warmed.PrecomputeConceptEncodings(), onto.num_concepts());
+      EXPECT_EQ(warmed.num_cached_encodings(), onto.num_concepts());
+      for (ontology::ConceptId id : ids) {
+        for (const auto& query : TestQueries()) {
+          auto target = warmed.MapTokens(query);
+          const double eager = Score(warmed, id, target);
+          EXPECT_EQ(eager, Score(lazy, id, target))
+              << VariantName(config) << " concept " << onto.Get(id).code;
+          EXPECT_NEAR(eager, warmed.ScoreLogProbIds(id, target), 1e-5)
+              << VariantName(config) << " concept " << onto.Get(id).code;
+        }
+      }
+    }
+  }
+}
+
+TEST(InferenceTest, PrecomputeRacesLazyFills) {
+  // The cache lets a warm-up run while scorers fill it lazily; whichever
+  // fill installs a slot, every score is unchanged. Scoring deepest first
+  // makes the lazy fills race the warm-up for ancestors too. Run under the
+  // `tsan` preset to check the synchronisation.
+  ontology::Ontology onto = MakeOntology();
+  ComAidModel reference(SmallConfig(), &onto, {{"ckd", "5"}});
+  ComAidModel model(SmallConfig(), &onto, {{"ckd", "5"}});
+  const auto target = model.MapTokens({"ckd", "5"});
+  std::vector<ontology::ConceptId> ids = onto.AllConcepts();
+  std::reverse(ids.begin(), ids.end());
+  std::vector<double> scores(ids.size());
+  std::thread scorer([&] {
+    for (size_t i = 0; i < ids.size(); ++i) scores[i] = Score(model, ids[i], target);
+  });
+  model.PrecomputeConceptEncodings();
+  scorer.join();
+  EXPECT_EQ(model.num_cached_encodings(), onto.num_concepts());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(scores[i], Score(reference, ids[i], target))
+        << "concept " << onto.Get(ids[i]).code;
+  }
+}
+
+TEST(InferenceTest, WarmUpIsNotCountedAsCacheTraffic) {
+  // hits/misses measure the scorer's lookups only: a warm-up installs
+  // (fills) every concept without counting its own probes, and a re-warm
+  // finds nothing to do.
   ontology::Ontology onto = MakeOntology();
   ComAidModel model(SmallConfig(), &onto, {});
-  ThreadPool pool(4);
-  EXPECT_EQ(model.PrecomputeConceptEncodings(&pool), onto.num_concepts());
-  EXPECT_EQ(model.num_cached_encodings(), onto.num_concepts());
+  const auto& metrics = internal::GetConceptCacheMetrics();
+  const uint64_t hits = metrics.hits->value();
+  const uint64_t misses = metrics.misses->value();
+  const uint64_t fills = metrics.fills->value();
+
+  model.PrecomputeConceptEncodings();
+  EXPECT_EQ(metrics.hits->value(), hits);
+  EXPECT_EQ(metrics.misses->value(), misses);
+  EXPECT_EQ(metrics.fills->value() - fills, onto.num_concepts());
+
+  model.PrecomputeConceptEncodings();
+  EXPECT_EQ(metrics.hits->value(), hits);
+  EXPECT_EQ(metrics.misses->value(), misses);
+  EXPECT_EQ(metrics.fills->value() - fills, onto.num_concepts());
 }
 
 TEST(InferenceTest, TrainingInvalidatesCacheAndKeepsParity) {

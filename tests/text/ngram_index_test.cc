@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <set>
 
 namespace ncl::text {
@@ -186,6 +189,95 @@ TEST(NgramIndexTest, TokenlessAnalyzerStillRetrieves) {
   auto results = index.TopK({"iron", "deficiency", "anemia"}, 1);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].doc_id, 0);
+}
+
+/// Term frequencies under the analyzer's definition, written out
+/// independently of the index: every token plus its '#'-padded 3-grams (the
+/// whole padded token when it is shorter than three characters).
+std::map<std::string, double> AnalyzerTf(const std::vector<std::string>& tokens) {
+  std::map<std::string, double> tf;
+  for (const std::string& token : tokens) {
+    tf[token] += 1.0;
+    const std::string padded = "#" + token + "#";
+    if (padded.size() <= 3) {
+      tf[padded] += 1.0;
+      continue;
+    }
+    for (size_t i = 0; i + 3 <= padded.size(); ++i) tf[padded.substr(i, 3)] += 1.0;
+  }
+  return tf;
+}
+
+TEST(NgramIndexTest, ExhaustiveScoresMatchBruteForceCosine) {
+  // Tokens repeat within documents ("anemia anemia", "stage ... stage") and
+  // across them, and distinct tokens share grams ("iron"/"ironic",
+  // "anemia"/"anemic", "deficiency"/"deficient"), so every term's tf, df
+  // and id assignment is exercised. The reference is the plain cosine of
+  // smoothed-idf tf-idf vectors: idf = log((N+1)/(df+1)) + 1, both sides
+  // L2-normalised, query terms absent from the index ignored.
+  const std::vector<std::vector<std::string>> corpus = {
+      {"anemia", "anemia", "iron"},
+      {"iron", "deficiency", "anemia"},
+      {"ironic", "iron", "anemic"},
+      {"stage", "5", "stage"},
+      {"kidney", "disease", "stage", "5"},
+      {"deficiency", "deficient", "iron", "iron"},
+      {"acute", "anemic", "kidney", "injury"},
+  };
+  NgramIndex index(ExactConfig());
+  for (const auto& doc : corpus) index.AddDocument(doc);
+  index.Finalize();
+
+  std::vector<std::map<std::string, double>> doc_tf;
+  std::map<std::string, double> df;
+  for (const auto& doc : corpus) {
+    doc_tf.push_back(AnalyzerTf(doc));
+    for (const auto& [term, tf] : doc_tf.back()) df[term] += 1.0;
+  }
+  const double n = static_cast<double>(corpus.size());
+  auto idf = [&](const std::string& term) {
+    return std::log((n + 1.0) / (df.at(term) + 1.0)) + 1.0;
+  };
+  auto weights = [&](const std::map<std::string, double>& tf) {
+    std::map<std::string, double> w;
+    double norm = 0.0;
+    for (const auto& [term, count] : tf) {
+      if (!df.contains(term)) continue;
+      w[term] = count * idf(term);
+      norm += w[term] * w[term];
+    }
+    for (auto& [term, value] : w) value /= std::sqrt(norm);
+    return w;
+  };
+
+  std::vector<std::vector<std::string>> queries = corpus;
+  queries.push_back({"anemai", "iron"});
+  queries.push_back({"iron", "iron", "deficient"});
+  queries.push_back({"stage", "xylophone"});
+  queries.push_back({"kidney", "anemic"});
+  for (const auto& query : queries) {
+    const auto q = weights(AnalyzerTf(query));
+    std::vector<ScoredDoc> expected;
+    for (size_t d = 0; d < corpus.size(); ++d) {
+      double cosine = 0.0;
+      for (const auto& [term, value] : weights(doc_tf[d])) {
+        auto it = q.find(term);
+        if (it != q.end()) cosine += it->second * value;
+      }
+      if (cosine > 0.0) expected.push_back(ScoredDoc{static_cast<int32_t>(d), cosine});
+    }
+    std::sort(expected.begin(), expected.end(), [](const ScoredDoc& a, const ScoredDoc& b) {
+      if (a.score != b.score) return a.score > b.score;
+      return a.doc_id < b.doc_id;
+    });
+
+    const auto actual = index.TopKExhaustive(query, corpus.size());
+    ASSERT_EQ(actual.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(actual[i].doc_id, expected[i].doc_id) << "rank " << i;
+      EXPECT_NEAR(actual[i].score, expected[i].score, 1e-6) << "rank " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -78,7 +78,9 @@
 // Exit status is non-zero on any error; diagnostics go to stderr.
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
@@ -187,29 +189,56 @@ std::vector<std::string> ParseFlags(int argc, char** argv,
   return positional;
 }
 
-double FlagDouble(const std::unordered_map<std::string, std::string>& flags,
-                  const std::string& name, double fallback) {
+/// The value of numeric flag `name`, or `fallback` when absent. The whole
+/// value must parse (no trailing text) and be a finite number >= `min`; no
+/// flag of this CLI takes a negative value, so `min` is at least 0.
+template <typename T>
+Result<T> FlagNumber(const std::unordered_map<std::string, std::string>& flags,
+                     const std::string& name, T fallback, T min,
+                     const char* kind) {
   auto it = flags.find(name);
-  return it == flags.end() ? fallback : std::stod(it->second);
+  if (it == flags.end()) return fallback;
+  const std::string& text = it->second;
+  T value{};
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size() ||
+      !(value >= min && std::isfinite(static_cast<double>(value)))) {
+    return Status::InvalidArgument(
+        "--" + name + " expects " + kind + " >= " +
+        std::to_string(static_cast<int64_t>(min)) + ", got \"" + text + "\"");
+  }
+  return value;
 }
 
-int64_t FlagInt(const std::unordered_map<std::string, std::string>& flags,
-                const std::string& name, int64_t fallback) {
-  auto it = flags.find(name);
-  return it == flags.end() ? fallback : std::stoll(it->second);
+Result<double> FlagDouble(const std::unordered_map<std::string, std::string>& flags,
+                          const std::string& name, double fallback) {
+  return FlagNumber<double>(flags, name, fallback, 0.0, "a number");
+}
+
+/// `min` = 1 for counts the library requires to be positive (--k,
+/// --shards, --max-batch), which it would otherwise abort on.
+Result<int64_t> FlagInt(const std::unordered_map<std::string, std::string>& flags,
+                        const std::string& name, int64_t fallback,
+                        int64_t min = 0) {
+  return FlagNumber<int64_t>(flags, name, fallback, min, "an integer");
 }
 
 int CmdSynth(const std::vector<std::string>& args,
              const std::unordered_map<std::string, std::string>& flags) {
   if (args.empty()) return Usage();
   const std::string& dir = args[0];
+  auto scale = FlagDouble(flags, "scale", 0.6);
+  if (!scale.ok()) return Fail(scale.status());
+  auto seed = FlagInt(flags, "seed", 2018);
+  if (!seed.ok()) return Fail(seed.status());
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return Fail(Status::IOError("cannot create " + dir + ": " + ec.message()));
 
   datagen::DatasetConfig config;
-  config.scale = FlagDouble(flags, "scale", 0.6);
-  config.seed = static_cast<uint64_t>(FlagInt(flags, "seed", 2018));
+  config.scale = *scale;
+  config.seed = static_cast<uint64_t>(*seed);
   config.notes_per_concept = 12;
   config.num_query_groups = 1;
   config.queries_per_group = 200;
@@ -261,8 +290,16 @@ int CmdTrain(const std::vector<std::string>& args,
   const std::string& dir = args[0];
   // Checked before any work: the model constructor aborts on these, and
   // structural attention (Def. 4.1) needs at least one ancestor slot.
-  const int64_t dim = FlagInt(flags, "dim", 32);
-  const int64_t beta = FlagInt(flags, "beta", 2);
+  auto dim_flag = FlagInt(flags, "dim", 32);
+  if (!dim_flag.ok()) return Fail(dim_flag.status());
+  auto beta_flag = FlagInt(flags, "beta", 2);
+  if (!beta_flag.ok()) return Fail(beta_flag.status());
+  auto cbow_epochs = FlagInt(flags, "cbow-epochs", 12);
+  if (!cbow_epochs.ok()) return Fail(cbow_epochs.status());
+  auto epochs = FlagInt(flags, "epochs", 10);
+  if (!epochs.ok()) return Fail(epochs.status());
+  const int64_t dim = *dim_flag;
+  const int64_t beta = *beta_flag;
   if (dim < 1) {
     return Fail(Status::InvalidArgument("--dim must be >= 1, got " +
                                         std::to_string(dim)));
@@ -283,7 +320,7 @@ int CmdTrain(const std::vector<std::string>& args,
   }
   pretrain::CbowConfig cbow;
   cbow.dim = static_cast<size_t>(dim);
-  cbow.epochs = static_cast<size_t>(FlagInt(flags, "cbow-epochs", 12));
+  cbow.epochs = static_cast<size_t>(*cbow_epochs);
   pretrain::WordEmbeddings embeddings = pretrain::TrainCbow(corpus, cbow);
   Status status = embeddings.Save(dir + "/embeddings.bin");
   if (!status.ok()) return Fail(status);
@@ -303,7 +340,7 @@ int CmdTrain(const std::vector<std::string>& args,
     pairs.emplace_back(snippet.concept_id, snippet.tokens);
   }
   comaid::TrainConfig tc;
-  tc.epochs = static_cast<size_t>(FlagInt(flags, "epochs", 10));
+  tc.epochs = static_cast<size_t>(*epochs);
   tc.on_epoch = [](size_t epoch, double loss) {
     std::cout << "epoch " << epoch << "  mean loss " << FormatDouble(loss, 3)
               << "\n";
@@ -327,8 +364,11 @@ struct Serving {
   std::unique_ptr<linking::QueryRewriter> rewriter;
 };
 
-Result<std::unique_ptr<Serving>> LoadServing(const std::string& dir,
-                                             bool use_ngram_index = false) {
+/// `flags` picks the candidate index (--ngram-index).
+Result<std::unique_ptr<Serving>> LoadServing(
+    const std::string& dir,
+    const std::unordered_map<std::string, std::string>& flags) {
+  NCL_ASSIGN_OR_RETURN(int64_t use_ngram_index, FlagInt(flags, "ngram-index", 0));
   auto serving = std::make_unique<Serving>();
   NCL_ASSIGN_OR_RETURN(serving->ws, LoadWorkspace(dir));
   NCL_ASSIGN_OR_RETURN(serving->embeddings,
@@ -340,16 +380,12 @@ Result<std::unique_ptr<Serving>> LoadServing(const std::string& dir,
     aliases.emplace_back(snippet.concept_id, snippet.tokens);
   }
   linking::CandidateGeneratorConfig cg_config;
-  cg_config.use_ngram_index = use_ngram_index;
+  cg_config.use_ngram_index = use_ngram_index != 0;
   serving->candidates = std::make_unique<linking::CandidateGenerator>(
       serving->ws.onto, aliases, cg_config);
   serving->rewriter = std::make_unique<linking::QueryRewriter>(
       serving->candidates->vocabulary(), serving->embeddings);
   return serving;
-}
-
-bool FlagNgramIndex(const std::unordered_map<std::string, std::string>& flags) {
-  return FlagInt(flags, "ngram-index", 0) != 0;
 }
 
 /// Wraps a Serving bundle as a publishable snapshot. The bundle owns the
@@ -367,15 +403,40 @@ std::shared_ptr<serve::NclSnapshot> MakeSnapshot(
       link_config, /*warm_cache=*/true);
 }
 
+/// --k for the serving commands' linker, on top of the serving defaults.
+Result<linking::NclConfig> ServingLinkConfig(
+    const std::unordered_map<std::string, std::string>& flags) {
+  linking::NclConfig config = serve::NclSnapshot::MakeServingConfig();
+  NCL_ASSIGN_OR_RETURN(int64_t k, FlagInt(flags, "k", 20, /*min=*/1));
+  config.k = static_cast<size_t>(k);
+  return config;
+}
+
+/// --shards and --max-batch (default: two requests per shard).
+Result<serve::ServeConfig> ServeConfigFromFlags(
+    const std::unordered_map<std::string, std::string>& flags) {
+  serve::ServeConfig config;
+  NCL_ASSIGN_OR_RETURN(int64_t shards, FlagInt(flags, "shards", 4, /*min=*/1));
+  NCL_ASSIGN_OR_RETURN(
+      int64_t max_batch,
+      FlagInt(flags, "max-batch",
+              2 * std::min(shards, std::numeric_limits<int64_t>::max() / 2),
+              /*min=*/1));
+  config.num_shards = static_cast<size_t>(shards);
+  config.max_batch = static_cast<size_t>(max_batch);
+  return config;
+}
+
 int CmdLink(const std::vector<std::string>& args,
             const std::unordered_map<std::string, std::string>& flags) {
   if (args.size() < 2) return Usage();
-  size_t k = static_cast<size_t>(FlagInt(flags, "k", 20));
-  auto serving = LoadServing(args[0], FlagNgramIndex(flags));
+  auto k = FlagInt(flags, "k", 20, /*min=*/1);
+  if (!k.ok()) return Fail(k.status());
+  auto serving = LoadServing(args[0], flags);
   if (!serving.ok()) return Fail(serving.status());
 
   linking::NclConfig link_config;
-  link_config.k = k;
+  link_config.k = static_cast<size_t>(*k);
   linking::NclLinker linker((*serving)->model.get(), (*serving)->candidates.get(),
                             (*serving)->rewriter.get(), link_config);
   const ontology::Ontology& onto = (*serving)->ws.onto;
@@ -395,8 +456,10 @@ int CmdEval(const std::vector<std::string>& args,
             const std::unordered_map<std::string, std::string>& flags) {
   if (args.empty()) return Usage();
   const std::string& dir = args[0];
-  size_t k = static_cast<size_t>(FlagInt(flags, "k", 20));
-  auto serving = LoadServing(dir, FlagNgramIndex(flags));
+  auto k_flag = FlagInt(flags, "k", 20, /*min=*/1);
+  if (!k_flag.ok()) return Fail(k_flag.status());
+  const size_t k = static_cast<size_t>(*k_flag);
+  auto serving = LoadServing(dir, flags);
   if (!serving.ok()) return Fail(serving.status());
 
   auto queries =
@@ -462,26 +525,26 @@ int CmdServeNet(const std::vector<std::string>& args,
     tenant_dirs.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
   }
 
-  linking::NclConfig link_config = serve::NclSnapshot::MakeServingConfig();
-  link_config.k = static_cast<size_t>(FlagInt(flags, "k", 20));
+  auto link_config = ServingLinkConfig(flags);
+  if (!link_config.ok()) return Fail(link_config.status());
+  auto serve_config = ServeConfigFromFlags(flags);
+  if (!serve_config.ok()) return Fail(serve_config.status());
+  auto tenant_quota = FlagInt(flags, "tenant-quota", 0);
+  if (!tenant_quota.ok()) return Fail(tenant_quota.status());
+  serve_config->tenant_quota = static_cast<size_t>(*tenant_quota);
+
   serve::TenantRegistry registry;
   std::vector<std::unique_ptr<Serving>> bundles;  // outlive the service
   for (const auto& [tenant, dir] : tenant_dirs) {
-    auto serving = LoadServing(dir, FlagNgramIndex(flags));
+    auto serving = LoadServing(dir, flags);
     if (!serving.ok()) return Fail(serving.status());
-    registry.Publish(tenant, MakeSnapshot(**serving, link_config));
+    registry.Publish(tenant, MakeSnapshot(**serving, *link_config));
     std::cerr << "serve-net: tenant \"" << tenant << "\" serves " << dir
               << "\n";
     bundles.push_back(std::move(*serving));
   }
 
-  serve::ServeConfig serve_config;
-  serve_config.num_shards = static_cast<size_t>(FlagInt(flags, "shards", 4));
-  serve_config.max_batch = static_cast<size_t>(
-      FlagInt(flags, "max-batch", 2 * static_cast<int64_t>(serve_config.num_shards)));
-  serve_config.tenant_quota =
-      static_cast<size_t>(FlagInt(flags, "tenant-quota", 0));
-  serve::LinkingService service(&registry, serve_config);
+  serve::LinkingService service(&registry, *serve_config);
 
   net::ServerConfig server_config;
   server_config.endpoint = *endpoint;
@@ -524,6 +587,9 @@ int CmdRoute(const std::vector<std::string>& /*args*/,
   auto listen = net::Endpoint::Parse(flags.at("listen"));
   if (!listen.ok()) return Fail(listen.status());
 
+  auto health_interval_ms = FlagInt(flags, "health-interval-ms", 200);
+  if (!health_interval_ms.ok()) return Fail(health_interval_ms.status());
+
   net::RouterConfig config;
   config.listen = *listen;
   for (const std::string& spec : SplitKeepEmpty(flags.at("backends"), ',')) {
@@ -532,8 +598,8 @@ int CmdRoute(const std::vector<std::string>& /*args*/,
     if (!backend.ok()) return Fail(backend.status());
     config.backends.push_back(*backend);
   }
-  config.health_interval_ms =
-      static_cast<int>(FlagInt(flags, "health-interval-ms", 200));
+  config.health_interval_ms = static_cast<int>(std::min<int64_t>(
+      *health_interval_ms, std::numeric_limits<int>::max()));
   net::Router router(config);
   Status status = router.Start();
   if (!status.ok()) return Fail(status);
@@ -572,6 +638,12 @@ int CmdServeEvalNet(const std::string& dir,
                     const std::unordered_map<std::string, std::string>& flags) {
   auto endpoint = net::Endpoint::Parse(flags.at("connect"));
   if (!endpoint.ok()) return Fail(endpoint.status());
+  auto clients_flag = FlagInt(flags, "clients", 4);
+  if (!clients_flag.ok()) return Fail(clients_flag.status());
+  auto deadline_flag = FlagInt(flags, "deadline-us", 0);
+  if (!deadline_flag.ok()) return Fail(deadline_flag.status());
+  auto drain = FlagInt(flags, "drain", 0);
+  if (!drain.ok()) return Fail(drain.status());
   auto onto = ontology::LoadOntologyFromFile(dir + "/ontology.tsv");
   if (!onto.ok()) return Fail(onto.status());
   auto queries = datagen::LoadSnippetsFromFile(dir + "/queries.tsv", *onto);
@@ -579,9 +651,8 @@ int CmdServeEvalNet(const std::string& dir,
   if (queries->empty()) return Fail(Status::NotFound("no queries in " + dir));
 
   const size_t num_clients =
-      std::max<size_t>(1, static_cast<size_t>(FlagInt(flags, "clients", 4)));
-  const uint64_t deadline_us =
-      static_cast<uint64_t>(FlagInt(flags, "deadline-us", 0));
+      std::max<size_t>(1, static_cast<size_t>(*clients_flag));
+  const uint64_t deadline_us = static_cast<uint64_t>(*deadline_flag);
   const std::string ontology =
       flags.contains("ontology") ? flags.at("ontology") : "";
   std::atomic<uint64_t> hits{0};
@@ -642,7 +713,7 @@ int CmdServeEvalNet(const std::string& dir,
                 << "  deadline_exceeded=" << stats->stats.deadline_exceeded
                 << "  batches=" << stats->stats.batches << "\n";
     }
-    if (FlagInt(flags, "drain", 0) != 0) {
+    if (*drain != 0) {
       Status status = (*control)->Drain();
       if (!status.ok()) return Fail(status);
       std::cout << "drain: acknowledged by " << endpoint->ToString() << "\n";
@@ -656,7 +727,15 @@ int CmdServeEval(const std::vector<std::string>& args,
   if (args.empty()) return Usage();
   const std::string& dir = args[0];
   if (flags.contains("connect")) return CmdServeEvalNet(dir, flags);
-  auto serving = LoadServing(dir, FlagNgramIndex(flags));
+  auto link_config = ServingLinkConfig(flags);
+  if (!link_config.ok()) return Fail(link_config.status());
+  auto serve_config = ServeConfigFromFlags(flags);
+  if (!serve_config.ok()) return Fail(serve_config.status());
+  auto slow_log_n = FlagInt(flags, "slow-log-n", 0);
+  if (!slow_log_n.ok()) return Fail(slow_log_n.status());
+  auto clients_flag = FlagInt(flags, "clients", 4);
+  if (!clients_flag.ok()) return Fail(clients_flag.status());
+  auto serving = LoadServing(dir, flags);
   if (!serving.ok()) return Fail(serving.status());
 
   auto queries =
@@ -666,25 +745,18 @@ int CmdServeEval(const std::vector<std::string>& args,
 
   // Hand the serving bundle to a snapshot; the bundle owns the components
   // and outlives the service, so the snapshot aliases without deleting.
-  linking::NclConfig link_config = serve::NclSnapshot::MakeServingConfig();
-  link_config.k = static_cast<size_t>(FlagInt(flags, "k", 20));
   serve::SnapshotRegistry registry;
-  registry.Publish(MakeSnapshot(**serving, link_config));
+  registry.Publish(MakeSnapshot(**serving, *link_config));
 
-  serve::ServeConfig serve_config;
-  serve_config.num_shards = static_cast<size_t>(FlagInt(flags, "shards", 4));
-  serve_config.max_batch = static_cast<size_t>(
-      FlagInt(flags, "max-batch", 2 * static_cast<int64_t>(serve_config.num_shards)));
-  const int64_t slow_log_n = FlagInt(flags, "slow-log-n", 0);
-  if (slow_log_n > 0) {
-    serve_config.slo.enabled = true;
-    serve_config.slo.slow_log_n = static_cast<size_t>(slow_log_n);
-    serve_config.slo.check_interval_ms = 100;
+  if (*slow_log_n > 0) {
+    serve_config->slo.enabled = true;
+    serve_config->slo.slow_log_n = static_cast<size_t>(*slow_log_n);
+    serve_config->slo.check_interval_ms = 100;
   }
-  serve::LinkingService service(&registry, serve_config);
+  serve::LinkingService service(&registry, *serve_config);
 
   const size_t num_clients =
-      std::max<size_t>(1, static_cast<size_t>(FlagInt(flags, "clients", 4)));
+      std::max<size_t>(1, static_cast<size_t>(*clients_flag));
   const std::string ontology =
       flags.contains("ontology") ? flags.at("ontology") : "";
   std::atomic<uint64_t> hits{0};
@@ -724,7 +796,7 @@ int CmdServeEval(const std::vector<std::string>& args,
   serve::ServeStats stats = service.stats();
   const double n = static_cast<double>(queries->size());
   std::cout << "queries=" << queries->size() << "  clients=" << num_clients
-            << "  shards=" << serve_config.num_shards
+            << "  shards=" << serve_config->num_shards
             << "  accuracy=" << FormatDouble(static_cast<double>(hits.load()) / n, 3)
             << "  MRR=" << FormatDouble(mrr_sum.load() / n, 3) << "\n";
   std::cout << "qps=" << FormatDouble(n / elapsed, 1)
@@ -769,12 +841,13 @@ int main(int argc, char** argv) {
       flags.contains("trace-out") ? flags.at("trace-out") : "";
   const std::string timeseries_path =
       flags.contains("timeseries-out") ? flags.at("timeseries-out") : "";
+  auto interval_ms = FlagInt(flags, "metrics-interval-ms", 200);
+  if (!interval_ms.ok()) return Fail(interval_ms.status());
   if (!trace_path.empty()) obs::SetTracingEnabled(true);
   std::unique_ptr<obs::MetricsSampler> sampler;
   if (!timeseries_path.empty()) {
     obs::MetricsSampler::Config sampler_config;
-    sampler_config.interval_ms =
-        std::max<int64_t>(1, FlagInt(flags, "metrics-interval-ms", 200));
+    sampler_config.interval_ms = std::max<int64_t>(1, *interval_ms);
     sampler = std::make_unique<obs::MetricsSampler>(
         &obs::MetricsRegistry::Global(), sampler_config);
   }
