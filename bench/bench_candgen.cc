@@ -1,9 +1,9 @@
-// Candidate-generation scaling bench — pruned char-ngram index vs the
-// exhaustive token TF-IDF scan, swept over corpus size.
+// Candidate-generation scaling bench — the index's pruned char-ngram
+// analyzer vs its exhaustive token analyzer, swept over corpus size.
 //
 // For each corpus size (1k / 10k / 17k-ICD-9 / 93k-ICD-10 — the last two
 // are the paper-scale presets) the bench synthesizes an ontology, builds
-// both CandidateGenerator paths over the same concept documents, generates
+// both CandidateGenerator analyzers over the same concept documents, generates
 // corrupted labeled queries (no query rewriting: both paths face the same
 // raw discrepancy phenomena), and measures per query:
 //
@@ -146,8 +146,8 @@ SizeResult RunSize(const CorpusSpec& spec, size_t k, size_t num_queries) {
   build_watch.Reset();
   linking::CandidateGenerator pruned(*onto, {}, pruned_config);
   const double pruned_build_s = build_watch.ElapsedSeconds();
-  result.ngram_terms = pruned.ngram_index()->num_terms();
-  result.ngram_postings = pruned.ngram_index()->num_postings();
+  result.ngram_terms = pruned.index().num_terms();
+  result.ngram_postings = pruned.index().num_postings();
 
   std::cout << "[" << spec.name << "] concepts=" << result.num_concepts
             << "  queries=" << queries.size()

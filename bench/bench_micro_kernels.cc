@@ -20,7 +20,7 @@
 #include "nn/tape.h"
 #include "pretrain/cbow.h"
 #include "text/edit_distance.h"
-#include "text/tfidf_index.h"
+#include "text/ngram_index.h"
 #include "util/json_writer.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
@@ -164,7 +164,8 @@ BENCHMARK(BM_SoftmaxCrossEntropy)->Arg(1000)->Arg(10000);
 void BM_TfIdfTopK(benchmark::State& state) {
   const size_t docs = static_cast<size_t>(state.range(0));
   Rng rng(6);
-  text::TfIdfIndex index;
+  // CandidateGenerator's exhaustive Phase I: the token analyzer, unpruned.
+  text::NgramIndex index(text::ExhaustiveTokenConfig());
   std::vector<std::string> words;
   for (int i = 0; i < 500; ++i) words.push_back("w" + std::to_string(i));
   for (size_t d = 0; d < docs; ++d) {

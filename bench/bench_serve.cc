@@ -229,8 +229,8 @@ int main() {
   double best_qps = 0.0;
   for (size_t clients : client_sweep) {
     if (clients == 0) continue;
-    serve::SnapshotRegistry registry;
-    registry.Publish(std::make_shared<serve::NclSnapshot>(
+    serve::TenantRegistry registry;
+    registry.Publish(serve::kDefaultTenant, std::make_shared<serve::NclSnapshot>(
         model, candidates, rewriter));
     serve::ServeConfig serve_config;
     serve_config.num_shards = shards;
@@ -253,8 +253,8 @@ int main() {
   const size_t overload_clients = 4 * shards;
   const size_t overload_capacity = 2 * shards;
   {
-    serve::SnapshotRegistry registry;
-    registry.Publish(std::make_shared<serve::NclSnapshot>(
+    serve::TenantRegistry registry;
+    registry.Publish(serve::kDefaultTenant, std::make_shared<serve::NclSnapshot>(
         model, candidates, rewriter));
     serve::ServeConfig serve_config;
     serve_config.num_shards = shards;
@@ -347,8 +347,8 @@ int main() {
   // --- Traced burst: a short run with span recording on, exported as
   // request-correlated flow lanes for Perfetto.
   {
-    serve::SnapshotRegistry registry;
-    registry.Publish(std::make_shared<serve::NclSnapshot>(
+    serve::TenantRegistry registry;
+    registry.Publish(serve::kDefaultTenant, std::make_shared<serve::NclSnapshot>(
         model, candidates, rewriter));
     serve::ServeConfig serve_config;
     serve_config.num_shards = shards;

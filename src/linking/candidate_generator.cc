@@ -10,15 +10,11 @@ namespace ncl::linking {
 
 namespace {
 
-/// Registry handles for `ncl.candidates.*`, resolved once. The ngram
-/// counters/histograms separate the pruned stage's traffic so dashboards
-/// can compare the two retrieval paths side by side.
+/// Registry handles for `ncl.candidates.*`, resolved once.
 struct CandidateMetrics {
   obs::Counter* queries;
   obs::Counter* returned;
   obs::Histogram* topk_us;
-  obs::Counter* ngram_queries;
-  obs::Histogram* ngram_topk_us;
   obs::Counter* refetches;
 };
 
@@ -28,8 +24,6 @@ const CandidateMetrics& GetCandidateMetrics() {
     return CandidateMetrics{registry.GetCounter("ncl.candidates.queries"),
                             registry.GetCounter("ncl.candidates.returned"),
                             registry.GetHistogram("ncl.candidates.topk_us"),
-                            registry.GetCounter("ncl.candidates.ngram.queries"),
-                            registry.GetHistogram("ncl.candidates.ngram.topk_us"),
                             registry.GetCounter("ncl.candidates.refetches")};
   }();
   return metrics;
@@ -42,14 +36,12 @@ CandidateGenerator::CandidateGenerator(
     const std::vector<std::pair<ontology::ConceptId, std::vector<std::string>>>&
         aliases,
     CandidateGeneratorConfig config)
-    : config_(config) {
-  if (config_.use_ngram_index) {
-    ngram_index_ = std::make_unique<text::NgramIndex>(config_.ngram);
-  }
+    : config_(config),
+      index_(config_.use_ngram_index ? config_.ngram
+                                     : text::ExhaustiveTokenConfig()) {
   auto add_document = [&](ontology::ConceptId id,
                           const std::vector<std::string>& tokens) {
     index_.AddDocument(tokens);
-    if (ngram_index_ != nullptr) ngram_index_->AddDocument(tokens);
     doc_concepts_.push_back(id);
   };
   for (ontology::ConceptId id : onto.FineGrainedConcepts()) {
@@ -63,19 +55,20 @@ CandidateGenerator::CandidateGenerator(
     }
   }
   index_.Finalize();
-  if (ngram_index_ != nullptr) ngram_index_->Finalize();
 }
 
-template <typename TopKFn>
 std::vector<ontology::ConceptId> CandidateGenerator::DedupedTopK(
-    TopKFn&& fetch, size_t k) const {
+    const std::vector<std::string>& query, size_t k) const {
   // Several documents (canonical description + aliases) can map to one
   // concept, so a fixed over-fetch can silently under-return: grow the
   // document budget until k distinct concepts are found or the index runs
-  // out of matches (a fetch shorter than its budget).
-  size_t budget = k * 4;
+  // out of matches (a fetch shorter than its budget, or one that covered the
+  // whole collection). The budget saturates at the collection size, so no
+  // k, however large, overflows it.
+  const size_t num_docs = index_.num_documents();
+  size_t budget = k > num_docs / 4 ? num_docs : k * 4;
   for (;;) {
-    std::vector<text::ScoredDoc> docs = fetch(budget);
+    std::vector<text::ScoredDoc> docs = index_.TopK(query, budget);
     std::vector<ontology::ConceptId> concepts;
     std::unordered_set<ontology::ConceptId> seen;
     for (const text::ScoredDoc& doc : docs) {
@@ -85,9 +78,11 @@ std::vector<ontology::ConceptId> CandidateGenerator::DedupedTopK(
         if (concepts.size() == k) break;
       }
     }
-    if (concepts.size() == k || docs.size() < budget) return concepts;
+    if (concepts.size() == k || docs.size() < budget || budget == num_docs) {
+      return concepts;
+    }
     GetCandidateMetrics().refetches->Increment();
-    budget *= 2;
+    budget = budget > num_docs / 2 ? num_docs : budget * 2;
   }
 }
 
@@ -95,19 +90,8 @@ std::vector<ontology::ConceptId> CandidateGenerator::TopK(
     const std::vector<std::string>& query, size_t k) const {
   NCL_TRACE_SPAN("ncl.candidates.topk");
   Stopwatch watch;
+  std::vector<ontology::ConceptId> concepts = DedupedTopK(query, k);
   const CandidateMetrics& metrics = GetCandidateMetrics();
-  std::vector<ontology::ConceptId> concepts;
-  if (ngram_index_ != nullptr) {
-    NCL_TRACE_SPAN("ncl.candidates.ngram_topk");
-    Stopwatch ngram_watch;
-    concepts = DedupedTopK(
-        [&](size_t budget) { return ngram_index_->TopK(query, budget); }, k);
-    metrics.ngram_queries->Increment();
-    metrics.ngram_topk_us->RecordMicros(ngram_watch.ElapsedMicros());
-  } else {
-    concepts = DedupedTopK(
-        [&](size_t budget) { return index_.TopK(query, budget); }, k);
-  }
   metrics.queries->Increment();
   metrics.returned->Increment(concepts.size());
   metrics.topk_us->RecordMicros(watch.ElapsedMicros());

@@ -27,7 +27,7 @@
 // kDraining so a router stops routing here. New link requests after a drain
 // fail with Unavailable (from SubmitLink). This is the per-replica half of
 // zero-downtime rollout: drain, restart with the new model (the
-// SnapshotRegistry publish flow), health flips back to kServing, the router
+// TenantRegistry publish flow), health flips back to kServing, the router
 // re-adds the replica.
 //
 // Observability (`ncl.net.*`): connections / active_connections,

@@ -36,15 +36,23 @@ inline float ReduceAdd8(__m256 v) {
   return _mm_cvtss_f32(sum1);
 }
 
+/// Adds the scalar tail sum of a[k] * b[k] over [k, n) to `total`. Both
+/// kernels below call this one out-of-line copy: inlined into each, the
+/// native build (-march=native -ffast-math) compiled the two loops
+/// differently, and GemmNT rows stopped matching DotCanonical bit for bit.
+[[gnu::noinline]] float AddTail(float total, const float* a, const float* b,
+                                size_t k, size_t n) {
+  for (; k < n; ++k) total += a[k] * b[k];
+  return total;
+}
+
 inline float DotOrdered(const float* a, const float* b, size_t n) {
   __m256 acc = _mm256_setzero_ps();
   size_t k = 0;
   for (; k + 8 <= n; k += 8) {
     acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + k), _mm256_loadu_ps(b + k), acc);
   }
-  float total = ReduceAdd8(acc);
-  for (; k < n; ++k) total += a[k] * b[k];
-  return total;
+  return AddTail(ReduceAdd8(acc), a, b, k, n);
 }
 
 /// MR x 4 register tile of the NT kernel (MR in 1..4): MR*4 vector
@@ -79,9 +87,7 @@ inline void NTKernelMx4(size_t kdim, const float* const arows[MR],
   const float* brows[4] = {b0, b1, b2, b3};
   for (int i = 0; i < MR; ++i) {
     for (int j = 0; j < 4; ++j) {
-      float total = ReduceAdd8(acc[i][j]);
-      for (size_t kk = k; kk < kdim; ++kk) total += arows[i][kk] * brows[j][kk];
-      out[i][j] = total;
+      out[i][j] = AddTail(ReduceAdd8(acc[i][j]), arows[i], brows[j], k, kdim);
     }
   }
 }

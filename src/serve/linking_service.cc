@@ -66,19 +66,9 @@ std::atomic<uint64_t> g_next_request_id{1};
 
 }  // namespace
 
-LinkingService::LinkingService(SnapshotRegistry* registry, ServeConfig config)
-    : registry_(registry), config_(std::move(config)) {
-  NCL_CHECK(registry_ != nullptr);
-  Init();
-}
-
 LinkingService::LinkingService(TenantRegistry* tenants, ServeConfig config)
     : tenants_(tenants), config_(std::move(config)) {
   NCL_CHECK(tenants_ != nullptr);
-  Init();
-}
-
-void LinkingService::Init() {
   NCL_CHECK(config_.queue_capacity > 0) << "queue_capacity must be positive";
   NCL_CHECK(config_.max_batch > 0) << "max_batch must be positive";
   NCL_CHECK(config_.num_shards > 0) << "num_shards must be positive";
@@ -137,13 +127,6 @@ LinkingService::TenantState* LinkingService::GetTenantStateLocked(
   return tenant_states_.emplace(tenant, std::move(state)).first->second.get();
 }
 
-std::shared_ptr<const ModelSnapshot> LinkingService::CurrentSnapshot(
-    const std::string& tenant) const {
-  // Single-registry services admit only the default tenant, so the lookup
-  // ignores the name; TenantRegistry resolves per tenant.
-  return registry_ != nullptr ? registry_->Current() : tenants_->Current(tenant);
-}
-
 std::future<LinkResult> LinkingService::SubmitLink(
     std::vector<std::string> query, RequestOptions options) {
   PendingRequest request;
@@ -155,12 +138,6 @@ std::future<LinkResult> LinkingService::SubmitLink(
   request.query = std::move(query);
   request.tenant = options.ontology.empty() ? std::string(kDefaultTenant)
                                             : std::move(options.ontology);
-  if (registry_ != nullptr && request.tenant != kDefaultTenant) {
-    return MakeErrorFuture(
-        Status::NotFound("unknown ontology '" + request.tenant +
-                         "': this service hosts a single unnamed model"),
-        request.id);
-  }
   request.enqueued = std::chrono::steady_clock::now();
   std::chrono::microseconds deadline =
       options.deadline.count() > 0 ? options.deadline : config_.default_deadline;
@@ -425,7 +402,7 @@ void LinkingService::ShardLoop() {
         while (end < pass.size() && pass[end].tenant == pass[begin].tenant) {
           ++end;
         }
-        groups.emplace_back(end, CurrentSnapshot(pass[begin].tenant));
+        groups.emplace_back(end, tenants_->Current(pass[begin].tenant));
         begin = end;
       }
       busy_shards_++;

@@ -24,22 +24,23 @@
 //     that finishes early takes the next request at once, so one slow
 //     query never holds the queue behind it.
 //
-//   * Snapshot pinning: a pass pins the registry's current snapshot while it
+//   * Snapshot pinning: a pass pins its tenants' current snapshots while it
 //     still holds the admission lock, and every request in the pass scores
-//     against that immutable snapshot, so a concurrent Publish (hot model
+//     against its immutable snapshot, so a concurrent Publish (hot model
 //     swap) is torn-read-free by construction. Dequeue is FIFO, so versions
 //     never go backwards in submission order, across shards too.
 //
-//   * Multi-tenancy: a service constructed over a TenantRegistry hosts one
-//     model per ontology behind one shared admission queue and shard set.
+//   * Multi-tenancy: the service hosts one model per ontology — one
+//     TenantRegistry tenant each — behind one shared admission queue and
+//     shard set; a single-model service is the registry's kDefaultTenant.
 //     RequestOptions::ontology selects the tenant; each pass groups its
 //     requests by tenant and pins one snapshot per group (per-tenant
-//     results are bit-identical to a single-tenant service hosting only
-//     that model). ServeConfig::tenant_quota caps each tenant's share of
-//     the queue, with the overload policy applied within the offending
-//     tenant — so one ontology's overload sheds its own requests, never a
-//     neighbour's — and every admission/shed/completion event is mirrored
-//     onto per-tenant `ncl.serve.<tenant>.*` metrics.
+//     results are bit-identical to a service hosting only that model).
+//     ServeConfig::tenant_quota caps each tenant's share of the queue, with
+//     the overload policy applied within the offending tenant — so one
+//     ontology's overload sheds its own requests, never a neighbour's — and
+//     every admission/shed/completion event is mirrored onto per-tenant
+//     `ncl.serve.<tenant>.*` metrics.
 //
 // Lifecycle: construct → (traffic) → Drain() *or* Shutdown(). Drain stops
 // admission and completes everything queued; Shutdown stops admission and
@@ -142,9 +143,8 @@ struct RequestOptions {
   /// kMaxRequestDeadline.
   std::chrono::microseconds deadline{0};
   /// Which ontology's model scores this request (empty = kDefaultTenant).
-  /// Single-registry services accept only the default tenant; a
-  /// TenantRegistry-backed service dispatches to Current(ontology) and
-  /// fails FailedPrecondition when that tenant has never published.
+  /// The service dispatches to TenantRegistry::Current(ontology) and fails
+  /// FailedPrecondition when that tenant has never published.
   std::string ontology;
 };
 
@@ -192,19 +192,13 @@ struct ServeStats {
 /// \brief The service: admission queue -> pull-based shard threads.
 class LinkingService {
  public:
-  /// Single-tenant form: every request scores against `registry`'s current
-  /// snapshot and only the default (unnamed) ontology is accepted — a
-  /// request naming any other ontology fails NotFound at admission.
-  /// \param registry source of scoring snapshots; must outlive the service.
-  ///        Publishing before the first request is recommended — requests
-  ///        dispatched with no snapshot fail FailedPrecondition.
-  LinkingService(SnapshotRegistry* registry, ServeConfig config = {});
-
-  /// Multi-tenant form: requests carry RequestOptions::ontology and each
-  /// shard pass groups its requests by tenant, pinning one snapshot per
-  /// tenant group, so per-tenant results are bit-identical to a
-  /// single-tenant service hosting only that model. `tenants` must outlive
-  /// the service; tenants may publish before or after construction.
+  /// Requests carry RequestOptions::ontology and each shard pass groups its
+  /// requests by tenant, pinning one snapshot per tenant group, so
+  /// per-tenant results are bit-identical to a service hosting only that
+  /// model. A single-model service publishes its model as kDefaultTenant.
+  /// \param tenants source of scoring snapshots; must outlive the service.
+  ///        Tenants may publish before or after construction — requests
+  ///        dispatched to a tenant with no snapshot fail FailedPrecondition.
   LinkingService(TenantRegistry* tenants, ServeConfig config = {});
   ~LinkingService();
 
@@ -278,9 +272,6 @@ class LinkingService {
 
   /// Find-or-create the tenant's accounting state. Requires mutex_.
   TenantState* GetTenantStateLocked(const std::string& tenant);
-  /// The snapshot that scores tenant `tenant`'s requests right now.
-  std::shared_ptr<const ModelSnapshot> CurrentSnapshot(
-      const std::string& tenant) const;
 
   /// One shard thread: take a pass from the admission queue, score it,
   /// repeat until the service stops.
@@ -291,15 +282,10 @@ class LinkingService {
   /// `ncl.serve.candidates_per_batch`).
   uint64_t ProcessSlice(PendingRequest* requests, size_t count,
                         const std::shared_ptr<const ModelSnapshot>& snapshot);
-  /// Shared constructor tail (config validation, SLO machinery, shards).
-  void Init();
   void StopInternal(bool fail_queued);
   void PublishQueueDepthLocked();
 
-  /// Exactly one of these is set: registry_ for the single-tenant
-  /// constructor, tenants_ for the multi-tenant one.
-  SnapshotRegistry* registry_ = nullptr;
-  TenantRegistry* tenants_ = nullptr;
+  TenantRegistry* const tenants_;
   const ServeConfig config_;
 
   mutable std::mutex mutex_;

@@ -15,6 +15,9 @@
 //     score against it for as long as they like; Publish swaps the pointer,
 //     so new requests pick up the new weights while in-flight requests
 //     finish on the old snapshot, which dies with its last reference.
+//   * TenantRegistry keys one SnapshotRegistry per ontology (tenant). It is
+//     the only source LinkingService reads; a single-model deployment
+//     publishes its model as kDefaultTenant.
 //   * The retrain loop therefore never touches a live model: it trains a
 //     *fresh* ComAidModel (mutation and cache invalidation happen before
 //     the model is visible to any scorer) and publishes it atomically.
@@ -177,12 +180,11 @@ inline constexpr std::string_view kDefaultTenant = "default";
 /// One serving process holds one TenantRegistry; each tenant id ("icd9",
 /// "icd10", ...) maps to its own registry with its own monotone version
 /// sequence, so a feedback loop can hot-swap one ontology's model without
-/// touching its neighbours. Lookup of an unknown tenant is not an error at
-/// this layer: Current returns null (the service fails the request with
-/// FailedPrecondition, exactly like a pre-Publish single-tenant registry)
-/// and current_version returns 0. Registries are created on first Publish
-/// and never removed, so a pointer returned by registry() stays valid for
-/// the TenantRegistry's lifetime.
+/// touching its neighbours. A single-model deployment is the one tenant
+/// kDefaultTenant. Lookup of an unknown tenant is not an error at this
+/// layer: Current returns null (the service fails the request with
+/// FailedPrecondition) and current_version returns 0. Registries are created
+/// on first Publish and never removed.
 class TenantRegistry {
  public:
   TenantRegistry() = default;
@@ -211,12 +213,11 @@ class TenantRegistry {
   /// Ids of every tenant that has published, sorted.
   std::vector<std::string> Tenants() const;
 
+ private:
   /// The per-tenant registry, created on demand. The pointer stays valid
-  /// for this TenantRegistry's lifetime; use it to hand a legacy
-  /// single-registry API one tenant's publication point.
+  /// for this TenantRegistry's lifetime.
   SnapshotRegistry* registry(std::string_view tenant);
 
- private:
   mutable std::mutex mutex_;
   /// std::map, not unordered: Tenants() comes out sorted and the
   /// transparent std::less<> comparator lets string_view look up without an

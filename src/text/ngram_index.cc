@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 #include <unordered_map>
 
 #include "text/tokenizer.h"
@@ -13,15 +14,20 @@ namespace ncl::text {
 namespace {
 
 /// Enumerates the analyzer's term strings for one token: the token itself
-/// (when configured) and its boundary-padded char n-grams.
+/// and its boundary-padded char n-grams (none when ngram_size is 0).
 template <typename Fn>
 void ForEachTerm(const NgramIndexConfig& config, const std::string& token,
                  Fn&& fn) {
-  if (config.index_tokens) fn(std::string_view(token));
+  fn(std::string_view(token));
   for (const auto& gram : CharNgramsPadded(token, config.ngram_size)) {
     fn(std::string_view(gram));
   }
 }
+
+/// Below this many postings Finalize sorts on the calling thread: starting
+/// helper threads costs more than the whole pass. A hospital-x scale token
+/// index holds a few thousand postings; the 93k ICD-10 ngram index, 5.2M.
+constexpr size_t kMinPostingsForParallelFinalize = size_t{1} << 15;
 
 /// k-th largest accumulator score (the maxscore threshold theta).
 double KthLargest(const std::unordered_map<int32_t, double>& accums, size_t k,
@@ -36,9 +42,16 @@ double KthLargest(const std::unordered_map<int32_t, double>& accums, size_t k,
 
 }  // namespace
 
-NgramIndex::NgramIndex(NgramIndexConfig config) : config_(config) {
-  NCL_CHECK(config_.ngram_size > 0) << "ngram_size must be > 0";
+NgramIndexConfig ExhaustiveTokenConfig() {
+  NgramIndexConfig config;
+  config.ngram_size = 0;
+  config.max_accumulators = 0;
+  config.per_term_posting_budget = 0;
+  config.early_stop_epsilon = 0.0;
+  return config;
 }
+
+NgramIndex::NgramIndex(NgramIndexConfig config) : config_(config) {}
 
 int32_t NgramIndex::AddDocument(const std::vector<std::string>& tokens) {
   NCL_CHECK(!finalized_) << "cannot add documents after Finalize()";
@@ -63,16 +76,18 @@ std::vector<int32_t> NgramIndex::AnalyzeDoc(
     const std::vector<std::string>& tokens) {
   std::vector<int32_t> term_ids;
   for (const std::string& token : tokens) {
-    auto [it, first_seen] = token_terms_.try_emplace(token);
-    if (first_seen) {
+    const auto token_id = static_cast<size_t>(tokens_.Add(token));
+    if (token_id == token_terms_.size()) {
       // Ids come from terms_ in the same first-seen order as analysing
       // every occurrence would assign them; a repeat adds no new term.
+      std::vector<int32_t>& analyzed = token_terms_.emplace_back();
       ForEachTerm(config_, token, [&](std::string_view term) {
-        it->second.push_back(terms_.Add(term));
+        analyzed.push_back(terms_.Add(term));
       });
       if (terms_.size() > postings_.size()) postings_.resize(terms_.size());
     }
-    term_ids.insert(term_ids.end(), it->second.begin(), it->second.end());
+    const std::vector<int32_t>& analyzed = token_terms_[token_id];
+    term_ids.insert(term_ids.end(), analyzed.begin(), analyzed.end());
   }
   std::sort(term_ids.begin(), term_ids.end());
   return term_ids;
@@ -103,7 +118,7 @@ void NgramIndex::Finalize() {
   // impact-order each list and record its upper bound. Lists are
   // independent and sort under a total order (impact desc, doc id asc), so
   // spreading them over the cores gives the serial result exactly.
-  ParallelForOnCores(postings_.size(), [&](size_t /*worker*/, size_t t) {
+  const auto finalize_list = [&](size_t /*worker*/, size_t t) {
     auto& plist = postings_[t];
     for (Posting& p : plist) {
       const double norm = doc_norms_[static_cast<size_t>(p.doc_id)];
@@ -117,7 +132,26 @@ void NgramIndex::Finalize() {
       return a.doc_id < b.doc_id;
     });
     if (!plist.empty()) upper_bounds_[t] = plist.front().impact;
-  });
+  };
+  if (num_postings_ < kMinPostingsForParallelFinalize) {
+    for (size_t t = 0; t < postings_.size(); ++t) finalize_list(0, t);
+  } else {
+    ParallelForOnCores(postings_.size(), finalize_list);
+  }
+
+  // Impacts are stored as float, so a document's stored vector has norm 1
+  // only up to float rounding. Final scores are divided by that norm, which
+  // keeps each one a true cosine against the stored vector to double
+  // precision: at most 1, and 1 when the query weighs the document's terms
+  // in the document's own proportions.
+  std::fill(doc_norms_.begin(), doc_norms_.end(), 0.0);
+  for (const auto& plist : postings_) {
+    for (const Posting& p : plist) {
+      const double impact = p.impact;
+      doc_norms_[static_cast<size_t>(p.doc_id)] += impact * impact;
+    }
+  }
+  for (double& norm : doc_norms_) norm = std::sqrt(norm);
 
   // Forward index for exact rescoring (only needed when pruning can
   // truncate accumulation). Term ids ascend in the outer loop, so each
@@ -265,18 +299,18 @@ std::vector<ScoredDoc> NgramIndex::RunTopK(const std::vector<std::string>& query
     }
   }
 
-  // Bounded min-heap selection under (score desc, doc_id asc) — identical
-  // tie-break to TfIdfIndex::TopK, deterministic regardless of the
-  // accumulator map's iteration order.
+  // Bounded min-heap selection under (score desc, doc_id asc) —
+  // deterministic regardless of the accumulator map's iteration order. The
+  // heap never outgrows the scored documents, however large k is.
   const auto better = [](const ScoredDoc& a, const ScoredDoc& b) {
     if (a.score != b.score) return a.score > b.score;
     return a.doc_id < b.doc_id;
   };
   std::vector<ScoredDoc> heap;
-  heap.reserve(k + 1);
+  heap.reserve(std::min(k, accums.size()));
   for (const auto& [doc_id, score] : accums) {
     if (score <= 0.0) continue;
-    ScoredDoc scored{doc_id, score};
+    ScoredDoc scored{doc_id, score / doc_norms_[static_cast<size_t>(doc_id)]};
     if (heap.size() < k) {
       heap.push_back(scored);
       std::push_heap(heap.begin(), heap.end(), better);

@@ -1,12 +1,17 @@
-// Char-ngram TF-IDF inverted index with top-m pruned retrieval.
+// TF-IDF cosine inverted index — Phase I of the paper's online concept
+// linking (§5): "we compute the cosine similarity between each concept and
+// query q with the TF-IDF weighting scheme, and then return the top-k
+// concepts with the largest similarity as the candidates."
 //
-// The exhaustive TfIdfIndex accumulates a score for every document that
-// shares a term with the query and then ranks them all — fine at thousands
-// of synthetic concepts, a corpus scan at the paper's 93,830 ICD-10 codes.
-// NgramIndex is the sub-linear replacement (ROADMAP "paper-scale
-// ontologies"): a scispacy-style analyzer (token unigrams + boundary-padded
-// character 3-grams, see CharNgramsPadded) feeding an impact-ordered
-// inverted index scored with maxscore/WAND-flavoured early termination.
+// One index, two analyzers, chosen by NgramIndexConfig::ngram_size:
+//   * ngram_size = 0, the token analyzer: each token is one term — the
+//     paper's Phase I verbatim;
+//   * ngram_size = n > 0, the scispacy-style analyzer: each token plus its
+//     boundary-padded character n-grams (see CharNgramsPadded), which keeps
+//     typos retrievable and, with the pruning knobs below, makes retrieval
+//     sub-linear at the paper's 93,830 ICD-10 codes.
+// Both share the smoothed idf log((N+1)/(df+1)) + 1, L2-normalised cosine
+// scoring and the (score desc, doc id asc) selection order.
 //
 // Index layout (built in Finalize):
 //   * one posting list per term, sorted by descending *impact* — the term's
@@ -43,23 +48,27 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "text/tfidf_index.h"
 #include "text/vocabulary.h"
 
 namespace ncl::text {
 
+/// One ranked retrieval result.
+struct ScoredDoc {
+  int32_t doc_id = -1;
+  double score = 0.0;
+};
+
 /// Analyzer and pruning knobs. Zeroing the three pruning knobs makes
-/// TopK exhaustive (identical candidate sets to TopKExhaustive).
+/// TopK exhaustive (identical results to TopKExhaustive).
 struct NgramIndexConfig {
-  /// Character n-gram width (boundary-padded; see CharNgramsPadded).
+  /// Character n-gram width (boundary-padded; see CharNgramsPadded) indexed
+  /// alongside each whole token; 0 indexes the tokens alone. Tokens are
+  /// rarer than grams, so they carry the highest idf and drive the salience
+  /// order.
   size_t ngram_size = 3;
-  /// Index whole tokens as terms alongside the grams. Tokens are rarer than
-  /// grams, so they carry the highest idf and drive the salience order.
-  bool index_tokens = true;
   /// Top-m pruning: maximum candidate documents admitted per query
   /// (0 = unbounded). Admission is additionally maxscore-gated: once a
   /// threshold score is known, documents whose accumulation cannot reach it
@@ -79,7 +88,11 @@ struct NgramIndexConfig {
   double early_stop_epsilon = 0.4;
 };
 
-/// \brief Inverted index over token + padded char-ngram terms, TF-IDF
+/// The token analyzer with every pruning knob zeroed: exhaustive TF-IDF
+/// cosine over whole tokens, §5's Phase I verbatim. Builds no forward index.
+NgramIndexConfig ExhaustiveTokenConfig();
+
+/// \brief Inverted index over token (+ padded char-ngram) terms, TF-IDF
 /// cosine scored, with optional top-m pruned retrieval.
 class NgramIndex {
  public:
@@ -94,7 +107,8 @@ class NgramIndex {
   void Finalize();
 
   /// Top-k documents by (approximate) cosine under the pruning knobs,
-  /// sorted by descending score with ascending doc id as tie-break.
+  /// sorted by descending score with ascending doc id as tie-break. Query
+  /// words that share no term with the collection are ignored.
   std::vector<ScoredDoc> TopK(const std::vector<std::string>& query,
                               size_t k) const;
 
@@ -103,6 +117,10 @@ class NgramIndex {
   /// parity tests; the bench reports the latency gap.
   std::vector<ScoredDoc> TopKExhaustive(const std::vector<std::string>& query,
                                         size_t k) const;
+
+  /// The distinct tokens of every indexed document, in first-seen order —
+  /// the Ω of §5's query rewriting step, whatever the analyzer.
+  const Vocabulary& tokens() const { return tokens_; }
 
   const NgramIndexConfig& config() const { return config_; }
   size_t num_documents() const { return doc_norms_.size(); }
@@ -127,8 +145,8 @@ class NgramIndex {
   };
 
   /// Index-side analysis: one term id per term occurrence in `tokens`,
-  /// sorted ascending, creating new terms. Each distinct token is analysed
-  /// once (token_terms_).
+  /// sorted ascending, creating new tokens and terms. Each distinct token
+  /// is analysed once (token_terms_).
   std::vector<int32_t> AnalyzeDoc(const std::vector<std::string>& tokens);
 
   /// Query-side analysis: idf-weighted, L2-normalised, salience-sorted.
@@ -138,22 +156,22 @@ class NgramIndex {
                                  bool pruned) const;
 
   NgramIndexConfig config_;
-  Vocabulary terms_;  // shared token + gram term space ('#'-padded grams
-                      // cannot collide with tokens)
+  Vocabulary tokens_;  // Ω: distinct document tokens
+  Vocabulary terms_;   // shared token + gram term space
   std::vector<std::vector<Posting>> postings_;  // by term id, impact desc
   std::vector<float> upper_bounds_;             // by term id: postings_[t][0]
   std::vector<double> idf_;                     // by term id
-  std::vector<double> doc_norms_;               // by doc id (pre-normalisation)
+  /// By doc id: the tf-idf weight norm while Finalize normalises, then the
+  /// norm of the stored float impacts, which final scores are divided by.
+  std::vector<double> doc_norms_;
   /// Forward index for exact rescoring: per document, its (term id, impact)
   /// pairs in ascending term id (merge-joined against the sorted query).
   /// Only built when a pruning knob is active — the zero-knob configuration
   /// never truncates accumulation and needs no second pass.
   std::vector<std::vector<std::pair<int32_t, float>>> doc_terms_;
-  /// Build-time memo (freed by Finalize): each distinct token's term ids in
-  /// analyzer order.
-  std::unordered_map<std::string, std::vector<int32_t>, StringHash,
-                     std::equal_to<>>
-      token_terms_;
+  /// Build-time memo (freed by Finalize): by token id, the token's term ids
+  /// in analyzer order.
+  std::vector<std::vector<int32_t>> token_terms_;
   size_t num_postings_ = 0;
   bool finalized_ = false;
 };

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 namespace ncl::linking {
 namespace {
 
@@ -120,8 +124,11 @@ TEST(CandidateGeneratorTest, NgramPathMatchesExhaustiveSetsOnSmallOntology) {
   ngram_config.use_ngram_index = true;
   CandidateGenerator pruned(onto, {}, ngram_config);
   CandidateGenerator exhaustive(onto, {});
-  ASSERT_NE(pruned.ngram_index(), nullptr);
-  EXPECT_EQ(exhaustive.ngram_index(), nullptr);
+  // One index, two analyzers: tokens + 3-grams under the pruning knobs, and
+  // whole tokens exhaustively.
+  EXPECT_EQ(pruned.index().config().ngram_size, 3u);
+  EXPECT_EQ(exhaustive.index().config().ngram_size, 0u);
+  EXPECT_EQ(exhaustive.index().config().max_accumulators, 0u);
   // At corpora far below the pruning knobs, the ngram path admits every
   // matching document. Any document sharing a token with the query also
   // shares that token's grams, so with k above the match count the token
@@ -161,12 +168,58 @@ TEST(CandidateGeneratorTest, NgramPathRetrievesThroughTypos) {
 
 TEST(CandidateGeneratorTest, NgramPathSharesOmegaWithTokenPath) {
   ontology::Ontology onto = MakeOntology();
+  std::vector<std::pair<ontology::ConceptId, std::vector<std::string>>> aliases = {
+      {onto.FindByCode("N18.5"), {"ckd", "5"}}};
   CandidateGeneratorConfig config;
   config.use_ngram_index = true;
-  CandidateGenerator generator(onto, {}, config);
-  // The query rewriter's Ω must not depend on the retrieval path.
-  EXPECT_TRUE(generator.vocabulary().Contains("anemia"));
-  EXPECT_FALSE(generator.vocabulary().Contains("#an"));
+  CandidateGenerator ngram(onto, aliases, config);
+  CandidateGenerator token(onto, aliases);
+  // The query rewriter's Ω must not depend on the analyzer: the same word
+  // set either way, holding the indexed words and no '#'-padded gram.
+  const auto& words = ngram.vocabulary().words();
+  const auto& token_words = token.vocabulary().words();
+  EXPECT_EQ(std::set<std::string>(words.begin(), words.end()),
+            std::set<std::string>(token_words.begin(), token_words.end()));
+  EXPECT_TRUE(ngram.vocabulary().Contains("anemia"));
+  EXPECT_TRUE(ngram.vocabulary().Contains("ckd"));
+  for (const std::string& word : words) {
+    EXPECT_EQ(word.find('#'), std::string::npos) << word;
+  }
+}
+
+/// TopK at a `k` far above the collection size, under both analyzers: every
+/// matching concept comes back once. The query matches all four
+/// fine-grained concepts, N18.5 through three documents.
+void ExpectEveryMatchOnce(size_t k) {
+  ontology::Ontology onto = MakeOntology();
+  std::vector<std::pair<ontology::ConceptId, std::vector<std::string>>> aliases = {
+      {onto.FindByCode("N18.5"), {"ckd", "5"}},
+      {onto.FindByCode("N18.5"), {"kidney", "failure", "5"}},
+  };
+  const std::vector<ontology::ConceptId> fine = onto.FineGrainedConcepts();
+  const std::set<ontology::ConceptId> every(fine.begin(), fine.end());
+  ASSERT_EQ(every.size(), 4u);
+  for (bool use_ngram_index : {false, true}) {
+    SCOPED_TRACE(use_ngram_index ? "ngram" : "token");
+    CandidateGeneratorConfig config;
+    config.use_ngram_index = use_ngram_index;
+    CandidateGenerator generator(onto, aliases, config);
+    auto candidates = generator.TopK({"anemia", "pain", "5"}, k);
+    std::set<ontology::ConceptId> unique(candidates.begin(), candidates.end());
+    EXPECT_EQ(unique.size(), candidates.size());
+    EXPECT_EQ(unique, every);
+  }
+}
+
+// k * 4 wraps to 0 at k = 2^62; the fetch budget must saturate at the
+// collection size instead of looping on empty fetches.
+TEST(CandidateGeneratorTest, OverflowingKReturnsEveryMatchOnce) {
+  ExpectEveryMatchOnce(size_t{1} << 62);
+}
+
+// At k = 10^9 the selection heap must not be sized by k.
+TEST(CandidateGeneratorTest, HugeKReturnsEveryMatchOnce) {
+  ExpectEveryMatchOnce(1'000'000'000);
 }
 
 }  // namespace

@@ -51,7 +51,7 @@ std::vector<std::string> Query(size_t words = 2) {
 }
 
 TEST(LinkingServiceTest, NoSnapshotFailsPrecondition) {
-  SnapshotRegistry registry;
+  TenantRegistry registry;
   LinkingService service(&registry);
   LinkResult result = service.Link(Query());
   EXPECT_EQ(result.status.code(), StatusCode::kFailedPrecondition);
@@ -59,8 +59,8 @@ TEST(LinkingServiceTest, NoSnapshotFailsPrecondition) {
 }
 
 TEST(LinkingServiceTest, ServesRequestsWithTimingsAndVersion) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>());
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>());
   LinkingService service(&registry);
 
   LinkResult result = service.Link(Query(3));
@@ -79,9 +79,9 @@ TEST(LinkingServiceTest, ServesRequestsWithTimingsAndVersion) {
 }
 
 TEST(LinkingServiceTest, MicroBatchFansOutAcrossShards) {
-  SnapshotRegistry registry;
+  TenantRegistry registry;
   auto snapshot = std::make_shared<FakeSnapshot>(2ms);
-  registry.Publish(snapshot);
+  registry.Publish(kDefaultTenant, snapshot);
   ServeConfig config;
   config.num_shards = 4;
   config.max_batch = 8;
@@ -99,8 +99,8 @@ TEST(LinkingServiceTest, MicroBatchFansOutAcrossShards) {
 }
 
 TEST(LinkingServiceTest, RejectPolicyBoundsQueueDepth) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(5ms));
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>(5ms));
   ServeConfig config;
   config.queue_capacity = 4;
   config.policy = OverloadPolicy::kReject;
@@ -132,8 +132,8 @@ TEST(LinkingServiceTest, RejectPolicyBoundsQueueDepth) {
 }
 
 TEST(LinkingServiceTest, ShedOldestEvictsStalestRequest) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(5ms));
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>(5ms));
   ServeConfig config;
   config.queue_capacity = 2;
   config.policy = OverloadPolicy::kShedOldest;
@@ -163,8 +163,8 @@ TEST(LinkingServiceTest, ShedOldestEvictsStalestRequest) {
 }
 
 TEST(LinkingServiceTest, QueueWaitPastDeadlineFailsDeadlineExceeded) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(20ms));
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>(20ms));
   ServeConfig config;
   config.max_batch = 1;
   config.num_shards = 1;
@@ -192,8 +192,8 @@ TEST(LinkingServiceTest, QueueWaitPastDeadlineFailsDeadlineExceeded) {
 }
 
 TEST(LinkingServiceTest, BlockPolicyCompletesEverythingWithoutLoss) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(1ms));
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>(1ms));
   ServeConfig config;
   config.queue_capacity = 2;
   config.policy = OverloadPolicy::kBlock;
@@ -221,8 +221,8 @@ TEST(LinkingServiceTest, BlockPolicyCompletesEverythingWithoutLoss) {
 }
 
 TEST(LinkingServiceTest, DrainServesQueuedThenRefusesNewWork) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(1ms));
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>(1ms));
   ServeConfig config;
   config.max_batch = 2;
   config.num_shards = 2;
@@ -239,8 +239,8 @@ TEST(LinkingServiceTest, DrainRacingConcurrentSubmitsResolvesEveryFuture) {
   // Drain from one thread while several submitters hammer SubmitLink: every
   // future must resolve — completed or Unavailable — and never hang. Run
   // under TSan in CI; this is the race the net::Server drain path leans on.
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(200us));
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>(200us));
   ServeConfig config;
   config.max_batch = 4;
   config.num_shards = 2;
@@ -288,8 +288,8 @@ TEST(LinkingServiceTest, DrainRacingConcurrentSubmitsResolvesEveryFuture) {
 }
 
 TEST(LinkingServiceTest, ShutdownFailsQueuedRequests) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(10ms));
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>(10ms));
   ServeConfig config;
   config.max_batch = 1;
   config.num_shards = 1;
@@ -350,9 +350,9 @@ class SlowQueryGate : public FakeSnapshot {
 };
 
 TEST(LinkingServiceTest, DefaultDeadlineAppliesToEveryRequest) {
-  SnapshotRegistry registry;
+  TenantRegistry registry;
   auto snapshot = std::make_shared<SlowQueryGate>();
-  registry.Publish(snapshot);
+  registry.Publish(kDefaultTenant, snapshot);
   ServeConfig config;
   config.max_batch = 1;
   config.num_shards = 1;
@@ -376,9 +376,9 @@ TEST(LinkingServiceTest, DefaultDeadlineAppliesToEveryRequest) {
 }
 
 TEST(LinkingServiceTest, SlowQueryDoesNotHoldUpRequestsBehindIt) {
-  SnapshotRegistry registry;
+  TenantRegistry registry;
   auto snapshot = std::make_shared<SlowQueryGate>();
-  registry.Publish(snapshot);
+  registry.Publish(kDefaultTenant, snapshot);
   ServeConfig config;
   config.num_shards = 2;
   LinkingService service(&registry, config);
@@ -421,9 +421,9 @@ class BatchRecordingSnapshot : public FakeSnapshot {
 };
 
 TEST(LinkingServiceTest, ShardSlicesScoreAsLinkBatchWorkloads) {
-  SnapshotRegistry registry;
+  TenantRegistry registry;
   auto snapshot = std::make_shared<BatchRecordingSnapshot>(1ms);
-  registry.Publish(snapshot);
+  registry.Publish(kDefaultTenant, snapshot);
   ServeConfig config;
   config.num_shards = 2;
   config.max_batch = 8;
@@ -459,8 +459,8 @@ TEST(LinkingServiceTest, CandidatesPerBatchHistogramCountsScoredCandidates) {
       "ncl.serve.candidates_per_batch");
   const uint64_t count_before = histogram->Stats().count;
 
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>());
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>());
   LinkingService service(&registry);
   EXPECT_TRUE(service.Link(Query()).status.ok());
   service.Drain();
@@ -470,8 +470,8 @@ TEST(LinkingServiceTest, CandidatesPerBatchHistogramCountsScoredCandidates) {
 }
 
 TEST(LinkingServiceTest, HotSwapVersionsAreMonotonePerSubmissionOrder) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(500us));
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>(500us));
   ServeConfig config;
   config.max_batch = 2;
   config.num_shards = 2;
@@ -480,7 +480,7 @@ TEST(LinkingServiceTest, HotSwapVersionsAreMonotonePerSubmissionOrder) {
   std::vector<std::future<LinkResult>> futures;
   for (int i = 0; i < 12; ++i) {
     futures.push_back(service.SubmitLink(Query()));
-    if (i == 5) registry.Publish(std::make_shared<FakeSnapshot>(500us));
+    if (i == 5) registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>(500us));
   }
   uint64_t last = 0;
   for (auto& f : futures) {
@@ -499,8 +499,8 @@ TEST(LinkingServiceTest, HotSwapVersionsAreMonotonePerSubmissionOrder) {
 }
 
 TEST(LinkingServiceTest, AssignsRequestIdsAndStageTimings) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(1ms));
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>(1ms));
   LinkingService service(&registry);
 
   LinkResult first = service.Link(Query());
@@ -521,7 +521,7 @@ TEST(LinkingServiceTest, AssignsRequestIdsAndStageTimings) {
 }
 
 TEST(LinkingServiceTest, FailedRequestsStillCarryTheirRequestId) {
-  SnapshotRegistry registry;  // no snapshot published
+  TenantRegistry registry;  // no snapshot published
   LinkingService service(&registry);
   LinkResult result = service.Link(Query());
   EXPECT_EQ(result.status.code(), StatusCode::kFailedPrecondition);
@@ -537,8 +537,8 @@ TEST(LinkingServiceTest, FailedRequestsStillCarryTheirRequestId) {
 TEST(LinkingServiceTest, TracedRequestExportsConnectedFlowEvents) {
   obs::SetTracingEnabled(false);
   obs::ClearTrace();
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>());
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>());
   LinkingService service(&registry);
 
   obs::SetTracingEnabled(true);
@@ -578,8 +578,8 @@ TEST(LinkingServiceTest, TracedRequestExportsConnectedFlowEvents) {
 TEST(LinkingServiceTest, DisabledTracingEmitsNoServeSpans) {
   obs::SetTracingEnabled(false);
   obs::ClearTrace();
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>());
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>());
   LinkingService service(&registry);
   EXPECT_TRUE(service.Link(Query()).status.ok());
   service.Drain();
@@ -589,16 +589,16 @@ TEST(LinkingServiceTest, DisabledTracingEmitsNoServeSpans) {
 }
 
 TEST(LinkingServiceTest, SloDisabledByDefaultConstructsNoWatchdog) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>());
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>());
   LinkingService service(&registry);
   EXPECT_EQ(service.slo_watchdog(), nullptr);
   EXPECT_TRUE(service.slow_requests().empty());
 }
 
 TEST(LinkingServiceTest, SloWatchdogAndSlowLogCaptureServedTraffic) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<FakeSnapshot>(2ms));
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>(2ms));
   ServeConfig config;
   config.slo.enabled = true;
   config.slo.slow_log_n = 4;

@@ -134,7 +134,7 @@ TEST(SnapshotRegistryTest, NgramCandidatePathServesThroughSnapshot) {
   cg_config.use_ngram_index = true;
   auto candidates = std::make_shared<const linking::CandidateGenerator>(
       onto, Aliases(onto), cg_config);
-  ASSERT_NE(candidates->ngram_index(), nullptr);
+  ASSERT_EQ(candidates->index().config().ngram_size, 3u);
 
   SnapshotRegistry registry;
   registry.Publish(std::make_shared<NclSnapshot>(TrainModel(onto, 1, 7),

@@ -76,8 +76,8 @@ TEST(ServeFeedbackLoopTest, RetrainPublishesSnapshotMidTraffic) {
   auto candidates =
       std::make_shared<const linking::CandidateGenerator>(onto, base);
 
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<NclSnapshot>(
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<NclSnapshot>(
       TrainModel(onto, base, extra_vocab), candidates, nullptr));
 
   ServeConfig serve_config;
@@ -130,7 +130,7 @@ TEST(ServeFeedbackLoopTest, RetrainPublishesSnapshotMidTraffic) {
   controller.TakeFeedback();  // drained into with_feedback above
   auto new_model = TrainModel(onto, with_feedback, extra_vocab);
   const uint64_t new_version = registry.Publish(
-      std::make_shared<NclSnapshot>(new_model, candidates, nullptr));
+      kDefaultTenant, std::make_shared<NclSnapshot>(new_model, candidates, nullptr));
   EXPECT_EQ(new_version, 2u);
 
   for (auto& t : clients) t.join();
@@ -141,9 +141,9 @@ TEST(ServeFeedbackLoopTest, RetrainPublishesSnapshotMidTraffic) {
             static_cast<uint64_t>(kClients) * kPerClient);
 
   // Requests after the swap score with the new weights.
-  SnapshotRegistry post_registry;
+  TenantRegistry post_registry;
   post_registry.Publish(
-      std::make_shared<NclSnapshot>(new_model, candidates, nullptr));
+      kDefaultTenant, std::make_shared<NclSnapshot>(new_model, candidates, nullptr));
   LinkingService post_service(&post_registry);
   LinkResult after = post_service.Link({"hemorrhagic", "anemia"});
   ASSERT_TRUE(after.status.ok());
@@ -171,13 +171,13 @@ TEST(ServeFeedbackLoopTest, NewSnapshotScoresWithNewWeights) {
   EXPECT_GT(after, before);
 
   // And the service picks exactly those weights up after a publish.
-  SnapshotRegistry registry;
+  TenantRegistry registry;
   registry.Publish(
-      std::make_shared<NclSnapshot>(before_model, candidates, nullptr));
+      kDefaultTenant, std::make_shared<NclSnapshot>(before_model, candidates, nullptr));
   LinkingService service(&registry);
   LinkResult r1 = service.Link(feedback_query);
   registry.Publish(
-      std::make_shared<NclSnapshot>(after_model, candidates, nullptr));
+      kDefaultTenant, std::make_shared<NclSnapshot>(after_model, candidates, nullptr));
   LinkResult r2 = service.Link(feedback_query);
   ASSERT_TRUE(r1.status.ok());
   ASSERT_TRUE(r2.status.ok());

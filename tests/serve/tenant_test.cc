@@ -158,20 +158,6 @@ TEST(TenantServiceTest, OntologySelectsTenantModel) {
   EXPECT_EQ(stats.tenants.at("snomed").completed, 0u);
 }
 
-TEST(TenantServiceTest, LegacyServiceRejectsNamedOntology) {
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<SaltedSnapshot>(1));
-  LinkingService service(&registry);
-
-  // The default tenant (empty ontology) serves as before...
-  EXPECT_TRUE(service.Link(Query()).status.ok());
-  // ...but naming any ontology on a single-registry service is NotFound.
-  LinkResult named = service.Link(Query(), Tenant("icd10"));
-  EXPECT_EQ(named.status.code(), StatusCode::kNotFound);
-  EXPECT_NE(named.status.message().find("icd10"), std::string::npos);
-  EXPECT_EQ(service.stats().tenants.count("icd10"), 0u);
-}
-
 TEST(TenantServiceTest, QuotaShedsOnlyTheOffendingTenant) {
   TenantRegistry registry;
   auto gate = std::make_shared<GatedSnapshot>();
@@ -266,11 +252,11 @@ TEST(TenantServiceTest, MixedServiceBitIdenticalToIsolatedServices) {
   config.max_batch = 8;
   LinkingService mixed(&mixed_registry, config);
 
-  SnapshotRegistry nine_registry;
-  nine_registry.Publish(nine);
+  TenantRegistry nine_registry;
+  nine_registry.Publish(kDefaultTenant, nine);
   LinkingService nine_only(&nine_registry, config);
-  SnapshotRegistry ten_registry;
-  ten_registry.Publish(ten);
+  TenantRegistry ten_registry;
+  ten_registry.Publish(kDefaultTenant, ten);
   LinkingService ten_only(&ten_registry, config);
 
   constexpr size_t kQueries = 48;

@@ -6,6 +6,10 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
+
+#include "util/random.h"
 
 namespace ncl::text {
 namespace {
@@ -36,6 +40,20 @@ NgramIndexConfig ExactConfig() {
   return config;
 }
 
+/// Both analyzers: tokens plus their boundary-padded 3-grams, and whole
+/// tokens only. Every property below holds for each.
+constexpr size_t kNgramSizes[] = {3, 0};
+
+/// `config` with the analyzer set to `ngram_size`.
+NgramIndexConfig Analyzer(size_t ngram_size, NgramIndexConfig config = {}) {
+  config.ngram_size = ngram_size;
+  return config;
+}
+
+std::string AnalyzerName(size_t ngram_size) {
+  return "ngram_size=" + std::to_string(ngram_size);
+}
+
 std::set<int32_t> DocIds(const std::vector<ScoredDoc>& docs) {
   std::set<int32_t> ids;
   for (const auto& d : docs) ids.insert(d.doc_id);
@@ -43,11 +61,47 @@ std::set<int32_t> DocIds(const std::vector<ScoredDoc>& docs) {
 }
 
 TEST(NgramIndexTest, ExactMatchRanksFirst) {
-  NgramIndex index = MakeIndex();
-  auto results = index.TopK({"iron", "deficiency", "anemia"}, 3);
-  ASSERT_FALSE(results.empty());
-  EXPECT_EQ(results[0].doc_id, 0);
-  EXPECT_NEAR(results[0].score, 1.0, 1e-6);
+  for (size_t n : kNgramSizes) {
+    SCOPED_TRACE(AnalyzerName(n));
+    NgramIndex index = MakeIndex(Analyzer(n));
+    auto results = index.TopK({"iron", "deficiency", "anemia"}, 3);
+    ASSERT_FALSE(results.empty());
+    EXPECT_EQ(results[0].doc_id, 0);
+    EXPECT_NEAR(results[0].score, 1.0, 1e-6);
+  }
+}
+
+TEST(NgramIndexTest, DiscriminativeWordBeatsCommonWord) {
+  for (size_t n : kNgramSizes) {
+    SCOPED_TRACE(AnalyzerName(n));
+    NgramIndex index(Analyzer(n));
+    index.AddDocument({"rare", "x1"});
+    index.AddDocument({"common", "x2"});
+    index.AddDocument({"common", "x3"});
+    index.AddDocument({"common", "x4"});
+    index.Finalize();
+    // Each document matches one query word with the same tf and length, so
+    // only idf separates them: the rare word's document ranks first.
+    auto results = index.TopK({"rare", "common"}, 4);
+    ASSERT_EQ(results.size(), 4u);
+    EXPECT_EQ(results[0].doc_id, 0);
+    EXPECT_GT(results[0].score, results[1].score);
+  }
+}
+
+TEST(NgramIndexTest, UnknownWordsIgnored) {
+  for (size_t n : kNgramSizes) {
+    SCOPED_TRACE(AnalyzerName(n));
+    NgramIndex index = MakeIndex(Analyzer(n));
+    // "zzz" shares no term with the collection, so it changes neither the
+    // matches nor their scores.
+    auto with_unknown = index.TopK({"zzz", "kidney"}, 5);
+    auto alone = index.TopK({"kidney"}, 5);
+    ASSERT_EQ(with_unknown.size(), 1u);
+    EXPECT_EQ(with_unknown[0].doc_id, 2);
+    ASSERT_EQ(alone.size(), 1u);
+    EXPECT_DOUBLE_EQ(with_unknown[0].score, alone[0].score);
+  }
 }
 
 TEST(NgramIndexTest, SelfRetrievalAcrossCorpus) {
@@ -71,75 +125,153 @@ TEST(NgramIndexTest, TypoStillRetrievesViaGrams) {
 }
 
 TEST(NgramIndexTest, ShortTokensAreIndexed) {
-  NgramIndex index = MakeIndex();
-  // "5" only survives via boundary padding ("#5#").
-  auto results = index.TopK({"stage", "5"}, 2);
-  ASSERT_FALSE(results.empty());
-  EXPECT_EQ(results[0].doc_id, 2);
+  for (size_t n : kNgramSizes) {
+    SCOPED_TRACE(AnalyzerName(n));
+    NgramIndex index = MakeIndex(Analyzer(n));
+    // "5" is a one-character token (and, with grams, the padded "#5#").
+    auto results = index.TopK({"stage", "5"}, 2);
+    ASSERT_FALSE(results.empty());
+    EXPECT_EQ(results[0].doc_id, 2);
+  }
 }
 
 TEST(NgramIndexTest, EmptyAndUnknownQueries) {
-  NgramIndex index = MakeIndex();
-  EXPECT_TRUE(index.TopK({}, 5).empty());
-  EXPECT_TRUE(index.TopK({"anemia"}, 0).empty());
-  // A query with no shared grams at all yields nothing.
-  EXPECT_TRUE(index.TopK({"zzz"}, 5).empty());
+  for (size_t n : kNgramSizes) {
+    SCOPED_TRACE(AnalyzerName(n));
+    NgramIndex index = MakeIndex(Analyzer(n));
+    EXPECT_TRUE(index.TopK({}, 5).empty());
+    EXPECT_TRUE(index.TopK({"anemia"}, 0).empty());
+    // Queries sharing no term with the collection yield nothing.
+    EXPECT_TRUE(index.TopK({"zzz"}, 5).empty());
+    EXPECT_TRUE(index.TopK({"zzz", "qqq"}, 5).empty());
+  }
+}
+
+TEST(NgramIndexTest, KLimitsResults) {
+  for (size_t n : kNgramSizes) {
+    SCOPED_TRACE(AnalyzerName(n));
+    NgramIndex index = MakeIndex(Analyzer(n));
+    EXPECT_EQ(index.TopK({"anemia", "deficiency"}, 1).size(), 1u);
+    EXPECT_EQ(index.TopK({"anemia", "deficiency"}, 2).size(), 2u);
+  }
 }
 
 TEST(NgramIndexTest, KLargerThanCorpusReturnsAllMatches) {
-  NgramIndex index = MakeIndex();
-  auto results = index.TopK({"anemia"}, 100);
-  EXPECT_GE(results.size(), 3u);
-  EXPECT_LE(results.size(), SmallCorpus().size());
+  for (size_t n : kNgramSizes) {
+    SCOPED_TRACE(AnalyzerName(n));
+    NgramIndex index = MakeIndex(Analyzer(n));
+    // k far above both the match count and the corpus size: the bounded
+    // heap degrades to a full ranking of exactly the matching documents
+    // (no other document shares a term with "anemia").
+    auto results = index.TopK({"anemia"}, 100);
+    EXPECT_EQ(DocIds(results), (std::set<int32_t>{0, 1, 5}));
+    EXPECT_EQ(results.size(), 3u);
+  }
 }
 
 TEST(NgramIndexTest, ScoresSortedDescendingWithDocTieBreak) {
-  NgramIndex index = MakeIndex();
-  auto results = index.TopK({"deficiency", "anemia"}, 10);
-  for (size_t i = 1; i < results.size(); ++i) {
-    if (results[i - 1].score == results[i].score) {
-      EXPECT_LT(results[i - 1].doc_id, results[i].doc_id);
-    } else {
-      EXPECT_GT(results[i - 1].score, results[i].score);
+  for (size_t n : kNgramSizes) {
+    SCOPED_TRACE(AnalyzerName(n));
+    NgramIndex index = MakeIndex(Analyzer(n));
+    auto results = index.TopK({"deficiency", "anemia", "stage"}, 10);
+    ASSERT_FALSE(results.empty());
+    for (size_t i = 0; i < results.size(); ++i) {
+      // Cosine of non-negative vectors: every returned score is in (0, 1].
+      EXPECT_GT(results[i].score, 0.0);
+      EXPECT_LE(results[i].score, 1.0 + 1e-6);
+      if (i == 0) continue;
+      if (results[i - 1].score == results[i].score) {
+        EXPECT_LT(results[i - 1].doc_id, results[i].doc_id);
+      } else {
+        EXPECT_GT(results[i - 1].score, results[i].score);
+      }
     }
   }
 }
 
 TEST(NgramIndexTest, DuplicateDocumentsTieBreakByDocId) {
-  NgramIndex index((NgramIndexConfig()));
-  index.AddDocument({"abdominal", "pain"});
-  index.AddDocument({"abdominal", "pain"});
-  index.AddDocument({"abdominal", "pain"});
-  index.Finalize();
-  auto results = index.TopK({"abdominal", "pain"}, 3);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0].doc_id, 0);
-  EXPECT_EQ(results[1].doc_id, 1);
-  EXPECT_EQ(results[2].doc_id, 2);
-  EXPECT_DOUBLE_EQ(results[0].score, results[2].score);
+  for (size_t n : kNgramSizes) {
+    SCOPED_TRACE(AnalyzerName(n));
+    NgramIndex index(Analyzer(n));
+    index.AddDocument({"abdominal", "pain"});
+    index.AddDocument({"abdominal", "pain"});
+    index.AddDocument({"abdominal", "pain"});
+    index.AddDocument({"kidney", "disease"});
+    index.Finalize();
+    // The bounded-heap selection pins the order of a full stable sort —
+    // score descending, doc id ascending — for every k.
+    for (size_t k = 1; k <= 4; ++k) {
+      auto results = index.TopK({"abdominal", "pain"}, k);
+      ASSERT_EQ(results.size(), std::min<size_t>(k, 3)) << "k=" << k;
+      for (size_t i = 0; i < results.size(); ++i) {
+        EXPECT_EQ(results[i].doc_id, static_cast<int32_t>(i)) << "k=" << k;
+      }
+      EXPECT_DOUBLE_EQ(results.front().score, results.back().score);
+    }
+  }
+}
+
+TEST(NgramIndexTest, RepeatedTokensRaiseTf) {
+  for (size_t n : kNgramSizes) {
+    SCOPED_TRACE(AnalyzerName(n));
+    // Document side: doc 0 is purely "pain", so it has cosine 1 whatever
+    // its tf; doc 1 is diluted by its other words.
+    NgramIndex repeated(Analyzer(n));
+    repeated.AddDocument({"pain", "pain", "pain"});
+    repeated.AddDocument({"pain", "relief", "cream"});
+    repeated.Finalize();
+    auto pain = repeated.TopK({"pain"}, 2);
+    ASSERT_EQ(pain.size(), 2u);
+    EXPECT_EQ(pain[0].doc_id, 0);
+    EXPECT_NEAR(pain[0].score, 1.0, 1e-6);
+    EXPECT_GT(pain[0].score, pain[1].score);
+
+    // Query side: repeating "anemia" shifts the query vector toward it, so
+    // the anemia documents gain and the kidney document loses, while the
+    // matching set stays the same.
+    NgramIndex index = MakeIndex(Analyzer(n));
+    auto once = index.TopK({"anemia", "kidney"}, 10);
+    auto thrice = index.TopK({"anemia", "anemia", "anemia", "kidney"}, 10);
+    ASSERT_EQ(DocIds(once), DocIds(thrice));
+    auto score_of = [](const std::vector<ScoredDoc>& docs, int32_t id) {
+      for (const ScoredDoc& d : docs) {
+        if (d.doc_id == id) return d.score;
+      }
+      return 0.0;
+    };
+    EXPECT_GT(score_of(thrice, 0), score_of(once, 0));
+    EXPECT_LT(score_of(thrice, 2), score_of(once, 2));
+    EXPECT_TRUE(thrice[0].doc_id == 0 || thrice[0].doc_id == 1);
+  }
 }
 
 TEST(NgramIndexTest, DeterministicAcrossCalls) {
-  NgramIndex index = MakeIndex();
-  auto first = index.TopK({"deficiency", "anemia", "pain"}, 5);
-  auto second = index.TopK({"deficiency", "anemia", "pain"}, 5);
-  ASSERT_EQ(first.size(), second.size());
-  for (size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].doc_id, second[i].doc_id);
-    EXPECT_DOUBLE_EQ(first[i].score, second[i].score);
+  for (size_t n : kNgramSizes) {
+    SCOPED_TRACE(AnalyzerName(n));
+    NgramIndex index = MakeIndex(Analyzer(n));
+    auto first = index.TopK({"deficiency", "anemia", "pain"}, 5);
+    auto second = index.TopK({"deficiency", "anemia", "pain"}, 5);
+    ASSERT_EQ(first.size(), second.size());
+    for (size_t i = 0; i < first.size(); ++i) {
+      EXPECT_EQ(first[i].doc_id, second[i].doc_id);
+      EXPECT_DOUBLE_EQ(first[i].score, second[i].score);
+    }
   }
 }
 
 TEST(NgramIndexTest, ZeroedKnobsMatchExhaustiveExactly) {
-  NgramIndex index = MakeIndex(ExactConfig());
-  const auto corpus = SmallCorpus();
-  for (const auto& query : corpus) {
-    auto pruned = index.TopK(query, 4);
-    auto exhaustive = index.TopKExhaustive(query, 4);
-    ASSERT_EQ(pruned.size(), exhaustive.size());
-    for (size_t i = 0; i < pruned.size(); ++i) {
-      EXPECT_EQ(pruned[i].doc_id, exhaustive[i].doc_id);
-      EXPECT_DOUBLE_EQ(pruned[i].score, exhaustive[i].score);
+  for (size_t n : kNgramSizes) {
+    SCOPED_TRACE(AnalyzerName(n));
+    NgramIndex index = MakeIndex(Analyzer(n, ExactConfig()));
+    const auto corpus = SmallCorpus();
+    for (const auto& query : corpus) {
+      auto pruned = index.TopK(query, 4);
+      auto exhaustive = index.TopKExhaustive(query, 4);
+      ASSERT_EQ(pruned.size(), exhaustive.size());
+      for (size_t i = 0; i < pruned.size(); ++i) {
+        EXPECT_EQ(pruned[i].doc_id, exhaustive[i].doc_id);
+        EXPECT_DOUBLE_EQ(pruned[i].score, exhaustive[i].score);
+      }
     }
   }
 }
@@ -148,56 +280,114 @@ TEST(NgramIndexTest, DefaultKnobsMatchExhaustiveSetsOnSmallCorpus) {
   // The pruning invariant the parity tests pin: at corpora far below the
   // accumulator/budget limits, the pruned walk admits every matching
   // document, so candidate *sets* coincide with the exhaustive reference.
-  NgramIndex index = MakeIndex();
-  const auto corpus = SmallCorpus();
-  for (const auto& query : corpus) {
-    EXPECT_EQ(DocIds(index.TopK(query, 3)), DocIds(index.TopKExhaustive(query, 3)));
+  for (size_t n : kNgramSizes) {
+    SCOPED_TRACE(AnalyzerName(n));
+    NgramIndex index = MakeIndex(Analyzer(n));
+    const auto corpus = SmallCorpus();
+    for (const auto& query : corpus) {
+      EXPECT_EQ(DocIds(index.TopK(query, 3)),
+                DocIds(index.TopKExhaustive(query, 3)));
+    }
   }
 }
 
 TEST(NgramIndexTest, MaxAccumulatorsBoundsCandidates) {
-  NgramIndexConfig config;
-  config.max_accumulators = 1;
-  NgramIndex index = MakeIndex(config);
-  // Only one accumulator may ever be admitted, so at most one result.
-  EXPECT_LE(index.TopK({"deficiency", "anemia"}, 10).size(), 1u);
+  for (size_t n : kNgramSizes) {
+    SCOPED_TRACE(AnalyzerName(n));
+    NgramIndexConfig config = Analyzer(n);
+    config.max_accumulators = 1;
+    NgramIndex index = MakeIndex(config);
+    // Only one accumulator may ever be admitted, so at most one result.
+    EXPECT_LE(index.TopK({"deficiency", "anemia"}, 10).size(), 1u);
+  }
 }
 
 TEST(NgramIndexTest, PostingBudgetStillFindsTopDoc) {
-  NgramIndexConfig config;
-  config.per_term_posting_budget = 1;
-  NgramIndex index = MakeIndex(config);
-  // Each term only contributes its single highest-impact posting; the
-  // exact-match doc still aggregates enough terms to rank first.
-  auto results = index.TopK({"chronic", "kidney", "disease", "stage", "5"}, 3);
-  ASSERT_FALSE(results.empty());
-  EXPECT_EQ(results[0].doc_id, 2);
+  for (size_t n : kNgramSizes) {
+    SCOPED_TRACE(AnalyzerName(n));
+    NgramIndexConfig config = Analyzer(n);
+    config.per_term_posting_budget = 1;
+    NgramIndex index = MakeIndex(config);
+    // Each term only contributes its single highest-impact posting; the
+    // exact-match doc still aggregates enough terms to rank first.
+    auto results = index.TopK({"chronic", "kidney", "disease", "stage", "5"}, 3);
+    ASSERT_FALSE(results.empty());
+    EXPECT_EQ(results[0].doc_id, 2);
+  }
 }
 
 TEST(NgramIndexTest, StatsReflectCollection) {
-  NgramIndex index = MakeIndex();
-  EXPECT_EQ(index.num_documents(), SmallCorpus().size());
-  EXPECT_GT(index.num_terms(), 0u);
-  EXPECT_GT(index.num_postings(), index.num_terms() / 2);
-  EXPECT_TRUE(index.finalized());
+  for (size_t n : kNgramSizes) {
+    SCOPED_TRACE(AnalyzerName(n));
+    NgramIndex index = MakeIndex(Analyzer(n));
+    EXPECT_EQ(index.num_documents(), SmallCorpus().size());
+    EXPECT_GT(index.num_terms(), 0u);
+    EXPECT_GT(index.num_postings(), index.num_terms() / 2);
+    EXPECT_TRUE(index.finalized());
+    // The token analyzer's terms are exactly the tokens; grams add more.
+    if (n == 0) {
+      EXPECT_EQ(index.num_terms(), index.tokens().size());
+    } else {
+      EXPECT_GT(index.num_terms(), index.tokens().size());
+    }
+  }
 }
 
-TEST(NgramIndexTest, TokenlessAnalyzerStillRetrieves) {
-  NgramIndexConfig config;
-  config.index_tokens = false;
-  NgramIndex index = MakeIndex(config);
-  auto results = index.TopK({"iron", "deficiency", "anemia"}, 1);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].doc_id, 0);
+TEST(NgramIndexTest, LargeCollectionRetrievesEveryDocument) {
+  // Enough postings that Finalize sorts its lists on every core (a small
+  // collection sorts on the calling thread); the TSan job runs this suite.
+  Rng rng(17);
+  std::vector<std::vector<std::string>> corpus;
+  for (int d = 0; d < 3000; ++d) {
+    std::vector<std::string> doc{"u" + std::to_string(d)};
+    for (int i = 0; i < 10; ++i) doc.push_back("w" + std::to_string(rng.Index(400)));
+    corpus.push_back(std::move(doc));
+  }
+  NgramIndex index;
+  for (const auto& doc : corpus) index.AddDocument(doc);
+  index.Finalize();
+  ASSERT_GT(index.num_postings(), 65536u);
+  // Each document's unique "u" token makes it its own best match.
+  for (size_t d = 0; d < corpus.size(); d += 25) {
+    auto results = index.TopK(corpus[d], 1);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].doc_id, static_cast<int32_t>(d));
+  }
+}
+
+TEST(NgramIndexTest, TokensHoldIndexedWords) {
+  // Every distinct document token, in first-seen order, and nothing else:
+  // no unindexed word and no gram.
+  std::vector<std::string> expected;
+  for (const auto& doc : SmallCorpus()) {
+    for (const std::string& token : doc) {
+      if (std::find(expected.begin(), expected.end(), token) == expected.end()) {
+        expected.push_back(token);
+      }
+    }
+  }
+  for (size_t n : kNgramSizes) {
+    SCOPED_TRACE(AnalyzerName(n));
+    NgramIndex index = MakeIndex(Analyzer(n));
+    EXPECT_EQ(index.tokens().words(), expected);
+    EXPECT_TRUE(index.tokens().Contains("anemia"));
+    EXPECT_TRUE(index.tokens().Contains("5"));
+    EXPECT_FALSE(index.tokens().Contains("ckd"));
+    EXPECT_FALSE(index.tokens().Contains("#an"));
+    EXPECT_FALSE(index.tokens().Contains("ane"));
+  }
 }
 
 /// Term frequencies under the analyzer's definition, written out
-/// independently of the index: every token plus its '#'-padded 3-grams (the
-/// whole padded token when it is shorter than three characters).
-std::map<std::string, double> AnalyzerTf(const std::vector<std::string>& tokens) {
+/// independently of the index: every token plus, when `ngram_size` is 3, its
+/// '#'-padded 3-grams (the whole padded token when it is shorter than three
+/// characters).
+std::map<std::string, double> AnalyzerTf(const std::vector<std::string>& tokens,
+                                         size_t ngram_size) {
   std::map<std::string, double> tf;
   for (const std::string& token : tokens) {
     tf[token] += 1.0;
+    if (ngram_size == 0) continue;
     const std::string padded = "#" + token + "#";
     if (padded.size() <= 3) {
       tf[padded] += 1.0;
@@ -224,58 +414,64 @@ TEST(NgramIndexTest, ExhaustiveScoresMatchBruteForceCosine) {
       {"deficiency", "deficient", "iron", "iron"},
       {"acute", "anemic", "kidney", "injury"},
   };
-  NgramIndex index(ExactConfig());
-  for (const auto& doc : corpus) index.AddDocument(doc);
-  index.Finalize();
-
-  std::vector<std::map<std::string, double>> doc_tf;
-  std::map<std::string, double> df;
-  for (const auto& doc : corpus) {
-    doc_tf.push_back(AnalyzerTf(doc));
-    for (const auto& [term, tf] : doc_tf.back()) df[term] += 1.0;
-  }
-  const double n = static_cast<double>(corpus.size());
-  auto idf = [&](const std::string& term) {
-    return std::log((n + 1.0) / (df.at(term) + 1.0)) + 1.0;
-  };
-  auto weights = [&](const std::map<std::string, double>& tf) {
-    std::map<std::string, double> w;
-    double norm = 0.0;
-    for (const auto& [term, count] : tf) {
-      if (!df.contains(term)) continue;
-      w[term] = count * idf(term);
-      norm += w[term] * w[term];
-    }
-    for (auto& [term, value] : w) value /= std::sqrt(norm);
-    return w;
-  };
-
   std::vector<std::vector<std::string>> queries = corpus;
   queries.push_back({"anemai", "iron"});
   queries.push_back({"iron", "iron", "deficient"});
   queries.push_back({"stage", "xylophone"});
   queries.push_back({"kidney", "anemic"});
-  for (const auto& query : queries) {
-    const auto q = weights(AnalyzerTf(query));
-    std::vector<ScoredDoc> expected;
-    for (size_t d = 0; d < corpus.size(); ++d) {
-      double cosine = 0.0;
-      for (const auto& [term, value] : weights(doc_tf[d])) {
-        auto it = q.find(term);
-        if (it != q.end()) cosine += it->second * value;
-      }
-      if (cosine > 0.0) expected.push_back(ScoredDoc{static_cast<int32_t>(d), cosine});
-    }
-    std::sort(expected.begin(), expected.end(), [](const ScoredDoc& a, const ScoredDoc& b) {
-      if (a.score != b.score) return a.score > b.score;
-      return a.doc_id < b.doc_id;
-    });
+  for (size_t ngram_size : kNgramSizes) {
+    SCOPED_TRACE(AnalyzerName(ngram_size));
+    NgramIndex index(Analyzer(ngram_size, ExactConfig()));
+    for (const auto& doc : corpus) index.AddDocument(doc);
+    index.Finalize();
 
-    const auto actual = index.TopKExhaustive(query, corpus.size());
-    ASSERT_EQ(actual.size(), expected.size());
-    for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(actual[i].doc_id, expected[i].doc_id) << "rank " << i;
-      EXPECT_NEAR(actual[i].score, expected[i].score, 1e-6) << "rank " << i;
+    std::vector<std::map<std::string, double>> doc_tf;
+    std::map<std::string, double> df;
+    for (const auto& doc : corpus) {
+      doc_tf.push_back(AnalyzerTf(doc, ngram_size));
+      for (const auto& [term, tf] : doc_tf.back()) df[term] += 1.0;
+    }
+    const double n = static_cast<double>(corpus.size());
+    auto idf = [&](const std::string& term) {
+      return std::log((n + 1.0) / (df.at(term) + 1.0)) + 1.0;
+    };
+    auto weights = [&](const std::map<std::string, double>& tf) {
+      std::map<std::string, double> w;
+      double norm = 0.0;
+      for (const auto& [term, count] : tf) {
+        if (!df.contains(term)) continue;
+        w[term] = count * idf(term);
+        norm += w[term] * w[term];
+      }
+      for (auto& [term, value] : w) value /= std::sqrt(norm);
+      return w;
+    };
+
+    for (const auto& query : queries) {
+      const auto q = weights(AnalyzerTf(query, ngram_size));
+      std::vector<ScoredDoc> expected;
+      for (size_t d = 0; d < corpus.size(); ++d) {
+        double cosine = 0.0;
+        for (const auto& [term, value] : weights(doc_tf[d])) {
+          auto it = q.find(term);
+          if (it != q.end()) cosine += it->second * value;
+        }
+        if (cosine > 0.0) {
+          expected.push_back(ScoredDoc{static_cast<int32_t>(d), cosine});
+        }
+      }
+      std::sort(expected.begin(), expected.end(),
+                [](const ScoredDoc& a, const ScoredDoc& b) {
+                  if (a.score != b.score) return a.score > b.score;
+                  return a.doc_id < b.doc_id;
+                });
+
+      const auto actual = index.TopKExhaustive(query, corpus.size());
+      ASSERT_EQ(actual.size(), expected.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(actual[i].doc_id, expected[i].doc_id) << "rank " << i;
+        EXPECT_NEAR(actual[i].score, expected[i].score, 1e-6) << "rank " << i;
+      }
     }
   }
 }

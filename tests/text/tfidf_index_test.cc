@@ -1,12 +1,16 @@
-#include "text/tfidf_index.h"
+// The TF-IDF index of §5's Phase I: NgramIndex under the token analyzer with
+// every pruning knob zeroed (ExhaustiveTokenConfig), the index
+// CandidateGenerator builds when the ngram index is off.
+
+#include "text/ngram_index.h"
 
 #include <gtest/gtest.h>
 
 namespace ncl::text {
 namespace {
 
-TfIdfIndex MakeSmallIndex() {
-  TfIdfIndex index;
+NgramIndex MakeSmallIndex() {
+  NgramIndex index(ExhaustiveTokenConfig());
   index.AddDocument({"iron", "deficiency", "anemia"});                      // 0
   index.AddDocument({"protein", "deficiency", "anemia"});                   // 1
   index.AddDocument({"chronic", "kidney", "disease", "stage", "5"});        // 2
@@ -17,7 +21,7 @@ TfIdfIndex MakeSmallIndex() {
 }
 
 TEST(TfIdfIndexTest, ExactMatchRanksFirst) {
-  TfIdfIndex index = MakeSmallIndex();
+  NgramIndex index = MakeSmallIndex();
   auto results = index.TopK({"iron", "deficiency", "anemia"}, 3);
   ASSERT_FALSE(results.empty());
   EXPECT_EQ(results[0].doc_id, 0);
@@ -25,7 +29,7 @@ TEST(TfIdfIndexTest, ExactMatchRanksFirst) {
 }
 
 TEST(TfIdfIndexTest, DiscriminativeWordBeatsCommonWord) {
-  TfIdfIndex index = MakeSmallIndex();
+  NgramIndex index = MakeSmallIndex();
   // "iron" is unique to doc 0, "anemia" shared by docs 0 and 1: doc 0 first.
   auto results = index.TopK({"iron", "anemia"}, 2);
   ASSERT_EQ(results.size(), 2u);
@@ -35,31 +39,31 @@ TEST(TfIdfIndexTest, DiscriminativeWordBeatsCommonWord) {
 }
 
 TEST(TfIdfIndexTest, UnknownWordsIgnored) {
-  TfIdfIndex index = MakeSmallIndex();
+  NgramIndex index = MakeSmallIndex();
   auto results = index.TopK({"zzz", "kidney"}, 5);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].doc_id, 2);
 }
 
 TEST(TfIdfIndexTest, AllUnknownYieldsEmpty) {
-  TfIdfIndex index = MakeSmallIndex();
+  NgramIndex index = MakeSmallIndex();
   EXPECT_TRUE(index.TopK({"zzz", "qqq"}, 5).empty());
 }
 
 TEST(TfIdfIndexTest, EmptyQueryYieldsEmpty) {
-  TfIdfIndex index = MakeSmallIndex();
+  NgramIndex index = MakeSmallIndex();
   EXPECT_TRUE(index.TopK({}, 5).empty());
   EXPECT_TRUE(index.TopK({"anemia"}, 0).empty());
 }
 
 TEST(TfIdfIndexTest, KLimitsResults) {
-  TfIdfIndex index = MakeSmallIndex();
+  NgramIndex index = MakeSmallIndex();
   auto results = index.TopK({"anemia", "deficiency"}, 1);
   EXPECT_EQ(results.size(), 1u);
 }
 
 TEST(TfIdfIndexTest, ScoresSortedDescending) {
-  TfIdfIndex index = MakeSmallIndex();
+  NgramIndex index = MakeSmallIndex();
   auto results = index.TopK({"anemia", "pain", "abdomen"}, 10);
   for (size_t i = 1; i < results.size(); ++i) {
     EXPECT_GE(results[i - 1].score, results[i].score);
@@ -67,7 +71,7 @@ TEST(TfIdfIndexTest, ScoresSortedDescending) {
 }
 
 TEST(TfIdfIndexTest, ScoresWithinUnitInterval) {
-  TfIdfIndex index = MakeSmallIndex();
+  NgramIndex index = MakeSmallIndex();
   for (const auto& r : index.TopK({"deficiency", "anemia", "stage"}, 10)) {
     EXPECT_GT(r.score, 0.0);
     EXPECT_LE(r.score, 1.0 + 1e-9);
@@ -75,20 +79,20 @@ TEST(TfIdfIndexTest, ScoresWithinUnitInterval) {
 }
 
 TEST(TfIdfIndexTest, VocabularyHoldsIndexedWords) {
-  TfIdfIndex index = MakeSmallIndex();
-  EXPECT_TRUE(index.vocabulary().Contains("anemia"));
-  EXPECT_TRUE(index.vocabulary().Contains("5"));
-  EXPECT_FALSE(index.vocabulary().Contains("ckd"));
+  NgramIndex index = MakeSmallIndex();
+  EXPECT_TRUE(index.tokens().Contains("anemia"));
+  EXPECT_TRUE(index.tokens().Contains("5"));
+  EXPECT_FALSE(index.tokens().Contains("ckd"));
 }
 
 TEST(TfIdfIndexTest, NumDocuments) {
-  TfIdfIndex index = MakeSmallIndex();
+  NgramIndex index = MakeSmallIndex();
   EXPECT_EQ(index.num_documents(), 5u);
   EXPECT_TRUE(index.finalized());
 }
 
 TEST(TfIdfIndexTest, RepeatedTermRaisesTf) {
-  TfIdfIndex index;
+  NgramIndex index(ExhaustiveTokenConfig());
   index.AddDocument({"pain", "pain", "pain"});
   index.AddDocument({"pain", "relief", "cream"});
   index.Finalize();
@@ -100,7 +104,7 @@ TEST(TfIdfIndexTest, RepeatedTermRaisesTf) {
 }
 
 TEST(TfIdfIndexTest, KLargerThanCorpusReturnsEveryMatch) {
-  TfIdfIndex index = MakeSmallIndex();
+  NgramIndex index = MakeSmallIndex();
   // k far above both the match count and the corpus size: the bounded heap
   // must degrade to a plain full ranking, not read past the matches.
   auto results = index.TopK({"anemia", "deficiency"}, 100);
@@ -111,7 +115,7 @@ TEST(TfIdfIndexTest, KLargerThanCorpusReturnsEveryMatch) {
 }
 
 TEST(TfIdfIndexTest, DuplicateQueryTokensFoldIntoTf) {
-  TfIdfIndex index = MakeSmallIndex();
+  NgramIndex index = MakeSmallIndex();
   // Repeating a query word scales its tf, which rescales the whole query
   // vector; cosine is scale-invariant per term but the *mix* shifts toward
   // the repeated word. The ranking must stay deterministic and doc 0/1
@@ -127,7 +131,7 @@ TEST(TfIdfIndexTest, DuplicateQueryTokensFoldIntoTf) {
 }
 
 TEST(TfIdfIndexTest, EqualScoresBreakTiesByAscendingDocId) {
-  TfIdfIndex index;
+  NgramIndex index(ExhaustiveTokenConfig());
   // Three identical documents: identical cosine for any matching query.
   index.AddDocument({"anemia", "pain"});
   index.AddDocument({"anemia", "pain"});
@@ -149,7 +153,7 @@ TEST(TfIdfIndexTest, EqualScoresBreakTiesByAscendingDocId) {
 class TfIdfSelfRetrieval : public ::testing::TestWithParam<int> {};
 
 TEST_P(TfIdfSelfRetrieval, DocumentRetrievesItself) {
-  TfIdfIndex index = MakeSmallIndex();
+  NgramIndex index = MakeSmallIndex();
   std::vector<std::vector<std::string>> docs = {
       {"iron", "deficiency", "anemia"},
       {"protein", "deficiency", "anemia"},

@@ -745,8 +745,8 @@ int CmdServeEval(const std::vector<std::string>& args,
 
   // Hand the serving bundle to a snapshot; the bundle owns the components
   // and outlives the service, so the snapshot aliases without deleting.
-  serve::SnapshotRegistry registry;
-  registry.Publish(MakeSnapshot(**serving, *link_config));
+  serve::TenantRegistry registry;
+  registry.Publish(serve::kDefaultTenant, MakeSnapshot(**serving, *link_config));
 
   if (*slow_log_n > 0) {
     serve_config->slo.enabled = true;
