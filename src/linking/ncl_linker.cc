@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_set>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -64,10 +65,10 @@ const std::vector<text::WordId>* BuildTarget(
   return storage;
 }
 
-/// ED core shared by LinkDetailed and LinkBatchDetailed: fill
-/// `lanes[i].log_prob` for every lane. Each kDefaultScoreLanes-wide
-/// lock-step tile is one pool task, so threads and batching compose; scores
-/// are bit-identical however the lanes are split.
+/// ED core of LinkBatchDetailed: fill `lanes[i].log_prob` for every lane.
+/// Each kDefaultScoreLanes-wide lock-step tile is one pool task, so threads
+/// and batching compose; scores are bit-identical however the lanes are
+/// split.
 void ScoreLanes(const comaid::ComAidModel& model, ThreadPool* pool,
                 std::vector<comaid::BatchScoreLane>& lanes) {
   constexpr size_t kGrain = comaid::ComAidModel::kDefaultScoreLanes;
@@ -86,7 +87,7 @@ void ScoreLanes(const comaid::ComAidModel& model, ThreadPool* pool,
 }
 
 /// Post-scoring per-candidate pass: length normalisation and the optional
-/// MAP concept prior (Eq. 11), shared by LinkDetailed and LinkBatchDetailed.
+/// MAP concept prior (Eq. 11).
 ScoredCandidate Finalize(const NclConfig& config,
                          const comaid::BatchScoreLane& lane) {
   double log_prob = lane.log_prob;
@@ -138,68 +139,11 @@ NclLinker::NclLinker(const comaid::ComAidModel* model,
 
 std::vector<ScoredCandidate> NclLinker::LinkDetailed(
     const std::vector<std::string>& query, PhaseTimings* timings) const {
-  // k is validated at construction and the config is immutable afterwards;
-  // re-check here so a future mutation path cannot silently produce empty
-  // rankings again.
-  NCL_CHECK(config_.k > 0) << "NclConfig::k must be positive";
-  NCL_TRACE_SPAN("ncl.link");
-  PhaseTimings local;
-  Stopwatch watch;
-
-  // --- OR: out-of-vocabulary word replacement. ---
-  std::vector<std::string> rewritten = query;
-  {
-    NCL_TRACE_SPAN("ncl.link.rewrite");
-    if (config_.rewrite_queries && rewriter_ != nullptr) {
-      rewritten = rewriter_->Rewrite(query);
-    }
-    local.rewrite_us = watch.ElapsedMicros();
-  }
-
-  // --- CR: candidate concept retrieval (Phase I). ---
-  watch.Reset();
-  std::vector<ontology::ConceptId> candidates;
-  {
-    NCL_TRACE_SPAN("ncl.link.retrieve");
-    candidates = candidates_->TopK(rewritten, config_.k);
-    local.retrieve_us = watch.ElapsedMicros();
-  }
-
-  // --- ED: encode-decode probability per candidate (Phase II). ---
-  watch.Reset();
-  // Tokenise/map the query once; candidates only ever need the word ids.
-  const std::vector<text::WordId> query_ids = model_->MapTokens(rewritten);
-  std::vector<std::vector<text::WordId>> filtered(candidates.size());
-  std::vector<comaid::BatchScoreLane> lanes(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    lanes[i].concept_id = candidates[i];
-    lanes[i].target = BuildTarget(*model_, config_, candidates[i], query_ids,
-                                  &filtered[i]);
-  }
-  {
-    NCL_TRACE_SPAN("ncl.link.score");
-    ScoreLanes(*model_, pool_.get(), lanes);
-    local.score_us = watch.ElapsedMicros();
-  }
-
-  // --- RT: ranking by descending probability. ---
-  watch.Reset();
-  std::vector<ScoredCandidate> scored(lanes.size());
-  {
-    NCL_TRACE_SPAN("ncl.link.rank");
-    for (size_t i = 0; i < lanes.size(); ++i) {
-      scored[i] = Finalize(config_, lanes[i]);
-    }
-    SortRanking(scored);
-    local.rank_us = watch.ElapsedMicros();
-  }
-
-  // Publish the same readings PhaseTimings carries to the metrics registry
-  // (one histogram per Fig. 11 phase).
-  PublishTimings(local, candidates.size());
-
-  if (timings != nullptr) *timings = local;
-  return scored;
+  std::vector<PhaseTimings> batch_timings;
+  std::vector<std::vector<ScoredCandidate>> ranked = LinkBatchDetailed(
+      {query}, timings != nullptr ? &batch_timings : nullptr);
+  if (timings != nullptr) *timings = batch_timings[0];
+  return std::move(ranked[0]);
 }
 
 std::vector<std::vector<ScoredCandidate>> NclLinker::LinkBatchDetailed(

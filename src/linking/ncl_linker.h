@@ -7,14 +7,17 @@
 // stage does (Appendix B.1) — and returns the candidates re-ranked by
 // descending probability. Per §5, words appearing in both the canonical
 // description and the query are temporarily removed before scoring.
-// LinkDetailed exposes per-phase wall-clock timings (the OR / CR / ED / RT
-// split of Fig. 11) and per-candidate losses for the feedback controller.
+// LinkBatchDetailed is the one implementation of the four phases; it
+// exposes per-phase wall-clock timings (the OR / CR / ED / RT split of
+// Fig. 11) and per-candidate losses for the feedback controller.
+// LinkDetailed and Link are one-query batches.
 //
-// Observability: every LinkDetailed call publishes the same per-phase
-// durations that fill PhaseTimings to the `ncl.link.*` histograms of the
-// global metrics registry, and runs under `ncl.link` / `ncl.link.<phase>`
-// trace spans (see src/obs/). The config is immutable after construction —
-// a linker is shared across scoring threads.
+// Observability: every query publishes the same per-phase durations that
+// fill PhaseTimings to the `ncl.link.*` histograms of the global metrics
+// registry. A call runs under an `ncl.link_batch` trace span, with one
+// `ncl.link.query` span per query (OR + CR) and one `ncl.link.score` span
+// for the pooled ED pass (see src/obs/). The config is immutable after
+// construction — a linker is shared across scoring threads.
 
 #pragma once
 
@@ -84,6 +87,7 @@ class NclLinker : public ConceptLinker {
   Ranking Link(const std::vector<std::string>& query, size_t k) const override;
 
   /// Full pipeline with timings: returns candidates re-ranked by Phase II.
+  /// A one-query LinkBatchDetailed call.
   std::vector<ScoredCandidate> LinkDetailed(const std::vector<std::string>& query,
                                             PhaseTimings* timings = nullptr) const;
 
@@ -92,8 +96,8 @@ class NclLinker : public ConceptLinker {
   /// Runs OR/CR per query, then pools every (query, candidate) pair into a
   /// single batched Phase-II scoring pass: lock-step tiles can span queries,
   /// so a micro-batch of small-k queries still fills whole GEMM tiles. The
-  /// per-query rankings are identical to calling LinkDetailed per query
-  /// (same scores — the batched scorer is lane-order invariant).
+  /// per-query rankings are identical to one-query calls (same scores — the
+  /// batched scorer is lane-order invariant).
   /// `timings`, when non-null, receives one PhaseTimings per query; the
   /// shared ED pass is attributed proportionally to each query's lane count.
   /// `flow_ids`, when non-null, holds one trace flow-edge id per query (see

@@ -82,6 +82,12 @@ Status Router::Start() {
   if (backends_.empty()) {
     return Status::InvalidArgument("router needs at least one backend");
   }
+  // The health loop waits this long between probe sweeps: at 0 it would
+  // reconnect to every backend in a tight loop.
+  if (config_.health_interval_ms <= 0) {
+    return Status::InvalidArgument("health_interval_ms must be positive, got " +
+                                   std::to_string(config_.health_interval_ms));
+  }
   NCL_ASSIGN_OR_RETURN(listener_, Listen(config_.listen, config_.backlog));
   NCL_ASSIGN_OR_RETURN(bound_endpoint_, LocalEndpoint(listener_, config_.listen));
   NCL_RETURN_NOT_OK(SetNonBlocking(listener_.get()));

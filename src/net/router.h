@@ -76,6 +76,7 @@ std::string RouteKey(std::string_view ontology,
 struct RouterConfig {
   Endpoint listen;
   std::vector<Endpoint> backends;
+  /// Pause between probe sweeps; must be positive.
   int health_interval_ms = 200;
   /// Applied to the probe's and the forwarders' backend connections.
   int connect_timeout_ms = 1000;

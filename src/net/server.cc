@@ -42,6 +42,12 @@ const NetMetrics& GetNetMetrics() {
   return metrics;
 }
 
+/// A connection stops being read while more than this many reply bytes wait
+/// unsent, and resumes once they drain. A client that pipelines requests
+/// and never reads its replies is then held back by kernel flow control
+/// instead of growing this replica's memory without bound.
+constexpr size_t kMaxUnsentReplyBytes = size_t{1} << 20;
+
 }  // namespace
 
 Server::Server(serve::LinkingService* service, serve::TenantRegistry* registry,
@@ -214,8 +220,9 @@ void Server::EventLoop() {
     pollfds.push_back(pollfd{listener_.get(), POLLIN, 0});
     poll_conn_ids.push_back(0);
     for (auto& [id, conn] : connections_) {
-      short events = POLLIN;
-      if (conn->outbox_sent < conn->outbox.size()) events |= POLLOUT;
+      const size_t unsent = conn->outbox.size() - conn->outbox_sent;
+      short events = unsent > kMaxUnsentReplyBytes ? 0 : POLLIN;
+      if (unsent > 0) events |= POLLOUT;
       pollfds.push_back(pollfd{conn->fd.get(), events, 0});
       poll_conn_ids.push_back(id);
     }

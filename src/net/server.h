@@ -19,7 +19,9 @@
 // That is intentional (it is the wire analogue of a blocked in-process
 // submitter); deployments that prefer fast failure configure kReject or
 // kShedOldest and the error envelope carries ResourceExhausted/Unavailable
-// to the client with the Status code intact.
+// to the client with the Status code intact. A connection whose unsent
+// replies pass 1 MiB is not read again until they drain, so a client that
+// pipelines requests and never reads is held back the same way.
 //
 // Drain: a kDrainRequest is acknowledged immediately, then a helper thread
 // runs LinkingService::Drain() — queued requests complete and their

@@ -8,6 +8,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -48,6 +49,32 @@ Result<sockaddr_un> MakeUnixAddr(const std::string& path) {
   }
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
   return addr;
+}
+
+/// Clears the way for a listener at a Unix-socket path. Only a stale socket
+/// (one nothing accepts on, as a crashed replica leaves behind) is
+/// unlinked; a live listener's socket, or anything that is not a socket,
+/// is left alone and fails AlreadyExists.
+Status ReclaimUnixPath(const Endpoint& endpoint, const sockaddr_un& addr) {
+  struct stat st {};
+  if (::lstat(endpoint.path.c_str(), &st) != 0) {
+    if (errno == ENOENT) return Status::OK();
+    return ErrnoStatus("lstat", endpoint.ToString());
+  }
+  if (!S_ISSOCK(st.st_mode)) {
+    return Status::AlreadyExists(endpoint.ToString() +
+                                 " exists and is not a socket");
+  }
+  Fd probe(::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0));
+  if (!probe.valid()) return ErrnoStatus("socket for", endpoint.ToString());
+  if (::connect(probe.get(), reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) == 0 ||
+      errno != ECONNREFUSED) {
+    return Status::AlreadyExists("a listener is live on " +
+                                 endpoint.ToString());
+  }
+  ::unlink(endpoint.path.c_str());
+  return Status::OK();
 }
 
 Result<sockaddr_in> MakeTcpAddr(const std::string& host, uint16_t port) {
@@ -124,7 +151,7 @@ Result<Fd> Listen(const Endpoint& endpoint, int backlog) {
     NCL_ASSIGN_OR_RETURN(sockaddr_un addr, MakeUnixAddr(endpoint.path));
     Fd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
     if (!fd.valid()) return ErrnoStatus("socket for", endpoint.ToString());
-    ::unlink(endpoint.path.c_str());  // stale socket from a previous run
+    NCL_RETURN_NOT_OK(ReclaimUnixPath(endpoint, addr));
     if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
       return ErrnoStatus("bind", endpoint.ToString());
     }

@@ -62,9 +62,11 @@ struct Endpoint {
   std::string ToString() const;
 };
 
-/// Bind + listen on `endpoint`. For TCP the socket gets SO_REUSEADDR; for
-/// UDS a stale socket file at `path` is unlinked first. `backlog` is the
-/// listen(2) backlog.
+/// Bind + listen on `endpoint`. For TCP the socket gets SO_REUSEADDR. For
+/// UDS a stale socket file at `path` (one no listener accepts on) is
+/// unlinked first; a live listener's socket or a file that is not a socket
+/// fails AlreadyExists and is left untouched. `backlog` is the listen(2)
+/// backlog.
 Result<Fd> Listen(const Endpoint& endpoint, int backlog = 64);
 
 /// The endpoint a listener is actually bound to — resolves an ephemeral

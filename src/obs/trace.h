@@ -2,8 +2,8 @@
 // buffers, exportable as Chrome trace-event JSON (loadable in Perfetto:
 // open https://ui.perfetto.dev and drag the file in, or chrome://tracing).
 //
-//   void NclLinker::LinkDetailed(...) {
-//     NCL_TRACE_SPAN("ncl.link");
+//   ... NclLinker::LinkBatchDetailed(...) const {
+//     NCL_TRACE_SPAN("ncl.link_batch");
 //     ...
 //   }
 //

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 
 #include "util/logging.h"
@@ -86,6 +87,16 @@ Status WordEmbeddings::Save(const std::string& path) const {
 Result<WordEmbeddings> WordEmbeddings::Load(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open " + path);
+  std::error_code ec;
+  const uint64_t file_bytes = std::filesystem::file_size(path, ec);
+  if (ec) return Status::IOError("cannot size " + path + ": " + ec.message());
+  // Bytes left after the read position (0 once a read has failed): counts,
+  // widths and lengths beyond it are forged or truncated and must not
+  // allocate.
+  auto bytes_left = [&in, file_bytes]() -> uint64_t {
+    const std::streamoff pos = in.tellg();
+    return pos < 0 ? 0 : file_bytes - static_cast<uint64_t>(pos);
+  };
   uint32_t magic = 0;
   in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
   if (magic != kMagic) return Status::IOError("bad magic in " + path);
@@ -93,16 +104,28 @@ Result<WordEmbeddings> WordEmbeddings::Load(const std::string& path) {
   uint64_t width = 0;
   in.read(reinterpret_cast<char*>(&count), sizeof(count));
   in.read(reinterpret_cast<char*>(&width), sizeof(width));
+  // Each row holds a word length, a word count and `width` floats. (An empty
+  // vocabulary keeps its width but stores no rows.)
+  if (!in || (count > 0 && (width > bytes_left() / sizeof(float) ||
+                            count > bytes_left() / (2 * sizeof(uint64_t) +
+                                                    width * sizeof(float))))) {
+    return Status::IOError("truncated embeddings file " + path);
+  }
   text::Vocabulary vocab;
   nn::Matrix vectors(count, width);
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t len = 0;
     in.read(reinterpret_cast<char*>(&len), sizeof(len));
+    if (!in || len > bytes_left()) {
+      return Status::IOError("truncated embeddings file " + path);
+    }
     std::string word(len, '\0');
     in.read(word.data(), static_cast<std::streamsize>(len));
     uint64_t word_count = 0;
     in.read(reinterpret_cast<char*>(&word_count), sizeof(word_count));
-    vocab.Add(word, word_count);
+    if (vocab.Add(word, word_count) != static_cast<text::WordId>(i)) {
+      return Status::IOError("repeated word in embeddings file " + path);
+    }
     in.read(reinterpret_cast<char*>(vectors.row_data(i)),
             static_cast<std::streamsize>(width * sizeof(float)));
     if (!in) return Status::IOError("truncated embeddings file " + path);

@@ -306,7 +306,7 @@ uint64_t LinkingService::ProcessSlice(
     std::vector<std::vector<linking::ScoredCandidate>> ranked;
     std::vector<linking::PhaseTimings> phases;
     try {
-      ranked = snapshot->LinkBatchTraced(
+      ranked = snapshot->LinkBatch(
           queries, tracing ? flow_ids.data() : nullptr, &phases);
       NCL_CHECK(ranked.size() == live.size());
       NCL_CHECK(phases.size() == live.size());

@@ -43,22 +43,16 @@ NclSnapshot::NclSnapshot(
 }
 
 std::vector<std::vector<linking::ScoredCandidate>> ModelSnapshot::LinkBatch(
-    const std::vector<std::vector<std::string>>& queries) const {
-  std::vector<std::vector<linking::ScoredCandidate>> results;
-  results.reserve(queries.size());
-  for (const auto& query : queries) results.push_back(Link(query));
-  return results;
-}
-
-std::vector<std::vector<linking::ScoredCandidate>>
-ModelSnapshot::LinkBatchTraced(
     const std::vector<std::vector<std::string>>& queries,
     const uint64_t* /*flow_ids*/,
     std::vector<linking::PhaseTimings>* timings) const {
   if (timings != nullptr) {
     timings->assign(queries.size(), linking::PhaseTimings{});
   }
-  return LinkBatch(queries);
+  std::vector<std::vector<linking::ScoredCandidate>> results;
+  results.reserve(queries.size());
+  for (const auto& query : queries) results.push_back(Link(query));
+  return results;
 }
 
 std::vector<linking::ScoredCandidate> NclSnapshot::Link(
@@ -67,23 +61,21 @@ std::vector<linking::ScoredCandidate> NclSnapshot::Link(
 }
 
 std::vector<std::vector<linking::ScoredCandidate>> NclSnapshot::LinkBatch(
-    const std::vector<std::vector<std::string>>& queries) const {
-  return linker_->LinkBatchDetailed(queries);
-}
-
-std::vector<std::vector<linking::ScoredCandidate>> NclSnapshot::LinkBatchTraced(
     const std::vector<std::vector<std::string>>& queries,
     const uint64_t* flow_ids,
     std::vector<linking::PhaseTimings>* timings) const {
   return linker_->LinkBatchDetailed(queries, timings, flow_ids);
 }
 
-std::shared_ptr<const ModelSnapshot> SnapshotRegistry::Current() const {
+std::shared_ptr<const ModelSnapshot> TenantRegistry::Current(
+    std::string_view tenant) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return current_;
+  auto it = tenants_.find(tenant);
+  return it == tenants_.end() ? nullptr : it->second.current;
 }
 
-uint64_t SnapshotRegistry::Publish(std::shared_ptr<ModelSnapshot> snapshot) {
+uint64_t TenantRegistry::Publish(std::string_view tenant,
+                                 std::shared_ptr<ModelSnapshot> snapshot) {
   NCL_CHECK(snapshot != nullptr);
   uint64_t version;
   // If the registry held the outgoing snapshot's last reference, it dies
@@ -92,10 +84,14 @@ uint64_t SnapshotRegistry::Publish(std::shared_ptr<ModelSnapshot> snapshot) {
   std::shared_ptr<const ModelSnapshot> outgoing;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    version = next_version_++;
+    auto it = tenants_.find(tenant);
+    if (it == tenants_.end()) {
+      it = tenants_.emplace(std::string(tenant), Tenant{}).first;
+    }
+    version = it->second.next_version++;
     snapshot->version_.store(version, std::memory_order_release);
-    outgoing = std::move(current_);
-    current_ = std::move(snapshot);
+    outgoing = std::move(it->second.current);
+    it->second.current = std::move(snapshot);
   }
   const SnapshotMetrics& metrics = GetSnapshotMetrics();
   metrics.publishes->Increment();
@@ -103,62 +99,17 @@ uint64_t SnapshotRegistry::Publish(std::shared_ptr<ModelSnapshot> snapshot) {
   return version;
 }
 
-uint64_t SnapshotRegistry::current_version() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return current_ == nullptr ? 0 : current_->version();
-}
-
-std::shared_ptr<const ModelSnapshot> TenantRegistry::Current(
-    std::string_view tenant) const {
-  const SnapshotRegistry* registry = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = tenants_.find(tenant);
-    if (it == tenants_.end()) return nullptr;
-    registry = it->second.get();
-  }
-  return registry->Current();
-}
-
-SnapshotRegistry* TenantRegistry::registry(std::string_view tenant) {
+uint64_t TenantRegistry::current_version(std::string_view tenant) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) {
-    it = tenants_
-             .emplace(std::string(tenant), std::make_unique<SnapshotRegistry>())
-             .first;
-  }
-  return it->second.get();
-}
-
-uint64_t TenantRegistry::Publish(std::string_view tenant,
-                                 std::shared_ptr<ModelSnapshot> snapshot) {
-  return registry(tenant)->Publish(std::move(snapshot));
-}
-
-uint64_t TenantRegistry::current_version(std::string_view tenant) const {
-  const SnapshotRegistry* registry = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = tenants_.find(tenant);
-    if (it == tenants_.end()) return 0;
-    registry = it->second.get();
-  }
-  return registry->current_version();
+  return it == tenants_.end() ? 0 : it->second.current->version();
 }
 
 uint64_t TenantRegistry::max_version() const {
-  std::vector<const SnapshotRegistry*> registries;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    registries.reserve(tenants_.size());
-    for (const auto& [name, registry] : tenants_) {
-      registries.push_back(registry.get());
-    }
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
   uint64_t version = 0;
-  for (const SnapshotRegistry* registry : registries) {
-    version = std::max(version, registry->current_version());
+  for (const auto& [name, state] : tenants_) {
+    version = std::max(version, state.current->version());
   }
   return version;
 }
@@ -167,7 +118,7 @@ std::vector<std::string> TenantRegistry::Tenants() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> names;
   names.reserve(tenants_.size());
-  for (const auto& [name, registry] : tenants_) names.push_back(name);
+  for (const auto& [name, state] : tenants_) names.push_back(name);
   return names;
 }
 

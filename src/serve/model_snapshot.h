@@ -10,14 +10,13 @@
 //   * A ModelSnapshot is an immutable, versioned scoring unit. Once
 //     published it is never mutated; its model's encoding cache is warmed
 //     (or filled lazily by race-safe Put calls) but never Cleared.
-//   * SnapshotRegistry holds the current snapshot behind a mutex-guarded
-//     shared_ptr. Readers pin it with Current() — a shared_ptr copy — and
-//     score against it for as long as they like; Publish swaps the pointer,
-//     so new requests pick up the new weights while in-flight requests
-//     finish on the old snapshot, which dies with its last reference.
-//   * TenantRegistry keys one SnapshotRegistry per ontology (tenant). It is
-//     the only source LinkingService reads; a single-model deployment
-//     publishes its model as kDefaultTenant.
+//   * TenantRegistry holds each ontology's (tenant's) current snapshot as a
+//     shared_ptr under one mutex. Readers pin it with Current(tenant) — a
+//     shared_ptr copy — and score against it for as long as they like;
+//     Publish swaps the pointer, so new requests pick up the new weights
+//     while in-flight requests finish on the old snapshot, which dies with
+//     its last reference. It is the only source LinkingService reads; a
+//     single-model deployment publishes its model as kDefaultTenant.
 //   * The retrain loop therefore never touches a live model: it trains a
 //     *fresh* ComAidModel (mutation and cache invalidation happen before
 //     the model is visible to any scorer) and publishes it atomically.
@@ -45,7 +44,7 @@ namespace ncl::serve {
 ///
 /// Subclasses implement Link; the base class carries the version assigned
 /// at Publish time. Instances must be immutable (thread-safe for concurrent
-/// Link calls) from the moment they are handed to SnapshotRegistry::Publish.
+/// Link calls) from the moment they are handed to TenantRegistry::Publish.
 class ModelSnapshot {
  public:
   virtual ~ModelSnapshot() = default;
@@ -56,32 +55,25 @@ class ModelSnapshot {
 
   /// \brief Score several queries as one workload, results in query order.
   ///
-  /// The base implementation is a Link loop; snapshots with a batched
-  /// scoring path (NclSnapshot) override it so candidates from different
-  /// queries share lock-step GEMM tiles. Per-query results must equal what
-  /// Link would return. Must be const-thread-safe.
+  /// Per-query results must equal what Link would return. `flow_ids`, when
+  /// non-null, holds one trace flow-edge id per query (0 = none) that the
+  /// snapshot's scorer terminates with a span, connecting the serving
+  /// request's trace lane into the scoring internals. `timings`, when
+  /// non-null, receives one PhaseTimings per query. The base implementation
+  /// is a Link loop that ignores flow ids and zero-fills timings, so plain
+  /// snapshots (tests, fakes) need not care; NclSnapshot overrides it so
+  /// candidates from different queries share lock-step GEMM tiles. Must be
+  /// const-thread-safe.
   virtual std::vector<std::vector<linking::ScoredCandidate>> LinkBatch(
-      const std::vector<std::vector<std::string>>& queries) const;
-
-  /// \brief LinkBatch with request observability: per-query trace flow ids
-  /// and per-query phase timings.
-  ///
-  /// `flow_ids`, when non-null, holds one flow-edge id per query (0 = none)
-  /// that the snapshot's scorer terminates with a span, connecting the
-  /// serving request's trace lane into the scoring internals. `timings`,
-  /// when non-null, receives one PhaseTimings per query. The base
-  /// implementation delegates to LinkBatch, ignores flow ids and zero-fills
-  /// timings, so plain snapshots (tests, fakes) need not care.
-  virtual std::vector<std::vector<linking::ScoredCandidate>> LinkBatchTraced(
       const std::vector<std::vector<std::string>>& queries,
       const uint64_t* flow_ids,
       std::vector<linking::PhaseTimings>* timings) const;
 
-  /// Version assigned by SnapshotRegistry::Publish (0 = never published).
+  /// Version assigned by TenantRegistry::Publish (0 = never published).
   uint64_t version() const { return version_.load(std::memory_order_acquire); }
 
  private:
-  friend class SnapshotRegistry;
+  friend class TenantRegistry;
   std::atomic<uint64_t> version_{0};
 };
 
@@ -110,15 +102,11 @@ class NclSnapshot : public ModelSnapshot {
   std::vector<linking::ScoredCandidate> Link(
       const std::vector<std::string>& query) const override;
 
-  /// Batched override: pools every (query, candidate) lane through
+  /// Pools every (query, candidate) lane through
   /// NclLinker::LinkBatchDetailed so one shard scores its whole micro-batch
-  /// slice as a single GEMM workload.
+  /// slice as a single GEMM workload, and surfaces the linker's per-query
+  /// Fig. 11 phase split.
   std::vector<std::vector<linking::ScoredCandidate>> LinkBatch(
-      const std::vector<std::vector<std::string>>& queries) const override;
-
-  /// Traced override: same pooled pass, but forwards flow ids and surfaces
-  /// the linker's per-query Fig. 11 phase split.
-  std::vector<std::vector<linking::ScoredCandidate>> LinkBatchTraced(
       const std::vector<std::vector<std::string>>& queries,
       const uint64_t* flow_ids,
       std::vector<linking::PhaseTimings>* timings) const override;
@@ -141,49 +129,21 @@ class NclSnapshot : public ModelSnapshot {
   std::unique_ptr<linking::NclLinker> linker_;
 };
 
-/// \brief Mutex-guarded publication point for the current snapshot.
-///
-/// Current() is a shared_ptr copy under the mutex (two atomic RMWs — cheap
-/// relative to a Phase-II scoring pass, and taken once per *batch*, not per
-/// request, by LinkingService). Publish assigns the next version and swaps.
-class SnapshotRegistry {
- public:
-  SnapshotRegistry() = default;
-  SnapshotRegistry(const SnapshotRegistry&) = delete;
-  SnapshotRegistry& operator=(const SnapshotRegistry&) = delete;
-
-  /// The live snapshot, pinned: stays valid (and immutable) for as long as
-  /// the caller holds the pointer, even across a Publish. Null before the
-  /// first Publish.
-  std::shared_ptr<const ModelSnapshot> Current() const;
-
-  /// Atomically install `snapshot` as the current one and return its newly
-  /// assigned version (monotone from 1). The previous snapshot is released —
-  /// it is destroyed once the last in-flight request drops it.
-  uint64_t Publish(std::shared_ptr<ModelSnapshot> snapshot);
-
-  /// Version of the live snapshot (0 before the first Publish).
-  uint64_t current_version() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::shared_ptr<const ModelSnapshot> current_;
-  uint64_t next_version_ = 1;
-};
-
 /// Tenant id used when a request names no ontology.
 inline constexpr std::string_view kDefaultTenant = "default";
 
-/// \brief A keyed family of SnapshotRegistry publication points — one per
-/// ontology (tenant).
+/// \brief The publication point for every tenant's current snapshot.
 ///
 /// One serving process holds one TenantRegistry; each tenant id ("icd9",
-/// "icd10", ...) maps to its own registry with its own monotone version
+/// "icd10", ...) has its own current snapshot and its own monotone version
 /// sequence, so a feedback loop can hot-swap one ontology's model without
 /// touching its neighbours. A single-model deployment is the one tenant
-/// kDefaultTenant. Lookup of an unknown tenant is not an error at this
+/// kDefaultTenant. Every method takes the one mutex once: Current is a map
+/// lookup plus a shared_ptr copy (two atomic RMWs — cheap relative to a
+/// Phase-II scoring pass, and taken once per *batch*, not per request, by
+/// LinkingService). Lookup of an unknown tenant is not an error at this
 /// layer: Current returns null (the service fails the request with
-/// FailedPrecondition) and current_version returns 0. Registries are created
+/// FailedPrecondition) and current_version returns 0. Tenants are created
 /// on first Publish and never removed.
 class TenantRegistry {
  public:
@@ -191,13 +151,15 @@ class TenantRegistry {
   TenantRegistry(const TenantRegistry&) = delete;
   TenantRegistry& operator=(const TenantRegistry&) = delete;
 
-  /// The live snapshot for `tenant`, pinned; null when the tenant is
-  /// unknown or has never published.
+  /// The live snapshot for `tenant`, pinned: it stays valid (and
+  /// immutable) for as long as the caller holds the pointer, even across a
+  /// Publish. Null when the tenant is unknown or has never published.
   std::shared_ptr<const ModelSnapshot> Current(std::string_view tenant) const;
 
-  /// Publish `snapshot` as tenant `tenant`'s current model, creating the
-  /// tenant on first use. Returns the tenant-local version (monotone from 1
-  /// per tenant).
+  /// Atomically install `snapshot` as tenant `tenant`'s current model,
+  /// creating the tenant on first use. Returns the tenant-local version
+  /// (monotone from 1 per tenant). The previous snapshot is released — it
+  /// is destroyed once the last in-flight request drops it.
   uint64_t Publish(std::string_view tenant,
                    std::shared_ptr<ModelSnapshot> snapshot);
 
@@ -214,16 +176,16 @@ class TenantRegistry {
   std::vector<std::string> Tenants() const;
 
  private:
-  /// The per-tenant registry, created on demand. The pointer stays valid
-  /// for this TenantRegistry's lifetime.
-  SnapshotRegistry* registry(std::string_view tenant);
+  struct Tenant {
+    std::shared_ptr<const ModelSnapshot> current;
+    uint64_t next_version = 1;
+  };
 
   mutable std::mutex mutex_;
   /// std::map, not unordered: Tenants() comes out sorted and the
   /// transparent std::less<> comparator lets string_view look up without an
   /// allocation.
-  std::map<std::string, std::unique_ptr<SnapshotRegistry>, std::less<>>
-      tenants_;
+  std::map<std::string, Tenant, std::less<>> tenants_;
 };
 
 }  // namespace ncl::serve

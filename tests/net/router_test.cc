@@ -352,6 +352,18 @@ TEST(RouterTest, AllBackendsDownYieldsUnavailable) {
   router.Stop();
 }
 
+TEST(RouterTest, RejectsNonPositiveHealthInterval) {
+  // The health loop waits this long between probe sweeps; at 0 it would
+  // reconnect to every backend in a tight loop.
+  for (int interval : {0, -1}) {
+    Router router(MakeRouterConfig({TestEndpoint()}, interval));
+    const Status status = router.Start();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << "interval " << interval << ": " << status.ToString();
+    if (status.ok()) router.Stop();
+  }
+}
+
 TEST(RouterTest, RouterHealthAggregatesBackends) {
   Replica a, b;
   Router router(MakeRouterConfig({a.endpoint, b.endpoint},

@@ -191,6 +191,27 @@ TEST(ServerClientTest, PipelinedRequestsAllAnswered) {
   EXPECT_EQ(sent, answered);  // every request answered exactly once
 }
 
+TEST(ServerClientTest, NonReadingClientIsBackPressured) {
+  // A client that pipelines requests and never reads its replies must be
+  // stopped by flow control once its unsent replies pass the server's cap,
+  // rather than have every request decoded and its reply buffered.
+  Replica replica;
+  ASSERT_TRUE(replica.server->Start().ok());
+  ClientConfig config;
+  config.send_timeout_ms = 300;
+  auto client = Client::Connect(replica.server->bound_endpoint(), config);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  constexpr size_t kRequests = 200000;
+  Status status;
+  size_t sent = 0;
+  for (; sent < kRequests && status.ok(); ++sent) {
+    status = (*client)->SendLink(Query(2)).status();
+  }
+  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded) << status.ToString();
+  EXPECT_LT(replica.server->stats().requests, 50000u);
+}
+
 TEST(ServerClientTest, HealthAndStatsOverWire) {
   Replica replica;
   ASSERT_TRUE(replica.server->Start().ok());

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <fstream>
 #include <string>
 #include <thread>
 
@@ -101,6 +102,51 @@ TEST(SocketTest, RecvOnClosedPeerIsUnavailable) {
   std::string out;
   Status status = RecvExactly(fd->get(), 1, &out, 1000);
   EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+  ::unlink(endpoint.path.c_str());
+}
+
+Endpoint UnixEndpoint(const std::string& name) {
+  Endpoint endpoint;
+  endpoint.kind = Endpoint::Kind::kUnix;
+  endpoint.path = "/tmp/ncl_socket_" + name + "_" +
+                  std::to_string(::getpid()) + ".sock";
+  return endpoint;
+}
+
+TEST(SocketTest, ListenLeavesARegularFileAlone) {
+  const Endpoint endpoint = UnixEndpoint("regular");
+  std::ofstream(endpoint.path) << "precious";
+  auto listener = Listen(endpoint);
+  EXPECT_EQ(listener.status().code(), StatusCode::kAlreadyExists)
+      << listener.status().ToString();
+  std::string contents;
+  std::getline(std::ifstream(endpoint.path), contents);
+  EXPECT_EQ(contents, "precious");
+  ::unlink(endpoint.path.c_str());
+}
+
+TEST(SocketTest, ListenDoesNotTakeALiveListenersPath) {
+  const Endpoint endpoint = UnixEndpoint("live");
+  auto first = Listen(endpoint);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto second = Listen(endpoint);
+  EXPECT_EQ(second.status().code(), StatusCode::kAlreadyExists)
+      << second.status().ToString();
+  // New connections still reach the first listener.
+  auto fd = Connect(endpoint, 1000);
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  ::unlink(endpoint.path.c_str());
+}
+
+TEST(SocketTest, ListenReclaimsAStaleSocket) {
+  // A listener that dies without unlinking (a crashed replica) leaves its
+  // socket file behind; the next Listen on the path must succeed.
+  const Endpoint endpoint = UnixEndpoint("stale");
+  ASSERT_TRUE(Listen(endpoint).ok());
+  auto listener = Listen(endpoint);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  auto fd = Connect(endpoint, 1000);
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
   ::unlink(endpoint.path.c_str());
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 
 namespace ncl::pretrain {
 namespace {
@@ -81,6 +83,76 @@ TEST(WordEmbeddingsTest, SaveLoadRoundTrip) {
 TEST(WordEmbeddingsTest, LoadMissingFileFails) {
   auto result = WordEmbeddings::Load("/nonexistent-xyz/emb.bin");
   EXPECT_FALSE(result.ok());
+}
+
+// Forged embeddings files: one field overwritten in an otherwise valid
+// file. Each must come back as an IOError, never a crash, an abort or a
+// huge allocation.
+//
+// embeddings.bin: magic u32 | count u64 | width u64 | per word: length u64,
+//                 bytes, count u64, width floats.
+constexpr std::streamoff kCountOffset = 4;
+constexpr std::streamoff kWidthOffset = 12;
+constexpr std::streamoff kFirstWordLengthOffset = 20;
+
+std::string SaveToy(const std::string& name) {
+  std::string path = testing::TempDir() + "/ncl_embeddings_" + name + ".bin";
+  EXPECT_TRUE(MakeToyEmbeddings().Save(path).ok());
+  return path;
+}
+
+void PatchU64(const std::string& file, std::streamoff offset, uint64_t value) {
+  std::fstream out(file, std::ios::in | std::ios::out | std::ios::binary);
+  out.seekp(offset);
+  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  ASSERT_TRUE(out.good()) << file;
+}
+
+/// Loads `path` and returns the status code, removing the file.
+StatusCode LoadCode(const std::string& path) {
+  auto result = WordEmbeddings::Load(path);
+  std::remove(path.c_str());
+  return result.status().code();
+}
+
+TEST(WordEmbeddingsTest, ForgedWrappingDimensionsAreRejected) {
+  // count * width wraps to 0 in 64 bits.
+  const std::string path = SaveToy("wrap");
+  PatchU64(path, kCountOffset, uint64_t{1} << 32);
+  PatchU64(path, kWidthOffset, uint64_t{1} << 32);
+  EXPECT_EQ(LoadCode(path), StatusCode::kIOError);
+}
+
+TEST(WordEmbeddingsTest, ForgedHugeCountIsRejected) {
+  const std::string path = SaveToy("count");
+  PatchU64(path, kCountOffset, uint64_t{1} << 40);
+  EXPECT_EQ(LoadCode(path), StatusCode::kIOError);
+}
+
+TEST(WordEmbeddingsTest, ForgedHugeWordLengthIsRejected) {
+  const std::string path = SaveToy("word_length");
+  PatchU64(path, kFirstWordLengthOffset, uint64_t{1} << 40);
+  EXPECT_EQ(LoadCode(path), StatusCode::kIOError);
+}
+
+TEST(WordEmbeddingsTest, RepeatedWordIsRejected) {
+  // Two equal-length words, so renaming the second to the first keeps every
+  // length field valid.
+  text::Vocabulary vocab;
+  vocab.Add("aa");
+  vocab.Add("bb");
+  const std::string path = testing::TempDir() + "/ncl_embeddings_repeat.bin";
+  ASSERT_TRUE(WordEmbeddings(std::move(vocab), nn::Matrix(2, 1, 1.0f))
+                  .Save(path)
+                  .ok());
+  std::stringstream bytes;
+  bytes << std::ifstream(path, std::ios::binary).rdbuf();
+  std::string file = bytes.str();
+  const size_t second = file.find("bb");
+  ASSERT_NE(second, std::string::npos);
+  file.replace(second, 2, "aa");
+  std::ofstream(path, std::ios::binary) << file;
+  EXPECT_EQ(LoadCode(path), StatusCode::kIOError);
 }
 
 }  // namespace

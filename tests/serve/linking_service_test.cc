@@ -402,12 +402,14 @@ class BatchRecordingSnapshot : public FakeSnapshot {
   using FakeSnapshot::FakeSnapshot;
 
   std::vector<std::vector<linking::ScoredCandidate>> LinkBatch(
-      const std::vector<std::vector<std::string>>& queries) const override {
+      const std::vector<std::vector<std::string>>& queries,
+      const uint64_t* flow_ids,
+      std::vector<linking::PhaseTimings>* timings) const override {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       slice_sizes_.push_back(queries.size());
     }
-    return FakeSnapshot::LinkBatch(queries);
+    return FakeSnapshot::LinkBatch(queries, flow_ids, timings);
   }
 
   std::vector<size_t> slice_sizes() const {

@@ -1,4 +1,4 @@
-// SnapshotRegistry / NclSnapshot tests, including the concurrency stress
+// TenantRegistry / NclSnapshot tests, including the concurrency stress
 // the snapshot design exists for: COM-AID weights being retrained (and the
 // concept-encoding cache being invalidated) *while* other threads score
 // through the linker. Pre-snapshot, that was a documented data race
@@ -70,50 +70,53 @@ std::shared_ptr<const comaid::ComAidModel> TrainModel(
   return model;
 }
 
-TEST(SnapshotRegistryTest, CurrentIsNullBeforeFirstPublish) {
-  SnapshotRegistry registry;
-  EXPECT_EQ(registry.Current(), nullptr);
-  EXPECT_EQ(registry.current_version(), 0u);
+TEST(TenantRegistryTest, CurrentIsNullBeforeFirstPublish) {
+  TenantRegistry registry;
+  EXPECT_EQ(registry.Current(kDefaultTenant), nullptr);
+  EXPECT_EQ(registry.current_version(kDefaultTenant), 0u);
 }
 
-TEST(SnapshotRegistryTest, PublishAssignsMonotoneVersions) {
+TEST(TenantRegistryTest, PublishAssignsMonotoneVersions) {
   ontology::Ontology onto = MakeOntology();
   auto candidates = std::make_shared<const linking::CandidateGenerator>(
       onto, Aliases(onto));
   auto model = TrainModel(onto, 1, 1);
 
-  SnapshotRegistry registry;
-  EXPECT_EQ(registry.Publish(std::make_shared<NclSnapshot>(model, candidates,
-                                                           nullptr)),
+  TenantRegistry registry;
+  EXPECT_EQ(registry.Publish(kDefaultTenant, std::make_shared<NclSnapshot>(
+                                                 model, candidates, nullptr)),
             1u);
-  EXPECT_EQ(registry.current_version(), 1u);
-  EXPECT_EQ(registry.Publish(std::make_shared<NclSnapshot>(model, candidates,
-                                                           nullptr)),
+  EXPECT_EQ(registry.current_version(kDefaultTenant), 1u);
+  EXPECT_EQ(registry.Publish(kDefaultTenant, std::make_shared<NclSnapshot>(
+                                                 model, candidates, nullptr)),
             2u);
-  EXPECT_EQ(registry.current_version(), 2u);
-  EXPECT_EQ(registry.Current()->version(), 2u);
+  EXPECT_EQ(registry.current_version(kDefaultTenant), 2u);
+  EXPECT_EQ(registry.Current(kDefaultTenant)->version(), 2u);
 }
 
-TEST(SnapshotRegistryTest, PinnedSnapshotSurvivesPublish) {
+TEST(TenantRegistryTest, PinnedSnapshotSurvivesPublish) {
   ontology::Ontology onto = MakeOntology();
   auto candidates = std::make_shared<const linking::CandidateGenerator>(
       onto, Aliases(onto));
-  SnapshotRegistry registry;
-  registry.Publish(
-      std::make_shared<NclSnapshot>(TrainModel(onto, 1, 1), candidates, nullptr));
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant,
+                   std::make_shared<NclSnapshot>(TrainModel(onto, 1, 1),
+                                                 candidates, nullptr));
 
-  std::shared_ptr<const ModelSnapshot> pinned = registry.Current();
-  registry.Publish(
-      std::make_shared<NclSnapshot>(TrainModel(onto, 1, 2), candidates, nullptr));
+  std::shared_ptr<const ModelSnapshot> pinned =
+      registry.Current(kDefaultTenant);
+  registry.Publish(kDefaultTenant,
+                   std::make_shared<NclSnapshot>(TrainModel(onto, 1, 2),
+                                                 candidates, nullptr));
 
   // The old snapshot is gone from the registry but still fully usable.
   EXPECT_EQ(pinned->version(), 1u);
   auto ranked = pinned->Link({"anemia", "blood", "loss"});
   EXPECT_FALSE(ranked.empty());
-  EXPECT_EQ(registry.Current()->version(), 2u);
+  EXPECT_EQ(registry.Current(kDefaultTenant)->version(), 2u);
 }
 
-TEST(SnapshotRegistryTest, WarmCacheFillsEveryConceptBeforePublish) {
+TEST(TenantRegistryTest, WarmCacheFillsEveryConceptBeforePublish) {
   ontology::Ontology onto = MakeOntology();
   auto candidates = std::make_shared<const linking::CandidateGenerator>(
       onto, Aliases(onto));
@@ -128,7 +131,7 @@ TEST(SnapshotRegistryTest, WarmCacheFillsEveryConceptBeforePublish) {
 // same NclSnapshot wiring, same Link surface, but candidate generation
 // goes through the char-ngram inverted index — including for queries whose
 // misspelled words the token path cannot match at all.
-TEST(SnapshotRegistryTest, NgramCandidatePathServesThroughSnapshot) {
+TEST(TenantRegistryTest, NgramCandidatePathServesThroughSnapshot) {
   ontology::Ontology onto = MakeOntology();
   linking::CandidateGeneratorConfig cg_config;
   cg_config.use_ngram_index = true;
@@ -136,10 +139,12 @@ TEST(SnapshotRegistryTest, NgramCandidatePathServesThroughSnapshot) {
       onto, Aliases(onto), cg_config);
   ASSERT_EQ(candidates->index().config().ngram_size, 3u);
 
-  SnapshotRegistry registry;
-  registry.Publish(std::make_shared<NclSnapshot>(TrainModel(onto, 1, 7),
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant,
+                   std::make_shared<NclSnapshot>(TrainModel(onto, 1, 7),
                                                  candidates, nullptr));
-  std::shared_ptr<const ModelSnapshot> snapshot = registry.Current();
+  std::shared_ptr<const ModelSnapshot> snapshot =
+      registry.Current(kDefaultTenant);
 
   auto ranked = snapshot->Link({"megaloblastic", "anemia"});
   ASSERT_FALSE(ranked.empty());
@@ -151,8 +156,7 @@ TEST(SnapshotRegistryTest, NgramCandidatePathServesThroughSnapshot) {
   EXPECT_FALSE(typo.empty());
 }
 
-/// Minimal snapshot overriding only Link — stands in for every test fake
-/// that predates LinkBatchTraced.
+/// Minimal snapshot overriding only Link, as every test fake does.
 class MiniSnapshot : public ModelSnapshot {
  public:
   std::vector<linking::ScoredCandidate> Link(
@@ -162,19 +166,19 @@ class MiniSnapshot : public ModelSnapshot {
   }
 };
 
-TEST(ModelSnapshotTest, LinkBatchTracedDefaultsToLinkBatchWithZeroTimings) {
+TEST(ModelSnapshotTest, LinkBatchDefaultsToLinkLoopWithZeroTimings) {
   MiniSnapshot snapshot;
   const std::vector<std::vector<std::string>> queries = {
       {"anemia"}, {"blood", "loss"}, {"iron", "deficiency", "anemia"}};
   std::vector<linking::PhaseTimings> timings;
   const uint64_t flow_ids[] = {5, 9, 13};  // ignored by the base default
-  auto traced = snapshot.LinkBatchTraced(queries, flow_ids, &timings);
-  auto plain = snapshot.LinkBatch(queries);
+  auto batch = snapshot.LinkBatch(queries, flow_ids, &timings);
 
-  ASSERT_EQ(traced.size(), plain.size());
-  for (size_t q = 0; q < traced.size(); ++q) {
-    ASSERT_EQ(traced[q].size(), plain[q].size());
-    EXPECT_EQ(traced[q][0].concept_id, plain[q][0].concept_id);
+  ASSERT_EQ(batch.size(), queries.size());
+  for (size_t q = 0; q < batch.size(); ++q) {
+    auto expected = snapshot.Link(queries[q]);
+    ASSERT_EQ(batch[q].size(), expected.size());
+    EXPECT_EQ(batch[q][0].concept_id, expected[0].concept_id);
   }
   // The base default cannot measure phases: zero-filled, one per query.
   ASSERT_EQ(timings.size(), queries.size());
@@ -182,11 +186,11 @@ TEST(ModelSnapshotTest, LinkBatchTracedDefaultsToLinkBatchWithZeroTimings) {
     EXPECT_DOUBLE_EQ(t.total_us(), 0.0);
   }
   // Null out-params are fine too.
-  EXPECT_EQ(snapshot.LinkBatchTraced(queries, nullptr, nullptr).size(),
+  EXPECT_EQ(snapshot.LinkBatch(queries, nullptr, nullptr).size(),
             queries.size());
 }
 
-TEST(ModelSnapshotTest, NclSnapshotLinkBatchTracedSurfacesPhaseTimings) {
+TEST(ModelSnapshotTest, NclSnapshotLinkBatchSurfacesPhaseTimings) {
   ontology::Ontology onto = MakeOntology();
   auto candidates = std::make_shared<const linking::CandidateGenerator>(
       onto, Aliases(onto));
@@ -195,7 +199,7 @@ TEST(ModelSnapshotTest, NclSnapshotLinkBatchTracedSurfacesPhaseTimings) {
   const std::vector<std::vector<std::string>> queries = {
       {"megaloblastic", "anemia"}, {"acute", "blood", "loss"}};
   std::vector<linking::PhaseTimings> timings;
-  auto ranked = snapshot.LinkBatchTraced(queries, nullptr, &timings);
+  auto ranked = snapshot.LinkBatch(queries, nullptr, &timings);
   ASSERT_EQ(ranked.size(), queries.size());
   ASSERT_EQ(timings.size(), queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
@@ -210,13 +214,14 @@ TEST(ModelSnapshotTest, NclSnapshotLinkBatchTracedSurfacesPhaseTimings) {
 // trains fresh models (weight mutation + cache invalidation) and swaps them
 // in. Without snapshots this is the Clear-under-readers race; with them
 // TSan must stay silent and every score must be finite.
-TEST(SnapshotRegistryTest, RetrainAndPublishUnderConcurrentScoring) {
+TEST(TenantRegistryTest, RetrainAndPublishUnderConcurrentScoring) {
   ontology::Ontology onto = MakeOntology();
   auto candidates = std::make_shared<const linking::CandidateGenerator>(
       onto, Aliases(onto));
-  SnapshotRegistry registry;
-  registry.Publish(
-      std::make_shared<NclSnapshot>(TrainModel(onto, 1, 10), candidates, nullptr));
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant,
+                   std::make_shared<NclSnapshot>(TrainModel(onto, 1, 10),
+                                                 candidates, nullptr));
 
   constexpr int kScorers = 4;
   constexpr int kPublishes = 3;
@@ -236,7 +241,8 @@ TEST(SnapshotRegistryTest, RetrainAndPublishUnderConcurrentScoring) {
       const std::vector<std::string> query{"acute", "blood", "loss"};
       bool first = true;
       while (!done.load(std::memory_order_acquire)) {
-        std::shared_ptr<const ModelSnapshot> snapshot = registry.Current();
+        std::shared_ptr<const ModelSnapshot> snapshot =
+            registry.Current(kDefaultTenant);
         auto ranked = snapshot->Link(query);
         if (ranked.empty() || !std::isfinite(ranked.front().log_prob)) {
           saw_bad_score.store(true, std::memory_order_relaxed);
@@ -260,16 +266,17 @@ TEST(SnapshotRegistryTest, RetrainAndPublishUnderConcurrentScoring) {
   // NotifyWeightsChanged cache clears happen pre-publish) and swaps it in
   // while the scorers are mid-flight.
   for (int p = 0; p < kPublishes; ++p) {
-    registry.Publish(std::make_shared<NclSnapshot>(
-        TrainModel(onto, 2, 100 + static_cast<uint64_t>(p)), candidates,
-        nullptr));
+    registry.Publish(kDefaultTenant,
+                     std::make_shared<NclSnapshot>(
+                         TrainModel(onto, 2, 100 + static_cast<uint64_t>(p)),
+                         candidates, nullptr));
   }
   done.store(true, std::memory_order_release);
   for (auto& t : scorers) t.join();
 
   EXPECT_FALSE(saw_bad_score.load());
   EXPECT_GT(scored.load(), 0u);
-  EXPECT_EQ(registry.current_version(), 1u + kPublishes);
+  EXPECT_EQ(registry.current_version(kDefaultTenant), 1u + kPublishes);
 }
 
 }  // namespace

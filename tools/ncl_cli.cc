@@ -216,8 +216,8 @@ Result<double> FlagDouble(const std::unordered_map<std::string, std::string>& fl
   return FlagNumber<double>(flags, name, fallback, 0.0, "a number");
 }
 
-/// `min` = 1 for counts the library requires to be positive (--k,
-/// --shards, --max-batch), which it would otherwise abort on.
+/// `min` = 1 for values the library requires to be positive (--k,
+/// --shards, --max-batch, --health-interval-ms).
 Result<int64_t> FlagInt(const std::unordered_map<std::string, std::string>& flags,
                         const std::string& name, int64_t fallback,
                         int64_t min = 0) {
@@ -587,7 +587,7 @@ int CmdRoute(const std::vector<std::string>& /*args*/,
   auto listen = net::Endpoint::Parse(flags.at("listen"));
   if (!listen.ok()) return Fail(listen.status());
 
-  auto health_interval_ms = FlagInt(flags, "health-interval-ms", 200);
+  auto health_interval_ms = FlagInt(flags, "health-interval-ms", 200, 1);
   if (!health_interval_ms.ok()) return Fail(health_interval_ms.status());
 
   net::RouterConfig config;
