@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "nn/simd.h"
 #include "util/env.h"
 #include "util/json_writer.h"
 #include "util/stopwatch.h"
@@ -104,11 +105,7 @@ int main() {
   json.Key("bench").Value("fig11_batch");
   json.Key("full_mode").Value(full);
   json.Key("scale").Value(scale);
-#if defined(__AVX2__) && defined(__FMA__)
-  json.Key("simd").Value("avx2+fma");
-#else
-  json.Key("simd").Value("scalar");
-#endif
+  json.Key("simd").Value(nn::SimdPathName());
   json.Key("hardware_concurrency")
       .Value(static_cast<size_t>(std::thread::hardware_concurrency()));
   json.Key("single_lanes").Value(size_t{1});

@@ -17,6 +17,7 @@
 #include "baselines/pkduck_linker.h"
 #include "nn/gemm.h"
 #include "nn/lstm.h"
+#include "nn/simd.h"
 #include "nn/tape.h"
 #include "pretrain/cbow.h"
 #include "text/edit_distance.h"
@@ -295,11 +296,7 @@ void WriteKernelReport() {
   JsonWriter json;
   json.BeginObject();
   json.Key("bench").Value("micro_kernels");
-#if defined(__AVX2__) && defined(__FMA__)
-  json.Key("simd").Value("avx2+fma");
-#else
-  json.Key("simd").Value("scalar");
-#endif
+  json.Key("simd").Value(nn::SimdPathName());
   json.Key("kernels").BeginArray();
 
   // Square matmul (training shapes).

@@ -1,143 +1,175 @@
 // Blocked GEMM kernels (see gemm.h for the scheme).
 //
-// Bit-stability contract: every NT-family C element is produced by
-// DotOrdered — the same 8-way split reduction for every tile position and
+// Bit-stability contract: every NT-family C element is produced by one
+// ordered dot — the same 8-way split reduction for every tile position and
 // tail — so results do not depend on how the caller tiles or batches rows.
 // The NN/TN kernels keep the sequential-in-k per-element order of the naive
 // loops they replace. Keep those properties when touching this file; the
 // batched-vs-single determinism tests in tests/nn/gemm_test.cc and
 // tests/comaid/batch_inference_test.cc pin them.
+//
+// The NT band/tile driver is written once over a kernel set: ScalarKernels
+// for the baseline target, and on x86-64 Avx2Kernels, 8-wide intrinsics
+// under [[gnu::target("avx2")]] with a separate multiply and add (no FMA).
+// Both reduce every element in the same order, so they give the same bits
+// and simd.h can pick either at run time (tests/nn/simd_parity_test.cc). The
+// AVX2 entries inline the whole driver, call no SSE-encoded code, and return
+// through _mm256_zeroupper(): GCC does not reliably emit vzeroupper for
+// target("avx2") code, and a dirty upper YMM state slows the SSE-encoded
+// code that runs next.
 
 #include "nn/gemm.h"
 
 #include <vector>
 
-#if defined(__AVX2__) && defined(__FMA__)
+#include "nn/simd.h"
+
+#if defined(__x86_64__)
 #include <immintrin.h>
-#define NCL_GEMM_AVX2 1
 #endif
 
 namespace ncl::nn {
 
 namespace {
 
-#if NCL_GEMM_AVX2
-
-/// Fixed-order horizontal sum of one 8-lane accumulator. Every NT kernel
-/// reduces through this helper so per-element results are identical across
-/// tile shapes.
-inline float ReduceAdd8(__m256 v) {
-  __m128 lo = _mm256_castps256_ps128(v);
-  __m128 hi = _mm256_extractf128_ps(v, 1);
-  __m128 sum4 = _mm_add_ps(lo, hi);                       // lanes l + l+4
-  __m128 shuf = _mm_movehl_ps(sum4, sum4);                // lanes 2,3
-  __m128 sum2 = _mm_add_ps(sum4, shuf);                   // (0+4)+(2+6), ...
-  __m128 sum1 = _mm_add_ss(sum2, _mm_shuffle_ps(sum2, sum2, 0x1));
-  return _mm_cvtss_f32(sum1);
-}
-
-/// Adds the scalar tail sum of a[k] * b[k] over [k, n) to `total`. Both
-/// kernels below call this one out-of-line copy: inlined into each, the
-/// native build (-march=native -ffast-math) compiled the two loops
-/// differently, and GemmNT rows stopped matching DotCanonical bit for bit.
-[[gnu::noinline]] float AddTail(float total, const float* a, const float* b,
-                                size_t k, size_t n) {
+/// The scalar tail sum of a[k] * b[k] over [k, n), added to `total`. Each
+/// kernel set compiles it into one out-of-line AddTail that its Dot and Tile
+/// both call: inlined into each, the native build (-march=native
+/// -ffast-math) compiled the loops differently, and GemmNT rows stopped
+/// matching DotCanonical bit for bit. The AVX2 set needs its own
+/// VEX-encoded copy: calling SSE-encoded code with dirty upper YMM state
+/// costs a state transition per call, and the tape's outer-product
+/// gradients (k = 1, all tail) made training ~18x slower that way.
+inline float TailSum(float total, const float* a, const float* b, size_t k,
+                     size_t n) {
   for (; k < n; ++k) total += a[k] * b[k];
   return total;
 }
 
-inline float DotOrdered(const float* a, const float* b, size_t n) {
-  __m256 acc = _mm256_setzero_ps();
-  size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + k), _mm256_loadu_ps(b + k), acc);
+/// Baseline kernels. Lane l of the 8-way split sums elements k ≡ l (mod 8);
+/// the autovectoriser turns this into the two-XMM shape of the AVX2 loop.
+struct ScalarKernels {
+  [[gnu::noinline]] static float AddTail(float total, const float* a,
+                                         const float* b, size_t k, size_t n) {
+    return TailSum(total, a, b, k, n);
   }
-  return AddTail(ReduceAdd8(acc), a, b, k, n);
-}
 
-/// MR x 4 register tile of the NT kernel (MR in 1..4): MR*4 vector
-/// accumulators walk the full reduction dimension once; A and B rows are
-/// each loaded once per 8-wide step and reused from registers. MR < 4
-/// serves the m-remainder rows — in the batched ED scorer the active row
-/// count shrinks as short candidates finish, so partial tiles are the
-/// steady state, not a corner case. Every element still reduces in the
-/// DotOrdered order, whatever MR it lands in.
-template <int MR>
-inline void NTKernelMx4(size_t kdim, const float* const arows[MR],
-                        const float* b0, const float* b1, const float* b2,
-                        const float* b3, float out[MR][4]) {
-  __m256 acc[MR][4];
-  for (int i = 0; i < MR; ++i) {
-    for (int j = 0; j < 4; ++j) acc[i][j] = _mm256_setzero_ps();
+  static float Dot(const float* a, const float* b, size_t n) {
+    float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
+    float acc4 = 0.0f, acc5 = 0.0f, acc6 = 0.0f, acc7 = 0.0f;
+    size_t k = 0;
+    for (; k + 8 <= n; k += 8) {
+      acc0 += a[k] * b[k];
+      acc1 += a[k + 1] * b[k + 1];
+      acc2 += a[k + 2] * b[k + 2];
+      acc3 += a[k + 3] * b[k + 3];
+      acc4 += a[k + 4] * b[k + 4];
+      acc5 += a[k + 5] * b[k + 5];
+      acc6 += a[k + 6] * b[k + 6];
+      acc7 += a[k + 7] * b[k + 7];
+    }
+    // Avx2Kernels::ReduceAdd8's tree.
+    const float total =
+        ((acc0 + acc4) + (acc2 + acc6)) + ((acc1 + acc5) + (acc3 + acc7));
+    return k < n ? AddTail(total, a, b, k, n) : total;
   }
-  size_t k = 0;
-  for (; k + 8 <= kdim; k += 8) {
-    const __m256 vb0 = _mm256_loadu_ps(b0 + k);
-    const __m256 vb1 = _mm256_loadu_ps(b1 + k);
-    const __m256 vb2 = _mm256_loadu_ps(b2 + k);
-    const __m256 vb3 = _mm256_loadu_ps(b3 + k);
+
+  template <int MR>
+  static void Tile(size_t kdim, const float* const arows[MR],
+                   const float* const brows[4], float out[MR][4]) {
     for (int i = 0; i < MR; ++i) {
-      const __m256 va = _mm256_loadu_ps(arows[i] + k);
-      acc[i][0] = _mm256_fmadd_ps(va, vb0, acc[i][0]);
-      acc[i][1] = _mm256_fmadd_ps(va, vb1, acc[i][1]);
-      acc[i][2] = _mm256_fmadd_ps(va, vb2, acc[i][2]);
-      acc[i][3] = _mm256_fmadd_ps(va, vb3, acc[i][3]);
+      for (int j = 0; j < 4; ++j) out[i][j] = Dot(arows[i], brows[j], kdim);
     }
   }
-  const float* brows[4] = {b0, b1, b2, b3};
-  for (int i = 0; i < MR; ++i) {
-    for (int j = 0; j < 4; ++j) {
-      out[i][j] = AddTail(ReduceAdd8(acc[i][j]), arows[i], brows[j], k, kdim);
+};
+
+#if defined(__x86_64__)
+
+struct Avx2Kernels {
+  [[gnu::target("avx2"), gnu::noinline]] static float AddTail(
+      float total, const float* a, const float* b, size_t k, size_t n) {
+    return TailSum(total, a, b, k, n);
+  }
+
+  /// Fixed-order horizontal sum of one 8-lane accumulator.
+  [[gnu::target("avx2")]] static float ReduceAdd8(__m256 v) {
+    __m128 lo = _mm256_castps256_ps128(v);
+    __m128 hi = _mm256_extractf128_ps(v, 1);
+    __m128 sum4 = _mm_add_ps(lo, hi);                       // lanes l + l+4
+    __m128 shuf = _mm_movehl_ps(sum4, sum4);                // lanes 2,3
+    __m128 sum2 = _mm_add_ps(sum4, shuf);                   // (0+4)+(2+6), ...
+    __m128 sum1 = _mm_add_ss(sum2, _mm_shuffle_ps(sum2, sum2, 0x1));
+    return _mm_cvtss_f32(sum1);
+  }
+
+  [[gnu::target("avx2")]] static float Dot(const float* a, const float* b,
+                                           size_t n) {
+    __m256 acc = _mm256_setzero_ps();
+    size_t k = 0;
+    for (; k + 8 <= n; k += 8) {
+      acc = _mm256_add_ps(
+          acc, _mm256_mul_ps(_mm256_loadu_ps(a + k), _mm256_loadu_ps(b + k)));
+    }
+    const float total = ReduceAdd8(acc);
+    return k < n ? AddTail(total, a, b, k, n) : total;
+  }
+
+  /// MR x 4 register tile (MR in 1..4): MR*4 vector accumulators walk the
+  /// full reduction dimension once; A and B rows are each loaded once per
+  /// 8-wide step and reused from registers. MR < 4 serves the m-remainder
+  /// rows — in the batched ED scorer the active row count shrinks as short
+  /// candidates finish, so partial tiles are the steady state. Every
+  /// element still reduces in Dot's order, whatever MR it lands in.
+  template <int MR>
+  [[gnu::target("avx2")]] static void Tile(size_t kdim,
+                                           const float* const arows[MR],
+                                           const float* const brows[4],
+                                           float out[MR][4]) {
+    __m256 acc[MR][4];
+    for (int i = 0; i < MR; ++i) {
+      for (int j = 0; j < 4; ++j) acc[i][j] = _mm256_setzero_ps();
+    }
+    size_t k = 0;
+    for (; k + 8 <= kdim; k += 8) {
+      const __m256 vb0 = _mm256_loadu_ps(brows[0] + k);
+      const __m256 vb1 = _mm256_loadu_ps(brows[1] + k);
+      const __m256 vb2 = _mm256_loadu_ps(brows[2] + k);
+      const __m256 vb3 = _mm256_loadu_ps(brows[3] + k);
+      for (int i = 0; i < MR; ++i) {
+        const __m256 va = _mm256_loadu_ps(arows[i] + k);
+        acc[i][0] = _mm256_add_ps(acc[i][0], _mm256_mul_ps(va, vb0));
+        acc[i][1] = _mm256_add_ps(acc[i][1], _mm256_mul_ps(va, vb1));
+        acc[i][2] = _mm256_add_ps(acc[i][2], _mm256_mul_ps(va, vb2));
+        acc[i][3] = _mm256_add_ps(acc[i][3], _mm256_mul_ps(va, vb3));
+      }
+    }
+    // Fold every accumulator before any tail call, so none is live across
+    // one.
+    for (int i = 0; i < MR; ++i) {
+      for (int j = 0; j < 4; ++j) out[i][j] = ReduceAdd8(acc[i][j]);
+    }
+    if (k == kdim) return;
+    for (int i = 0; i < MR; ++i) {
+      for (int j = 0; j < 4; ++j) {
+        out[i][j] = AddTail(out[i][j], arows[i], brows[j], k, kdim);
+      }
     }
   }
-}
+};
 
-#else  // scalar fallback
-
-/// 8-accumulator split dot: lane l sums elements k ≡ l (mod 8). The
-/// autovectoriser turns this into the same two-XMM / one-YMM shape the
-/// intrinsic path uses explicitly.
-inline float DotOrdered(const float* a, const float* b, size_t n) {
-  float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
-  float acc4 = 0.0f, acc5 = 0.0f, acc6 = 0.0f, acc7 = 0.0f;
-  size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    acc0 += a[k] * b[k];
-    acc1 += a[k + 1] * b[k + 1];
-    acc2 += a[k + 2] * b[k + 2];
-    acc3 += a[k + 3] * b[k + 3];
-    acc4 += a[k + 4] * b[k + 4];
-    acc5 += a[k + 5] * b[k + 5];
-    acc6 += a[k + 6] * b[k + 6];
-    acc7 += a[k + 7] * b[k + 7];
-  }
-  float total = ((acc0 + acc4) + (acc2 + acc6)) + ((acc1 + acc5) + (acc3 + acc7));
-  for (; k < n; ++k) total += a[k] * b[k];
-  return total;
-}
-
-template <int MR>
-inline void NTKernelMx4(size_t kdim, const float* const arows[MR],
-                        const float* b0, const float* b1, const float* b2,
-                        const float* b3, float out[MR][4]) {
-  const float* brows[4] = {b0, b1, b2, b3};
-  for (int i = 0; i < MR; ++i) {
-    for (int j = 0; j < 4; ++j) out[i][j] = DotOrdered(arows[i], brows[j], kdim);
-  }
-}
-
-#endif  // NCL_GEMM_AVX2
+#endif  // __x86_64__
 
 /// One MR-row band of the NT product: MR x 4 register tiles across n,
-/// generic DotOrdered for the column tail. `Accum` selects = vs +=.
-template <bool Accum, int MR>
+/// Kernels::Dot for the column tail. `Accum` selects = vs +=.
+template <bool Accum, int MR, class Kernels>
 void GemmNTBand(size_t n, size_t k, const float* const arows[MR],
                 const float* b, size_t ldb, float* c, size_t ldc) {
   size_t j = 0;
   for (; j + 4 <= n; j += 4) {
+    const float* brows[4] = {b + (j + 0) * ldb, b + (j + 1) * ldb,
+                             b + (j + 2) * ldb, b + (j + 3) * ldb};
     float tile[MR][4];
-    NTKernelMx4<MR>(k, arows, b + (j + 0) * ldb, b + (j + 1) * ldb,
-                    b + (j + 2) * ldb, b + (j + 3) * ldb, tile);
+    Kernels::template Tile<MR>(k, arows, brows, tile);
     for (int ti = 0; ti < MR; ++ti) {
       float* c_row = c + ti * ldc + j;
       for (int tj = 0; tj < 4; ++tj) {
@@ -152,7 +184,7 @@ void GemmNTBand(size_t n, size_t k, const float* const arows[MR],
   for (; j < n; ++j) {
     const float* b_row = b + j * ldb;
     for (int ti = 0; ti < MR; ++ti) {
-      float value = DotOrdered(arows[ti], b_row, k);
+      float value = Kernels::Dot(arows[ti], b_row, k);
       float& slot = c[ti * ldc + j];
       slot = Accum ? slot + value : value;
     }
@@ -160,43 +192,79 @@ void GemmNTBand(size_t n, size_t k, const float* const arows[MR],
 }
 
 /// Shared NT driver: full 4-row bands, then one 1-3 row band for the m
-/// remainder so partial batches keep the register-tile B reuse. `Accum`
-/// selects = vs +=.
-template <bool Accum>
+/// remainder so partial batches keep the register-tile B reuse.
+template <bool Accum, class Kernels>
 void GemmNTImpl(size_t m, size_t n, size_t k, const float* a, size_t lda,
                 const float* b, size_t ldb, float* c, size_t ldc) {
   size_t i = 0;
   for (; i + 4 <= m; i += 4) {
     const float* arows[4] = {a + (i + 0) * lda, a + (i + 1) * lda,
                              a + (i + 2) * lda, a + (i + 3) * lda};
-    GemmNTBand<Accum, 4>(n, k, arows, b, ldb, c + i * ldc, ldc);
+    GemmNTBand<Accum, 4, Kernels>(n, k, arows, b, ldb, c + i * ldc, ldc);
   }
   const size_t mr = m - i;
   if (mr == 0) return;
   const float* arows[3] = {a + i * lda,
                            a + (i + (mr > 1 ? 1 : 0)) * lda,
                            a + (i + (mr > 2 ? 2 : 0)) * lda};
+  c += i * ldc;
   switch (mr) {
-    case 1: GemmNTBand<Accum, 1>(n, k, arows, b, ldb, c + i * ldc, ldc); break;
-    case 2: GemmNTBand<Accum, 2>(n, k, arows, b, ldb, c + i * ldc, ldc); break;
-    default: GemmNTBand<Accum, 3>(n, k, arows, b, ldb, c + i * ldc, ldc); break;
+    case 1: GemmNTBand<Accum, 1, Kernels>(n, k, arows, b, ldb, c, ldc); break;
+    case 2: GemmNTBand<Accum, 2, Kernels>(n, k, arows, b, ldb, c, ldc); break;
+    default: GemmNTBand<Accum, 3, Kernels>(n, k, arows, b, ldb, c, ldc); break;
   }
+}
+
+#if defined(__x86_64__)
+
+// AVX2 entries: flatten inlines the whole driver and its kernels, so they
+// compile for AVX2 as one function.
+template <bool Accum>
+[[gnu::target("avx2"), gnu::flatten]] void GemmNTAvx2(
+    size_t m, size_t n, size_t k, const float* a, size_t lda, const float* b,
+    size_t ldb, float* c, size_t ldc) {
+  GemmNTImpl<Accum, Avx2Kernels>(m, n, k, a, lda, b, ldb, c, ldc);
+  _mm256_zeroupper();
+}
+
+[[gnu::target("avx2"), gnu::flatten]] float DotAvx2(const float* a,
+                                                    const float* b, size_t n) {
+  const float total = Avx2Kernels::Dot(a, b, n);
+  _mm256_zeroupper();
+  return total;
+}
+
+#endif  // __x86_64__
+
+template <bool Accum>
+void GemmNTDispatch(size_t m, size_t n, size_t k, const float* a, size_t lda,
+                    const float* b, size_t ldb, float* c, size_t ldc) {
+#if defined(__x86_64__)
+  if (internal::UseAvx2Kernels()) {
+    GemmNTAvx2<Accum>(m, n, k, a, lda, b, ldb, c, ldc);
+    return;
+  }
+#endif
+  GemmNTImpl<Accum, ScalarKernels>(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 }  // namespace
 
 float DotCanonical(const float* a, const float* b, size_t n) {
-  return DotOrdered(a, b, n);
+#if defined(__x86_64__)
+  if (internal::UseAvx2Kernels()) return DotAvx2(a, b, n);
+#endif
+  return ScalarKernels::Dot(a, b, n);
 }
 
 void GemmNT(size_t m, size_t n, size_t k, const float* a, size_t lda,
             const float* b, size_t ldb, float* c, size_t ldc) {
-  GemmNTImpl<false>(m, n, k, a, lda, b, ldb, c, ldc);
+  GemmNTDispatch<false>(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 void GemmNTAccum(size_t m, size_t n, size_t k, const float* a, size_t lda,
                  const float* b, size_t ldb, float* c, size_t ldc) {
-  GemmNTImpl<true>(m, n, k, a, lda, b, ldb, c, ldc);
+  GemmNTDispatch<true>(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 void GemmNN(size_t m, size_t n, size_t k, const float* a, size_t lda,

@@ -12,12 +12,14 @@
 // Layout/blocking scheme (documented in DESIGN.md "Batched scoring & GEMM
 // blocking"):
 //   * GemmNT tiles C into 4x4 register blocks; each block walks the full
-//     reduction dimension once with 8-wide SIMD (AVX2+FMA when the build
-//     enables it via NCL_ENABLE_NATIVE, an 8-accumulator scalar pattern the
-//     autovectoriser turns into the same shape otherwise). Every C element
-//     is a complete dot product with a fixed reduction order — the value of
-//     C(i,j) is independent of the tile it lands in, so batched scoring is
-//     bit-stable under any lane count or tiling (pinned by tests).
+//     reduction dimension once with 8-wide SIMD (AVX2 intrinsics when the
+//     host has AVX2, an 8-accumulator scalar pattern the autovectoriser
+//     turns into the same shape otherwise; simd.h picks one at run time).
+//     Every C element is a complete dot product with a fixed reduction
+//     order, the same on both kernel sets — the value of C(i,j) is
+//     independent of the tile it lands in and of the host, so batched
+//     scoring is bit-stable under any lane count or tiling (pinned by
+//     tests).
 //   * GemmNN broadcasts A elements against contiguous B rows with a 4-row
 //     register tile; the per-element reduction stays sequential in k, i.e.
 //     bit-identical to the naive i-k-j loop it replaces.
@@ -41,8 +43,8 @@ namespace ncl::nn {
 
 /// Canonical dot product of two contiguous float spans: 8-way split
 /// accumulation over the reduction dimension with a fixed reduction tree,
-/// scalar tail appended sequentially. Shared by MatVecInto and the GEMM
-/// kernels so mat-vec and mat-mat paths agree on per-element values.
+/// scalar tail appended sequentially. Every NT-family C element (and so
+/// every Matrix::MatVecInto row) equals it bit for bit.
 float DotCanonical(const float* a, const float* b, size_t n);
 
 /// C(m,n) = A(m,k) * B(k,n); row-major, leading dimensions lda/ldb/ldc.

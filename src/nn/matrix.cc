@@ -58,12 +58,13 @@ double Matrix::Sum() const {
   return total;
 }
 
+// One GemmNT call chooses the kernel set once per product, not per row.
 void Matrix::MatVecInto(const float* x, float* y) const {
-  for (size_t i = 0; i < rows_; ++i) y[i] = DotCanonical(row_data(i), x, cols_);
+  GemmNT(rows_, 1, cols_, data(), cols_, x, cols_, y, 1);
 }
 
 void Matrix::MatVecAccumInto(const float* x, float* y) const {
-  for (size_t i = 0; i < rows_; ++i) y[i] += DotCanonical(row_data(i), x, cols_);
+  GemmNTAccum(rows_, 1, cols_, data(), cols_, x, cols_, y, 1);
 }
 
 Matrix Matrix::MatMul(const Matrix& other) const {

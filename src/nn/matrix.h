@@ -86,8 +86,8 @@ class Matrix {
 
   /// Matrix-vector product into a caller buffer: y = this(m,k) * x, where x
   /// has k entries and y has m. The dominant kernel shape of the inference
-  /// fast path (hidden dims 32-256); blocked accumulation, branch-free inner
-  /// loop so the compiler can vectorise.
+  /// fast path (hidden dims 32-256); one GemmNT call with x as its one-row
+  /// B operand, so y[i] == DotCanonical(row i, x).
   void MatVecInto(const float* x, float* y) const;
 
   /// Accumulating matrix-vector product: y += this(m,k) * x.

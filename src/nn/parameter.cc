@@ -1,5 +1,6 @@
 #include "nn/parameter.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -149,6 +150,12 @@ Status ParameterStore::Load(const std::string& path) {
     in.read(reinterpret_cast<char*>(param->value.data()),
             static_cast<std::streamsize>(rows * cols * sizeof(float)));
     if (!in) return Status::IOError("truncated checkpoint " + path);
+    const float* values = param->value.data();
+    if (!std::all_of(values, values + param->value.size(),
+                     [](float v) { return std::isfinite(v); })) {
+      return Status::IOError("non-finite value in parameter '" + name +
+                             "' of checkpoint " + path);
+    }
   }
   return Status::OK();
 }

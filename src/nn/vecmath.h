@@ -3,18 +3,25 @@
 //
 // The decode loop's non-GEMM cost is almost entirely transcendental:
 // sigmoid/tanh over every LSTM gate element and exp over every vocabulary
-// logit. Under NCL_ENABLE_NATIVE these run 8-wide (AVX2+FMA) on a degree-6
-// polynomial expf (Cephes coefficients, ~2 ulp); the loop tail evaluates
-// the *same* operation sequence with scalar FMAs, so every function here is
-// position-independent: f(v[j]) does not depend on where j falls relative
-// to the vector width. That property is what keeps the batched ED scorer
-// bit-identical under any tiling — tiles of different lane counts call
-// these helpers over differently shaped buffers (lanes x d), and identical
-// inputs must produce identical outputs regardless of offset.
+// logit. All of them evaluate a degree-6 polynomial expf (Cephes
+// coefficients, ~2 ulp): 8-wide AVX2 when the host has it, one element at a
+// time otherwise (simd.h picks the set once at start-up). Both sets run the
+// same operations in the same order — a separate multiply and add, never a
+// fused one — so every function here gives the same bits on every host
+// (the native preset, which lets the compiler fuse, is the one exception),
+// and is position-independent: f(v[j]) does not depend on where j falls
+// relative to the vector width. That property is what keeps the batched ED
+// scorer bit-identical under any tiling — tiles of different lane counts
+// call these helpers over differently shaped buffers (lanes x d), and
+// identical inputs must produce identical outputs regardless of offset.
 //
-// Without native codegen the fallbacks are the exact std::exp/std::tanh
-// formulas the call sites previously inlined, so the portable build's
-// numerics do not move.
+// Special values follow the vector instructions on both sets. exp clamps
+// its argument to [-87.34, 88] with min/max semantics that send NaN to the
+// upper clamp, so exp(NaN) = exp(+inf) ~ 1.65e38; hence sigmoid(NaN) ~ 6e-39.
+// tanh ORs the input's sign bit into (1 - q) / (1 + q) instead of calling
+// copysign, so tanh(+-NaN) = -1 and tanh(+-inf) = +-1. None of these is a
+// NaN: a NaN weight must be stopped where it is loaded (ParameterStore::Load
+// rejects one).
 //
 // The tape (training) path keeps its own std::exp activations: these
 // helpers are value-only and have no gradient story.
@@ -38,10 +45,9 @@ void MulTanhInto(const float* o, const float* c, float* h, size_t n);
 void ExpShiftedInplace(float* v, size_t n, float shift);
 
 /// Sum of exp(v[j] - shift) (softmax denominator), accumulated in double —
-/// the cross-entropy loop's precision. Sequential accumulation in the
-/// portable build; the AVX2 build folds each 8-wide exp chunk with a fixed
-/// reduction order before widening. Both scoring paths share this routine,
-/// so the reduction order is common to them by construction.
+/// the cross-entropy loop's precision. Each whole 8-element chunk is folded
+/// in a fixed tree before widening, and the tail is added one element at a
+/// time, on both kernel sets.
 double SumExpShifted(const float* v, size_t n, float shift);
 
 }  // namespace ncl::nn

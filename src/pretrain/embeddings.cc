@@ -129,6 +129,12 @@ Result<WordEmbeddings> WordEmbeddings::Load(const std::string& path) {
     in.read(reinterpret_cast<char*>(vectors.row_data(i)),
             static_cast<std::streamsize>(width * sizeof(float)));
     if (!in) return Status::IOError("truncated embeddings file " + path);
+    const float* row = vectors.row_data(i);
+    if (!std::all_of(row, row + width,
+                     [](float v) { return std::isfinite(v); })) {
+      return Status::IOError("non-finite vector for word '" + word +
+                             "' in embeddings file " + path);
+    }
   }
   return WordEmbeddings(std::move(vocab), std::move(vectors));
 }

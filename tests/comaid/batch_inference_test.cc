@@ -9,11 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "comaid/inference.h"
 #include "comaid/model.h"
 #include "comaid/trainer.h"
+#include "nn/simd.h"
 #include "util/thread_pool.h"
 
 namespace ncl::comaid {
@@ -60,9 +64,10 @@ struct LaneSet {
   std::vector<BatchScoreLane> lanes;
 };
 
-LaneSet MakeLanes(const ComAidModel& model, const ontology::Ontology& onto) {
+LaneSet MakeLanes(const ComAidModel& model, const ontology::Ontology& onto,
+                  const std::vector<std::vector<std::string>>& queries =
+                      TestQueries()) {
   LaneSet set;
-  auto queries = TestQueries();
   for (ontology::ConceptId id : onto.AllConcepts()) {
     for (const auto& query : queries) {
       set.targets.push_back(model.MapTokens(query));
@@ -229,6 +234,71 @@ TEST(BatchInferenceTest, ConcurrentBatchesMatchSerial) {
   for (const LaneSet& set : sets) {
     for (size_t i = 0; i < set.lanes.size(); ++i) {
       EXPECT_EQ(set.lanes[i].log_prob, serial.lanes[i].log_prob);
+    }
+  }
+}
+
+TEST(BatchInferenceTest, ScalarAndAvx2PathsScoreBitIdentically) {
+  // The kernel set (nn/simd.h) changes speed, never a score: with the
+  // scalar set forced, every lane of a trained model scores the same bits,
+  // concept encodings included. 75 mixed-length lanes, at a width with
+  // vector tails (12) and one without (32).
+#if defined(__ASSOCIATIVE_MATH__)
+  GTEST_SKIP() << "-ffast-math build: the two sets' bits differ by design";
+#endif
+  if (std::string_view(nn::SimdPathName()) != "avx2") {
+    GTEST_SKIP() << "host has no AVX2: only the scalar set runs";
+  }
+  ontology::Ontology onto = MakeOntology();
+  std::vector<std::vector<std::string>> queries = TestQueries();
+  for (const auto& extra : std::vector<std::vector<std::string>>{
+           {"iron"},
+           {"blood", "loss"},
+           {"kidney", "disease", "stage"},
+           {"iron", "deficiency", "anemia", "unspecified"},
+           {"chronic", "kidney", "disease", "stage", "5"},
+           {"anemia", "secondary", "to", "blood", "loss", "ckd"},
+           {"iron", "deficiency", "anemia", "secondary", "to", "blood", "loss"},
+           {"stage", "5", "chronic", "kidney", "disease", "anemia", "iron",
+            "deficiency"},
+           {"5"},
+           {"unspecified", "anemia"}}) {
+    queries.push_back(extra);
+  }
+  for (size_t dim : {size_t{12}, size_t{32}}) {
+    ComAidConfig config = SmallConfig();
+    config.dim = dim;
+    ComAidModel model(config, &onto, {{"ckd", "5"}});
+    TrainConfig tc;
+    tc.epochs = 3;
+    ComAidTrainer trainer(tc);
+    trainer.Train(&model,
+                  MakeTrainingPairs(model, {{onto.FindByCode("N18.5"),
+                                             {"ckd", "5"}}}));
+
+    auto score = [&] {
+      model.InvalidateConceptEncodings();
+      LaneSet set = MakeLanes(model, onto, queries);
+      model.ScoreLogProbFastBatch(set.lanes.data(), set.lanes.size());
+      std::vector<double> log_probs;
+      for (const BatchScoreLane& lane : set.lanes) {
+        log_probs.push_back(lane.log_prob);
+      }
+      return log_probs;
+    };
+    const std::vector<double> avx2 = score();
+    std::vector<double> scalar;
+    {
+      nn::ScopedScalarKernels forced;
+      scalar = score();
+    }
+    ASSERT_GE(avx2.size(), 64u);
+    ASSERT_EQ(avx2.size(), scalar.size());
+    for (size_t i = 0; i < avx2.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(avx2[i]),
+                std::bit_cast<uint64_t>(scalar[i]))
+          << "dim=" << dim << " lane " << i << ": " << avx2[i] << " vs "
+          << scalar[i];
     }
   }
 }

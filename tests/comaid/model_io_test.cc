@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "comaid/trainer.h"
 
@@ -127,6 +128,32 @@ StatusCode LoadCode(const std::string& path, const ontology::Ontology& onto) {
   std::remove(path.c_str());
   std::remove((path + ".params").c_str());
   return loaded.status().code();
+}
+
+TEST(ModelIoTest, ForgedNonFiniteWeightIsRejected) {
+  // One NaN weight used to load silently and score every candidate NaN.
+  ontology::Ontology onto = MakeOntology();
+  const std::string path = SaveCheckpoint(onto, "non_finite");
+  const std::string params = path + ".params";
+  uint64_t name_length = 0;
+  {
+    std::ifstream in(params, std::ios::binary);
+    in.seekg(kFirstParamNameOffset);
+    in.read(reinterpret_cast<char*>(&name_length), sizeof(name_length));
+    ASSERT_TRUE(in.good());
+  }
+  // The first parameter's first value follows its name, rows and cols.
+  const std::streamoff first_value = kFirstParamNameOffset + 8 +
+                                     static_cast<std::streamoff>(name_length) +
+                                     16;
+  {
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    std::fstream out(params, std::ios::in | std::ios::out | std::ios::binary);
+    out.seekp(first_value);
+    out.write(reinterpret_cast<const char*>(&nan), sizeof(nan));
+    ASSERT_TRUE(out.good());
+  }
+  EXPECT_EQ(LoadCode(path, onto), StatusCode::kIOError);
 }
 
 TEST(ModelIoTest, ForgedVocabularyCountIsRejected) {

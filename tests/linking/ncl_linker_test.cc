@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string_view>
 
 #include "comaid/trainer.h"
+#include "nn/simd.h"
 
 namespace ncl::linking {
 namespace {
@@ -267,6 +271,51 @@ TEST(NclLinkerTest, BatchedEdInvariantToLaneWidthAndThreads) {
         EXPECT_EQ(got[q][i].log_prob, expected[q][i].log_prob)
             << "threads=" << threads << " query " << q;
       }
+    }
+  }
+}
+
+TEST(NclLinkerTest, RankingsIdenticalOnScalarAndAvx2Paths) {
+  // The kernel set (nn/simd.h) changes speed, never a ranking: with the
+  // scalar set forced and the concept encodings warmed again, every query
+  // returns the same concepts in the same order with the same score bits.
+#if defined(__ASSOCIATIVE_MATH__)
+  GTEST_SKIP() << "-ffast-math build: the two sets' bits differ by design";
+#endif
+  if (std::string_view(nn::SimdPathName()) != "avx2") {
+    GTEST_SKIP() << "host has no AVX2: only the scalar set runs";
+  }
+  Fixture f;
+  const std::vector<std::vector<std::string>> queries = {
+      {"ckd", "5"},
+      {"iron", "anemia", "nos"},
+      {"anemia", "blood", "loss"},
+      {"chronic", "kidney", "disease", "unspecified"},
+      {"iron", "deficiency", "anemia", "kidney", "disease", "stage", "5"},
+      {"deficiency"}};
+  auto link_all = [&] {
+    f.model->InvalidateConceptEncodings();
+    NclConfig config;
+    config.scoring_threads = 2;
+    NclLinker linker(f.model.get(), f.candidates.get(), nullptr, config);
+    return linker.LinkBatchDetailed(queries);
+  };
+  const auto avx2 = link_all();
+  std::vector<std::vector<ScoredCandidate>> scalar;
+  {
+    nn::ScopedScalarKernels forced;
+    scalar = link_all();
+  }
+  ASSERT_EQ(avx2.size(), scalar.size());
+  for (size_t q = 0; q < avx2.size(); ++q) {
+    ASSERT_FALSE(avx2[q].empty()) << "query " << q;
+    ASSERT_EQ(avx2[q].size(), scalar[q].size()) << "query " << q;
+    for (size_t i = 0; i < avx2[q].size(); ++i) {
+      EXPECT_EQ(avx2[q][i].concept_id, scalar[q][i].concept_id)
+          << "query " << q << " rank " << i;
+      EXPECT_EQ(std::bit_cast<uint64_t>(avx2[q][i].log_prob),
+                std::bit_cast<uint64_t>(scalar[q][i].log_prob))
+          << "query " << q << " rank " << i;
     }
   }
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <limits>
 
 namespace ncl::nn {
 namespace {
@@ -110,6 +112,36 @@ TEST(ParameterStoreTest, LoadShapeMismatchFails) {
   ParameterStore other;
   other.Create("w", 3, 3, Init::kXavier, rng);
   EXPECT_FALSE(other.Load(path).ok());
+  std::remove(path.c_str());
+}
+
+TEST(ParameterStoreTest, LoadRejectsNonFiniteValue) {
+  // One forged value in an otherwise valid checkpoint: a NaN or infinity
+  // would score every candidate NaN (or, in a vector lane, a finite
+  // garbage value), so Load refuses it and names the parameter.
+  std::string path = testing::TempDir() + "/ncl_params_non_finite_test.bin";
+  Rng rng(11);
+  ParameterStore original;
+  original.Create("layer.W", 3, 4, Init::kXavier, rng);
+  // magic u32 | version u32 | count u64 | name length u64 | "layer.W" |
+  // rows u64 | cols u64 | values; forge the sixth value.
+  const std::streamoff value_offset = 4 + 4 + 8 + 8 + 7 + 8 + 8 + 5 * 4;
+  const float inf = std::numeric_limits<float>::infinity();
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(), inf, -inf}) {
+    ASSERT_TRUE(original.Save(path).ok());
+    {
+      std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+      file.seekp(value_offset);
+      file.write(reinterpret_cast<const char*>(&bad), sizeof(bad));
+      ASSERT_TRUE(file.good());
+    }
+    ParameterStore restored;
+    restored.Create("layer.W", 3, 4, Init::kXavier, rng);
+    Status status = restored.Load(path);
+    EXPECT_EQ(status.code(), StatusCode::kIOError) << bad;
+    EXPECT_NE(status.ToString().find("layer.W"), std::string::npos)
+        << status.ToString();
+  }
   std::remove(path.c_str());
 }
 

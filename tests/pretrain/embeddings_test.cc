@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace ncl::pretrain {
@@ -133,6 +134,22 @@ TEST(WordEmbeddingsTest, ForgedHugeWordLengthIsRejected) {
   const std::string path = SaveToy("word_length");
   PatchU64(path, kFirstWordLengthOffset, uint64_t{1} << 40);
   EXPECT_EQ(LoadCode(path), StatusCode::kIOError);
+}
+
+TEST(WordEmbeddingsTest, ForgedNonFiniteVectorIsRejected) {
+  // The first word ("right", 5 bytes) stores its count, then its vector.
+  const std::streamoff first_value = kFirstWordLengthOffset + 8 + 5 + 8;
+  const float inf = std::numeric_limits<float>::infinity();
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(), inf, -inf}) {
+    const std::string path = SaveToy("non_finite");
+    {
+      std::fstream out(path, std::ios::in | std::ios::out | std::ios::binary);
+      out.seekp(first_value + static_cast<std::streamoff>(sizeof(float)));
+      out.write(reinterpret_cast<const char*>(&bad), sizeof(bad));
+      ASSERT_TRUE(out.good());
+    }
+    EXPECT_EQ(LoadCode(path), StatusCode::kIOError) << bad;
+  }
 }
 
 TEST(WordEmbeddingsTest, RepeatedWordIsRejected) {
