@@ -90,15 +90,16 @@ void BM_GemmNT(benchmark::State& state) {
 BENCHMARK(BM_GemmNT)->Args({128, 128})->Args({1000, 128})->Args({1000, 256});
 
 void BM_LstmStepValue(benchmark::State& state) {
-  // Tape-free LSTM step (inference fast path) — compare with BM_LstmStep.
+  // Tape-free one-lane LSTM step (the concept encoder's warm-up step) —
+  // compare with BM_LstmStep.
   const size_t d = static_cast<size_t>(state.range(0));
   Rng rng(2);
   nn::ParameterStore store;
   nn::LstmCell cell("bench", d, d, &store, rng);
   std::vector<float> x(d, 0.3f), h(d, 0.0f), c(d, 0.0f), scratch(2 * d);
   for (auto _ : state) {
-    cell.StepValue(x.data(), h.data(), c.data(), h.data(), c.data(),
-                   scratch.data());
+    cell.StepValueBatch(1, x.data(), h.data(), c.data(), h.data(), c.data(),
+                        scratch.data());
     benchmark::DoNotOptimize(h.data());
   }
 }
@@ -390,14 +391,14 @@ void WriteKernelReport() {
     time_shapes("gemm_nt", skinny, std::size(skinny), /*transposed_b=*/true);
   }
 
-  // Tape-free LSTM step throughput.
+  // Tape-free one-lane LSTM step throughput.
   for (size_t d : {32u, 64u, 128u}) {
     nn::ParameterStore store;
     nn::LstmCell cell("report", d, d, &store, rng);
     std::vector<float> x(d, 0.3f), h(d, 0.0f), c(d, 0.0f), scratch(2 * d);
     double sec = TimePerCall([&] {
-      cell.StepValue(x.data(), h.data(), c.data(), h.data(), c.data(),
-                     scratch.data());
+      cell.StepValueBatch(1, x.data(), h.data(), c.data(), h.data(), c.data(),
+                          scratch.data());
       benchmark::DoNotOptimize(h.data());
     });
     json.BeginObject();

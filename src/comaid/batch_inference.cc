@@ -36,13 +36,12 @@ namespace ncl::comaid {
 namespace {
 
 /// Fused dot-product attention on values (Eqs. 5-7): out = sum_r alpha_r v_r
-/// with alpha = softmax(values * key). `scores` must hold values.rows()
-/// floats; `out` holds values.cols() floats and is overwritten.
-void AttentionInto(const nn::Matrix& values, const float* key, float* scores,
-                   float* out) {
-  const size_t n = values.rows();
-  const size_t d = values.cols();
-  values.MatVecInto(key, scores);  // e_r = v_r . s
+/// with alpha = softmax(values * key), over the `n` contiguous d-wide rows
+/// at `values`. `scores` must hold n floats; `out` holds d floats and is
+/// overwritten.
+void AttentionInto(const float* values, size_t n, size_t d, const float* key,
+                   float* scores, float* out) {
+  nn::GemmNT(n, 1, d, values, d, key, d, scores, 1);  // e_r = v_r . s
 
   float max_score = -std::numeric_limits<float>::infinity();
   for (size_t r = 0; r < n; ++r) max_score = std::max(max_score, scores[r]);
@@ -54,7 +53,7 @@ void AttentionInto(const nn::Matrix& values, const float* key, float* scores,
   std::fill(out, out + d, 0.0f);
   for (size_t r = 0; r < n; ++r) {
     const float alpha = scores[r] * inv_denom;
-    const float* row = values.row_data(r);
+    const float* row = values + r * d;
     for (size_t j = 0; j < d; ++j) out[j] += alpha * row[j];
   }
 }
@@ -138,17 +137,16 @@ void ComAidModel::ScoreBatchTile(BatchScoreLane* lanes,
   const bool use_text = config_.text_attention;
   const bool use_structure = config_.structural_attention;
 
-  std::vector<const ConceptEncoding*> encs(num_lanes);
-  size_t attn_rows = 1;
+  const size_t beta = use_structure ? static_cast<size_t>(config_.beta) : 0;
+  size_t attn_rows = std::max<size_t>(beta, 1);
   for (size_t i = 0; i < num_lanes; ++i) {
     NCL_CHECK(lanes[i].target != nullptr) << "batch lane without a target";
     NCL_CHECK(lanes[i].concept_id > 0 &&
               static_cast<size_t>(lanes[i].concept_id) < concept_words_.size())
         << "invalid concept id " << lanes[i].concept_id;
-    encs[i] = &EncodingFor(lanes[i].concept_id);
     attn_rows = std::max(
-        attn_rows, std::max(encs[i]->encoder_states.rows(),
-                            encs[i]->ancestors.rows()));
+        attn_rows,
+        concept_words_[static_cast<size_t>(lanes[i].concept_id)].size());
   }
 
   // Longest-first lane order: ragged lengths become a shrinking active row
@@ -178,7 +176,7 @@ void ComAidModel::ScoreBatchTile(BatchScoreLane* lanes,
   std::vector<text::WordId> prev_word(m, bos_id_);
   // Decoder initial state per lane: s_0 = h_n^c, cell = 0 (§4.1.2).
   for (size_t r = 0; r < m; ++r) {
-    const float* h0 = encs[order[r]]->final_state();
+    const float* h0 = FinalState(lanes[order[r]].concept_id);
     std::copy(h0, h0 + d, h + r * d);
     std::fill(cell + r * d, cell + (r + 1) * d, 0.0f);
   }
@@ -205,18 +203,21 @@ void ComAidModel::ScoreBatchTile(BatchScoreLane* lanes,
     // Composite rows: [s_t ; tc_t ; sc_t] (Eq. 8). Attention stays per lane
     // — each lane attends over its own concept's encoder states.
     for (size_t r = 0; r < active; ++r) {
-      const ConceptEncoding& enc = *encs[order[r]];
+      // The lane's pool rows: n description states, then β context rows.
+      const ontology::ConceptId id = lanes[order[r]].concept_id;
+      const float* states = EncodingRows(id);
+      const size_t n = concept_words_[static_cast<size_t>(id)].size();
       const float* h_row = h + r * d;
       float* comp_row = composite + r * comp_width;
       std::copy(h_row, h_row + d, comp_row);
       size_t offset = d;
       if (use_text) {
-        AttentionInto(enc.encoder_states, h_row, ctx.attn_scores(),
+        AttentionInto(states, n, d, h_row, ctx.attn_scores(),
                       comp_row + offset);
         offset += d;
       }
       if (use_structure) {
-        AttentionInto(enc.ancestors, h_row, ctx.attn_scores(),
+        AttentionInto(states + n * d, beta, d, h_row, ctx.attn_scores(),
                       comp_row + offset);
       }
     }
@@ -259,6 +260,13 @@ void ComAidModel::ScoreLogProbFastBatch(BatchScoreLane* lanes, size_t num_lanes,
   const BatchScoreMetrics& metrics = GetBatchScoreMetrics();
   metrics.calls->Increment();
   metrics.lanes->Record(num_lanes);
+  const auto& cache_metrics = internal::GetConceptCacheMetrics();
+  if (!pool_ready_.load(std::memory_order_acquire) &&
+      PrecomputeConceptEncodings() > 0) {
+    cache_metrics.misses->Increment();
+  } else {
+    cache_metrics.hits->Increment(num_lanes);
+  }
   for (size_t start = 0; start < num_lanes; start += max_lanes) {
     ScoreBatchTile(lanes + start, std::min(max_lanes, num_lanes - start));
   }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <numeric>
 #include <unordered_map>
 
 #include "util/logging.h"
@@ -51,13 +51,19 @@ ComAidModel::ComAidModel(ComAidConfig config, const ontology::Ontology* onto,
   w_s_ = params_.Create("W_s", v, d, nn::Init::kXavier, rng);
   b_s_ = params_.Create("b_s", v, 1, nn::Init::kZero, rng);
 
-  // Pre-map every concept description to word ids (all in-vocabulary).
+  // Pre-map every concept description to word ids (all in-vocabulary), and
+  // lay out the encoding pool: each concept's description states, then its
+  // β context rows under structural attention.
+  const size_t context_rows =
+      config_.structural_attention ? static_cast<size_t>(config_.beta) : 0;
   concept_words_.resize(onto_->size());
+  first_row_.assign(onto_->size() + 1, 0);
   for (ontology::ConceptId id : onto_->AllConcepts()) {
-    concept_words_[static_cast<size_t>(id)] = MapTokens(onto_->Get(id).description);
+    const auto slot = static_cast<size_t>(id);
+    concept_words_[slot] = MapTokens(onto_->Get(id).description);
+    first_row_[slot + 1] = concept_words_[slot].size() + context_rows;
   }
-
-  encoding_cache_ = std::make_unique<ConceptEncodingCache>(onto_->size());
+  std::partial_sum(first_row_.begin(), first_row_.end(), first_row_.begin());
 }
 
 size_t ComAidModel::InitializeEmbeddings(const pretrain::WordEmbeddings& pretrained) {
@@ -102,22 +108,17 @@ nn::VarId ComAidModel::EncodeDescription(nn::Tape& tape,
   return state.h;
 }
 
-nn::VarId ComAidModel::Forward(nn::Tape& tape, ontology::ConceptId concept_id,
-                               const std::vector<text::WordId>& target) const {
+ComAidModel::TapeEncoding ComAidModel::EncodeForDecoding(
+    nn::Tape& tape, ontology::ConceptId concept_id) const {
   NCL_CHECK(concept_id > 0 &&
             static_cast<size_t>(concept_id) < concept_words_.size())
       << "invalid concept id " << concept_id;
-  // An empty target is legal and decodes only <eos>: p(empty | c). The
-  // online linker produces it when every query word is shared with the
-  // candidate's canonical description (§5 Phase II).
-
+  TapeEncoding encoding;
   // --- Encode the canonical description (§4.1.1). ---
-  std::vector<nn::VarId> encoder_states;
-  const auto& words = concept_words_[static_cast<size_t>(concept_id)];
-  nn::VarId concept_repr = EncodeDescription(tape, words, &encoder_states);
+  EncodeDescription(tape, concept_words_[static_cast<size_t>(concept_id)],
+                    &encoding.states);
 
   // --- Encode the structural context (Def. 4.1) with shared weights. ---
-  std::vector<nn::VarId> ancestor_reprs;
   if (config_.structural_attention) {
     std::unordered_map<ontology::ConceptId, nn::VarId> cache;
     for (ontology::ConceptId anc : onto_->AncestorContext(concept_id, config_.beta)) {
@@ -127,35 +128,49 @@ nn::VarId ComAidModel::Forward(nn::Tape& tape, ontology::ConceptId concept_id,
             tape, concept_words_[static_cast<size_t>(anc)], nullptr);
         it = cache.emplace(anc, repr).first;
       }
-      ancestor_reprs.push_back(it->second);
+      encoding.context.push_back(it->second);
     }
   }
+  return encoding;
+}
+
+nn::VarId ComAidModel::DecodeStep(nn::Tape& tape, const TapeEncoding& encoding,
+                                  text::WordId prev_word,
+                                  nn::LstmState* state) const {
+  nn::VarId x = tape.Lookup(embeddings_, static_cast<size_t>(prev_word));
+  *state = decoder_->Step(tape, x, *state);
+
+  std::vector<nn::VarId> composite{state->h};
+  if (config_.text_attention) {
+    composite.push_back(tape.Attention(encoding.states, state->h));
+  }
+  if (config_.structural_attention) {
+    composite.push_back(tape.Attention(encoding.context, state->h));
+  }
+
+  nn::VarId merged =
+      composite.size() == 1 ? composite[0] : tape.ConcatRows(composite);
+  nn::VarId s_tilde = tape.Tanh(
+      tape.Add(tape.MatMul(tape.Param(w_d_), merged), tape.Param(b_d_)));
+  return tape.Add(tape.MatMul(tape.Param(w_s_), s_tilde), tape.Param(b_s_));
+}
+
+nn::VarId ComAidModel::Forward(nn::Tape& tape, ontology::ConceptId concept_id,
+                               const std::vector<text::WordId>& target) const {
+  // An empty target is legal and decodes only <eos>: p(empty | c). The
+  // online linker produces it when every query word is shared with the
+  // candidate's canonical description (§5 Phase II).
+  const TapeEncoding encoding = EncodeForDecoding(tape, concept_id);
 
   // --- Decode the target with the duet decoder (§4.1.2). ---
-  nn::LstmState state = decoder_->InitialStateFromHidden(tape, concept_repr);
+  nn::LstmState state =
+      decoder_->InitialStateFromHidden(tape, encoding.states.back());
   std::vector<nn::VarId> losses;
   losses.reserve(target.size() + 1);
 
   text::WordId prev_word = bos_id_;
   for (size_t t = 0; t <= target.size(); ++t) {
-    nn::VarId x = tape.Lookup(embeddings_, static_cast<size_t>(prev_word));
-    state = decoder_->Step(tape, x, state);
-
-    std::vector<nn::VarId> composite{state.h};
-    if (config_.text_attention) {
-      composite.push_back(tape.Attention(encoder_states, state.h));
-    }
-    if (config_.structural_attention) {
-      composite.push_back(tape.Attention(ancestor_reprs, state.h));
-    }
-
-    nn::VarId merged =
-        composite.size() == 1 ? composite[0] : tape.ConcatRows(composite);
-    nn::VarId s_tilde = tape.Tanh(
-        tape.Add(tape.MatMul(tape.Param(w_d_), merged), tape.Param(b_d_)));
-    nn::VarId logits =
-        tape.Add(tape.MatMul(tape.Param(w_s_), s_tilde), tape.Param(b_s_));
-
+    nn::VarId logits = DecodeStep(tape, encoding, prev_word, &state);
     // Decode target[t], with <eos> closing the sequence.
     text::WordId gold = t < target.size() ? target[t] : eos_id_;
     losses.push_back(tape.SoftmaxCrossEntropy(logits, gold));
@@ -184,48 +199,13 @@ double ComAidModel::ScoreLogProbIds(ontology::ConceptId concept_id,
 
 std::vector<double> ComAidModel::NextWordLogProbs(
     ontology::ConceptId concept_id, const std::vector<text::WordId>& prefix) const {
-  NCL_CHECK(concept_id > 0 &&
-            static_cast<size_t>(concept_id) < concept_words_.size());
   nn::Tape tape;
-
-  // Mirror of Forward() up to the step after `prefix`.
-  std::vector<nn::VarId> encoder_states;
-  const auto& words = concept_words_[static_cast<size_t>(concept_id)];
-  nn::VarId concept_repr = EncodeDescription(tape, words, &encoder_states);
-
-  std::vector<nn::VarId> ancestor_reprs;
-  if (config_.structural_attention) {
-    std::unordered_map<ontology::ConceptId, nn::VarId> cache;
-    for (ontology::ConceptId anc : onto_->AncestorContext(concept_id, config_.beta)) {
-      auto it = cache.find(anc);
-      if (it == cache.end()) {
-        nn::VarId repr = EncodeDescription(
-            tape, concept_words_[static_cast<size_t>(anc)], nullptr);
-        it = cache.emplace(anc, repr).first;
-      }
-      ancestor_reprs.push_back(it->second);
-    }
-  }
-
-  nn::LstmState state = decoder_->InitialStateFromHidden(tape, concept_repr);
-  text::WordId prev_word = bos_id_;
-  nn::VarId logits = nn::kInvalidVar;
-  for (size_t t = 0; t <= prefix.size(); ++t) {
-    nn::VarId x = tape.Lookup(embeddings_, static_cast<size_t>(prev_word));
-    state = decoder_->Step(tape, x, state);
-    std::vector<nn::VarId> composite{state.h};
-    if (config_.text_attention) {
-      composite.push_back(tape.Attention(encoder_states, state.h));
-    }
-    if (config_.structural_attention) {
-      composite.push_back(tape.Attention(ancestor_reprs, state.h));
-    }
-    nn::VarId merged =
-        composite.size() == 1 ? composite[0] : tape.ConcatRows(composite);
-    nn::VarId s_tilde = tape.Tanh(
-        tape.Add(tape.MatMul(tape.Param(w_d_), merged), tape.Param(b_d_)));
-    logits = tape.Add(tape.MatMul(tape.Param(w_s_), s_tilde), tape.Param(b_s_));
-    if (t < prefix.size()) prev_word = prefix[t];
+  const TapeEncoding encoding = EncodeForDecoding(tape, concept_id);
+  nn::LstmState state =
+      decoder_->InitialStateFromHidden(tape, encoding.states.back());
+  nn::VarId logits = DecodeStep(tape, encoding, bos_id_, &state);
+  for (text::WordId word : prefix) {
+    logits = DecodeStep(tape, encoding, word, &state);
   }
 
   // Log-softmax over the final logits.

@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -62,11 +63,11 @@ std::string VariantName(const ComAidConfig& config);
 /// points (ScoreLogProb / ScoreLogProbIds / ScoreLogProbFastBatch /
 /// EncodeConcept / NextWordLogProbs) are safe to call concurrently. The tape
 /// paths read parameter values through private tapes; the batched scorer
-/// additionally shares the concept-encoding cache, whose readers are
-/// lock-free and whose lazy fills are race-safe (see ConceptEncodingCache).
+/// additionally shares the concept-encoding row pool, which its first call
+/// fills under a mutex and later calls read after one acquire load.
 /// Weight mutation — training, InitializeEmbeddings, model loading — must be
 /// single-threaded and must not overlap any scoring call; each mutation ends
-/// with NotifyWeightsChanged(), which invalidates the encoding cache.
+/// with NotifyWeightsChanged(), which empties the pool.
 class ComAidModel {
  public:
   /// Special decoder tokens (always present in the model vocabulary).
@@ -116,41 +117,41 @@ class ComAidModel {
   /// \brief Tape-free log p(q | c; Θ) — the Phase II scorer: fill
   /// `lanes[i].log_prob` with log p(target_i | concept_i) for every lane.
   ///
-  /// Reuses each concept's cached encoding, so the encoder runs once per
-  /// concept instead of once per (query, candidate) pair, and builds no
-  /// autodiff graph. Stacks up to `max_lanes` candidates per decode step
-  /// into one activation matrix, so the LSTM/composite/softmax weights are
-  /// applied by GemmNT calls that stream each weight once per step for the
-  /// whole tile. Ragged target lengths are masked by sorting lanes longest
-  /// first and shrinking the active row prefix as short lanes emit <eos>.
-  /// Every lane reduces in the same canonical order, so results are
-  /// bit-identical under any lane order, batch composition, or `max_lanes`
-  /// (max_lanes = 1 is the per-candidate computation), and agree with
-  /// ScoreLogProbIds within 1e-5 (both pinned by tests). Decoder scratch is
-  /// one reusable buffer set per thread. Thread-safe under the same contract
-  /// as ScoreLogProb.
+  /// Reads each concept's encoding from the row pool, so the encoder runs
+  /// once per concept instead of once per (query, candidate) pair, and
+  /// builds no autodiff graph; a call that finds the pool empty first runs
+  /// PrecomputeConceptEncodings. Stacks up to `max_lanes` candidates per
+  /// decode step into one activation matrix, so the LSTM/composite/softmax
+  /// weights are applied by GemmNT calls that stream each weight once per
+  /// step for the whole tile. Ragged target lengths are masked by sorting
+  /// lanes longest first and shrinking the active row prefix as short lanes
+  /// emit <eos>. Every lane reduces in the same canonical order, so results
+  /// are bit-identical under any lane order, batch composition, or
+  /// `max_lanes` (max_lanes = 1 is the per-candidate computation), and agree
+  /// with ScoreLogProbIds within 1e-5 (both pinned by tests). Decoder
+  /// scratch is one reusable buffer set per thread. Thread-safe under the
+  /// same contract as ScoreLogProb.
   void ScoreLogProbFastBatch(BatchScoreLane* lanes, size_t num_lanes,
                              size_t max_lanes = kDefaultScoreLanes) const;
 
-  /// \brief Eagerly fill the concept-encoding cache for the whole ontology
-  /// on every core (ParallelForOnCores). Returns the number of encodings
-  /// computed.
+  /// \brief Encode every concept into the row pool on every core
+  /// (ParallelForOnCores): the only code that writes concept encodings.
+  /// Returns the number of concepts encoded, 0 when the pool is already
+  /// warm.
   ///
-  /// Runs one depth level at a time, shallowest first, so each concept's
-  /// structural-context rows are copied from ancestors already cached. The
-  /// calling thread allocates and installs each level's encodings and the
-  /// helpers only fill values, which keeps the cache in the calling
-  /// thread's malloc arena. Encodings are bit-identical to lazy fills. Does
-  /// not move the cache's hit/miss counters. Optional: ScoreLogProbFastBatch
-  /// fills the cache lazily per concept.
+  /// Runs under a mutex, so concurrent callers and first scoring calls warm
+  /// the pool once. One pass encodes each description; a second copies each
+  /// structural-context row from the final state of the concept it names.
+  /// The calling thread allocates the pool and the helpers only fill
+  /// values. Counts `fills`, not hits or misses.
   size_t PrecomputeConceptEncodings() const;
 
-  /// Drop all cached concept encodings (they are recomputed on demand).
+  /// Empty the row pool (the next scoring call warms it again).
   void InvalidateConceptEncodings() const;
 
   /// \brief Record that parameter values changed (optimizer step, embedding
   /// initialisation, checkpoint load): bumps the weights version and
-  /// invalidates the concept-encoding cache. Must not run concurrently with
+  /// empties the concept-encoding pool. Must not run concurrently with
   /// scoring.
   void NotifyWeightsChanged();
 
@@ -159,8 +160,13 @@ class ComAidModel {
     return weights_version_.load(std::memory_order_acquire);
   }
 
-  /// Number of concepts currently in the encoding cache (tests/diagnostics).
-  size_t num_cached_encodings() const { return encoding_cache_->NumCached(); }
+  /// Number of concepts whose encodings the pool holds: all or none
+  /// (tests/diagnostics).
+  size_t num_cached_encodings() const {
+    return pool_ready_.load(std::memory_order_acquire)
+               ? concept_words_.size() - 1
+               : 0;
+  }
 
   /// \brief Log-probability over the next word (softmax of Eq. 9) after
   /// decoding `prefix` from `concept_id`. Index eos_id() closes the
@@ -199,6 +205,23 @@ class ComAidModel {
                               const std::vector<text::WordId>& words,
                               std::vector<nn::VarId>* states) const;
 
+  /// What the duet decoder attends over, recorded on a tape: the encoder
+  /// states of the concept's description (states.back() is h_n^c) and its
+  /// Def. 4.1 context representations (empty without structural attention).
+  struct TapeEncoding {
+    std::vector<nn::VarId> states;
+    std::vector<nn::VarId> context;
+  };
+
+  /// Encoder half of Forward and NextWordLogProbs (§4.1.1, Def. 4.1).
+  TapeEncoding EncodeForDecoding(nn::Tape& tape,
+                                 ontology::ConceptId concept_id) const;
+
+  /// One duet-decoder step (§4.1.2): consume `prev_word`, advance `state`,
+  /// and return the logits of Eq. 9.
+  nn::VarId DecodeStep(nn::Tape& tape, const TapeEncoding& encoding,
+                       text::WordId prev_word, nn::LstmState* state) const;
+
   /// Shared forward: loss node for decoding `target` from `concept_id`.
   nn::VarId Forward(nn::Tape& tape, ontology::ConceptId concept_id,
                     const std::vector<text::WordId>& target) const;
@@ -210,28 +233,18 @@ class ComAidModel {
     return embeddings_->value.row_data(static_cast<size_t>(word));
   }
 
-  /// Floats of scratch FillConceptEncoding needs per thread.
-  size_t EncoderScratchFloats() const { return 4 * config_.dim; }
+  /// `id`'s encoding in the row pool: its n description states (n x d,
+  /// row-major, so the text attention's score pass is one mat-vec), then,
+  /// under structural attention, its β context rows.
+  float* EncodingRows(ontology::ConceptId id) const {
+    return rows_.data() + first_row_[static_cast<size_t>(id)] * config_.dim;
+  }
 
-  /// A ConceptEncoding sized for `concept_id` (n x d encoder states, β x d
-  /// ancestor rows under structural attention), not yet filled.
-  std::unique_ptr<ConceptEncoding> NewConceptEncoding(
-      ontology::ConceptId concept_id) const;
-
-  /// Tape-free encoder pass filling `out` (from NewConceptEncoding) for one
-  /// concept. Ancestor rows are copied from the ancestors' cached
-  /// encodings, which are computed and installed first when absent; when
-  /// they are all cached the call allocates nothing.
-  void FillConceptEncoding(ontology::ConceptId concept_id, float* scratch,
-                           ConceptEncoding* out) const;
-
-  /// Compute `concept_id`'s encoding and install it (a racing fill may win;
-  /// the installed encoding is returned either way).
-  const ConceptEncoding& ComputeEncoding(ontology::ConceptId concept_id) const;
-
-  /// The scorer's lookup: the cached encoding for `concept_id` (counted as
-  /// a hit or miss), computing and installing it on a miss.
-  const ConceptEncoding& EncodingFor(ontology::ConceptId concept_id) const;
+  /// The concept representation h_n^c: `id`'s last description state.
+  const float* FinalState(ontology::ConceptId id) const {
+    return EncodingRows(id) +
+           (concept_words_[static_cast<size_t>(id)].size() - 1) * config_.dim;
+  }
 
   /// One lock-step tile of ScoreLogProbFastBatch (batch_inference.cc).
   void ScoreBatchTile(BatchScoreLane* lanes, size_t num_lanes) const;
@@ -255,9 +268,15 @@ class ComAidModel {
   /// Concept descriptions pre-mapped to model word ids.
   std::vector<std::vector<text::WordId>> concept_words_;
 
-  /// Memo of query-independent encoder work, lazily filled by
-  /// ScoreLogProbFastBatch and cleared by NotifyWeightsChanged().
-  mutable std::unique_ptr<ConceptEncodingCache> encoding_cache_;
+  /// Per concept id, its first row in rows_; first_row_.back() is the
+  /// pool's row count. Fixed at construction.
+  std::vector<size_t> first_row_;
+  /// The concept-encoding row pool (see EncodingRows). Written only by
+  /// PrecomputeConceptEncodings under pool_mutex_, which then sets
+  /// pool_ready_; scorers read it after an acquire load of the flag.
+  mutable std::vector<float> rows_;
+  mutable std::mutex pool_mutex_;
+  mutable std::atomic<bool> pool_ready_{false};
   std::atomic<uint64_t> weights_version_{0};
 };
 

@@ -61,38 +61,6 @@ LstmState LstmCell::Step(Tape& tape, VarId x, const LstmState& prev) const {
   return next;
 }
 
-void LstmCell::StepValue(const float* x, const float* h_prev, const float* c_prev,
-                         float* h_out, float* c_out, float* scratch) const {
-  const size_t d = hidden_dim_;
-  float* buf0 = scratch;      // gate pre-activation / activation
-  float* buf1 = scratch + d;  // second gate when two are needed at once
-  auto gate = [&](const Parameter* w, const Parameter* u, const Parameter* b,
-                  float* out) {
-    w->value.MatVecInto(x, out);
-    u->value.MatVecAccumInto(h_prev, out);
-    const float* bias = b->value.data();
-    for (size_t j = 0; j < d; ++j) out[j] += bias[j];
-  };
-  // f_t, then c_out = f_t (.) c_prev (element j only reads c_prev[j], so
-  // c_out may alias c_prev).
-  gate(w_f_, u_f_, b_f_, buf0);
-  SigmoidInplace(buf0, d);
-  for (size_t j = 0; j < d; ++j) c_out[j] = buf0[j] * c_prev[j];
-
-  // i_t and c~_t together: c_out += i_t (.) c~_t.
-  gate(w_i_, u_i_, b_i_, buf0);
-  SigmoidInplace(buf0, d);
-  gate(w_c_, u_c_, b_c_, buf1);
-  TanhInplace(buf1, d);
-  for (size_t j = 0; j < d; ++j) c_out[j] += buf0[j] * buf1[j];
-
-  // o_t last (it still reads h_prev), then h_out = o_t (.) tanh(c_out) —
-  // only now may h_out overwrite h_prev.
-  gate(w_o_, u_o_, b_o_, buf0);
-  SigmoidInplace(buf0, d);
-  MulTanhInto(buf0, c_out, h_out, d);
-}
-
 void LstmCell::StepValueBatch(size_t rows, const float* x, const float* h_prev,
                               const float* c_prev, float* h_out, float* c_out,
                               float* scratch) const {
@@ -102,9 +70,9 @@ void LstmCell::StepValueBatch(size_t rows, const float* x, const float* h_prev,
   float* buf1 = scratch + total;  // second gate when two are live at once
   auto gate = [&](const Parameter* w, const Parameter* u, const Parameter* b,
                   float* out) {
-    // out = X W^T; out += H U^T; out += bias (broadcast per row). Same
-    // per-element order as the single-lane gate: full W x dot, then the
-    // full U h dot added, then the bias.
+    // out = X W^T; out += H U^T; out += bias (broadcast per row): per
+    // element, the full W x dot, then the full U h dot added, then the
+    // bias — the tape's order.
     GemmNT(rows, d, input_dim_, x, input_dim_, w->value.data(), input_dim_, out,
            d);
     GemmNTAccum(rows, d, d, h_prev, d, u->value.data(), d, out, d);
@@ -114,10 +82,11 @@ void LstmCell::StepValueBatch(size_t rows, const float* x, const float* h_prev,
       for (size_t j = 0; j < d; ++j) row[j] += bias[j];
     }
   };
-  // Same phase order as StepValue: f first (c_out may alias c_prev), o last
-  // (it reads h_prev, which h_out may alias). The activations are
-  // position-independent (vecmath.h), so applying them over the packed
-  // rows x d buffer matches the single-lane path element for element.
+  // f first, then c_out = f (.) c_prev (element j only reads c_prev[j], so
+  // c_out may alias c_prev); o last (it still reads h_prev, which h_out may
+  // alias). The activations are position-independent (vecmath.h), so
+  // applying them over the packed rows x d buffer gives each lane the
+  // values it would get alone.
   gate(w_f_, u_f_, b_f_, buf0);
   SigmoidInplace(buf0, total);
   for (size_t j = 0; j < total; ++j) c_out[j] = buf0[j] * c_prev[j];

@@ -9,6 +9,10 @@
 //   h_t = o_t ⊙ tanh(c_t)
 // The same cell class is instantiated once for the encoder and once for the
 // decoder; COM-AID's structural encoder reuses the concept-encoder weights.
+// Step records the gates on an autodiff tape (training and the reference
+// scorer); StepValueBatch is the one value-only step, used with one lane by
+// the concept-encoding warm-up and with a tile of lanes by the Phase-II
+// decoder.
 
 #pragma once
 
@@ -46,26 +50,17 @@ class LstmCell {
   /// state; return the new state.
   LstmState Step(Tape& tape, VarId x, const LstmState& prev) const;
 
-  /// \brief Value-only step for tape-free inference (the concept encoder).
-  ///
-  /// Reads x (input_dim floats) and the previous state h_prev/c_prev
-  /// (hidden_dim floats each); writes the new state into h_out/c_out.
-  /// `scratch` must hold at least 2 * hidden_dim floats. Allocates nothing
-  /// and records no autodiff graph. Aliasing h_out == h_prev and
-  /// c_out == c_prev is allowed; x must not alias any output.
-  void StepValue(const float* x, const float* h_prev, const float* c_prev,
-                 float* h_out, float* c_out, float* scratch) const;
-
-  /// \brief Lock-step batched value step over `rows` independent lanes.
+  /// \brief Value-only step over `rows` independent lanes, for tape-free
+  /// inference (the concept encoder steps one lane, the Phase-II decoder a
+  /// tile of them).
   ///
   /// Row-major buffers: x is rows x input_dim, the states are rows x
   /// hidden_dim, `scratch` holds at least 2 * rows * hidden_dim floats.
-  /// Each lane computes exactly the arithmetic of StepValue — the gate
-  /// mat-vecs become two GemmNT calls per gate (X W^T + H U^T), which share
-  /// the canonical per-element reduction with MatVecInto — so a lane's
-  /// result does not depend on how many other lanes ride in the batch.
-  /// Aliasing rules match StepValue (h_out/c_out may alias h_prev/c_prev;
-  /// x must not alias outputs).
+  /// Allocates nothing and records no autodiff graph. The gate mat-vecs
+  /// become two GemmNT calls per gate (X W^T + H U^T), whose elements are
+  /// canonical dots (DotCanonical), so a lane's result does not depend on
+  /// how many other lanes ride in the batch. h_out/c_out may alias
+  /// h_prev/c_prev; x must not alias any output.
   void StepValueBatch(size_t rows, const float* x, const float* h_prev,
                       const float* c_prev, float* h_out, float* c_out,
                       float* scratch) const;

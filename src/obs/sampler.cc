@@ -21,13 +21,19 @@ uint64_t DeltaOf(uint64_t now, uint64_t before) {
   return now >= before ? now - before : now;
 }
 
+MetricsSampler::Config WithBoundedInterval(MetricsSampler::Config config) {
+  config.interval_ms =
+      std::min(config.interval_ms, MetricsSampler::kMaxIntervalMs);
+  return config;
+}
+
 }  // namespace
 
 MetricsSampler::MetricsSampler(MetricsRegistry* registry)
     : MetricsSampler(registry, Config()) {}
 
 MetricsSampler::MetricsSampler(MetricsRegistry* registry, Config config)
-    : registry_(registry), config_(std::move(config)) {
+    : registry_(registry), config_(WithBoundedInterval(std::move(config))) {
   NCL_CHECK(registry_ != nullptr);
   NCL_CHECK(config_.max_samples > 0) << "max_samples must be positive";
   NCL_CHECK(config_.interval_ms > 0) << "interval_ms must be positive";

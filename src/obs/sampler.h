@@ -74,9 +74,14 @@ struct TimeseriesSample {
 /// telemetry memory at max_samples * O(live metrics).
 class MetricsSampler {
  public:
+  /// Longest sampling period, one hour (like serve::kMaxRequestDeadline):
+  /// the constructor clamps longer ones, whose nanosecond count would
+  /// overflow the background thread's timed wait.
+  static constexpr int64_t kMaxIntervalMs = 3'600'000;
+
   struct Config {
     /// Sampling period. Sub-millisecond serving ticks still aggregate well
-    /// at 100–1000 ms; the floor is 1 ms.
+    /// at 100–1000 ms; the floor is 1 ms, the ceiling kMaxIntervalMs.
     int64_t interval_ms = 1000;
     /// Ring bound: newest samples kept (must be > 0).
     size_t max_samples = 600;

@@ -177,7 +177,6 @@ std::future<LinkResult> LinkingService::SubmitLink(
         }
         break;
       case OverloadPolicy::kReject: {
-        rejected_.fetch_add(1, std::memory_order_relaxed);
         GetServeMetrics().rejected->Increment();
         state->rejected.fetch_add(1, std::memory_order_relaxed);
         state->m_rejected->Increment();
@@ -209,7 +208,6 @@ std::future<LinkResult> LinkingService::SubmitLink(
         victim.tenant_state->queued--;
         victim.tenant_state->m_queue_depth->Set(
             static_cast<double>(victim.tenant_state->queued));
-        shed_.fetch_add(1, std::memory_order_relaxed);
         GetServeMetrics().shed->Increment();
         victim.tenant_state->shed.fetch_add(1, std::memory_order_relaxed);
         victim.tenant_state->m_shed->Increment();
@@ -227,7 +225,6 @@ std::future<LinkResult> LinkingService::SubmitLink(
   state->queued++;
   state->m_queue_depth->Set(static_cast<double>(state->queued));
   queue_.push_back(std::move(request));
-  admitted_.fetch_add(1, std::memory_order_relaxed);
   GetServeMetrics().admitted->Increment();
   state->admitted.fetch_add(1, std::memory_order_relaxed);
   state->m_admitted->Increment();
@@ -263,7 +260,6 @@ uint64_t LinkingService::ProcessSlice(
         MicrosBetween(requests[i].drained, dispatched);
     metrics.queue_wait_us->RecordMicros(results[i].queue_us);
     if (requests[i].has_deadline && dispatched > requests[i].deadline) {
-      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
       metrics.deadline_exceeded->Increment();
       requests[i].tenant_state->deadline_exceeded.fetch_add(
           1, std::memory_order_relaxed);
@@ -333,7 +329,6 @@ uint64_t LinkingService::ProcessSlice(
       result.candidates = std::move(ranked[r]);
       result.snapshot_version = snapshot->version();
       scored_candidates += result.candidates.size();
-      completed_.fetch_add(1, std::memory_order_relaxed);
       metrics.completed->Increment();
       metrics.service_us->RecordMicros(result.service_us);
       metrics.e2e_us->RecordMicros(result.queue_us + result.service_us);
@@ -499,11 +494,6 @@ std::vector<SlowRequest> LinkingService::slow_requests() const {
 
 ServeStats LinkingService::stats() const {
   ServeStats stats;
-  stats.admitted = admitted_.load(std::memory_order_relaxed);
-  stats.rejected = rejected_.load(std::memory_order_relaxed);
-  stats.shed = shed_.load(std::memory_order_relaxed);
-  stats.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
-  stats.completed = completed_.load(std::memory_order_relaxed);
   stats.batches = batches_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mutex_);
   stats.queue_depth = queue_.size();
@@ -517,6 +507,11 @@ ServeStats LinkingService::stats() const {
         state->deadline_exceeded.load(std::memory_order_relaxed);
     tenant.completed = state->completed.load(std::memory_order_relaxed);
     tenant.queue_depth = state->queued;
+    stats.admitted += tenant.admitted;
+    stats.rejected += tenant.rejected;
+    stats.shed += tenant.shed;
+    stats.deadline_exceeded += tenant.deadline_exceeded;
+    stats.completed += tenant.completed;
     stats.tenants.emplace(name, tenant);
   }
   return stats;

@@ -301,12 +301,8 @@ class LinkingService {
   /// never erased (PendingRequest holds raw pointers into the values).
   std::unordered_map<std::string, std::unique_ptr<TenantState>> tenant_states_;
 
-  /// Per-instance event counts (mutex-free; read by stats()).
-  std::atomic<uint64_t> admitted_{0};
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> deadline_exceeded_{0};
-  std::atomic<uint64_t> completed_{0};
+  /// Scoring passes run (mutex-free; read by stats()). The per-request
+  /// event counts live in tenant_states_; stats() sums them.
   std::atomic<uint64_t> batches_{0};
 
   std::mutex stop_mutex_;  ///< serialises Drain/Shutdown/destructor

@@ -1,15 +1,15 @@
 // RCU-style model snapshots for the serving path.
 //
 // The trainer's contract (see comaid/model.h) is that weight mutation must
-// never overlap a scoring call — NotifyWeightsChanged clears the concept
-// encoding cache, which is not safe against concurrent readers. That
+// never overlap a scoring call — NotifyWeightsChanged empties the concept
+// encoding pool, which is not safe against concurrent readers. That
 // contract is trivial in a train-then-serve batch job but impossible to
 // uphold when the Appendix-A feedback loop retrains *while* a linking
 // service is under traffic. Snapshots restore it:
 //
 //   * A ModelSnapshot is an immutable, versioned scoring unit. Once
-//     published it is never mutated; its model's encoding cache is warmed
-//     (or filled lazily by race-safe Put calls) but never Cleared.
+//     published it is never mutated; its model's encoding pool is warmed
+//     (at construction, or by the first scoring call) but never emptied.
 //   * TenantRegistry holds each ontology's (tenant's) current snapshot as a
 //     shared_ptr under one mutex. Readers pin it with Current(tenant) — a
 //     shared_ptr copy — and score against it for as long as they like;
@@ -18,7 +18,7 @@
 //     its last reference. It is the only source LinkingService reads; a
 //     single-model deployment publishes its model as kDefaultTenant.
 //   * The retrain loop therefore never touches a live model: it trains a
-//     *fresh* ComAidModel (mutation and cache invalidation happen before
+//     *fresh* ComAidModel (mutation and pool invalidation happen before
 //     the model is visible to any scorer) and publishes it atomically.
 //
 // Observability: Publish counts `ncl.serve.snapshot_publishes` and sets the
@@ -91,8 +91,8 @@ class NclSnapshot : public ModelSnapshot {
  public:
   /// \param model must not be mutated after this call (weights frozen).
   /// \param rewriter may be nullptr (rewriting disabled).
-  /// \param warm_cache eagerly precompute every concept encoding before the
-  ///        snapshot becomes visible; off, encodings fill lazily (race-safe).
+  /// \param warm_cache encode every concept at construction, before the
+  ///        snapshot becomes visible; off, the first scoring call does it.
   NclSnapshot(std::shared_ptr<const comaid::ComAidModel> model,
               std::shared_ptr<const linking::CandidateGenerator> candidates,
               std::shared_ptr<const linking::QueryRewriter> rewriter,

@@ -29,10 +29,6 @@ std::string JoinTokens(const std::vector<std::string>& tokens) {
 
 }  // namespace
 
-SlowRequestLog::SlowRequestLog(size_t capacity) : capacity_(capacity) {
-  heap_.reserve(capacity_);
-}
-
 void SlowRequestLog::Offer(uint64_t request_id, double total_us,
                            const RequestTimings& t,
                            const std::vector<std::string>& query) {

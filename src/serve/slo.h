@@ -95,7 +95,9 @@ struct SlowRequest {
 /// \brief Bounded keep-the-slowest log with a lock-free fast reject.
 class SlowRequestLog {
  public:
-  explicit SlowRequestLog(size_t capacity);
+  /// `capacity` bounds the entries kept; none are allocated up front, so a
+  /// capacity far above the request count costs nothing.
+  explicit SlowRequestLog(size_t capacity) : capacity_(capacity) {}
 
   /// Consider one completed request. Cheap when the log is full and
   /// `total_us` does not beat the current floor: one relaxed load + branch.

@@ -1,15 +1,14 @@
 // Tests for the Phase-II scorer one candidate at a time — tape parity across
-// COM-AID variants — and for the concept-encoding cache behind it: lazy fill,
-// eager precompute (bit-identical to lazy fills), invalidation on weight
-// updates (with tape parity after the update), racing fills under
-// concurrent scoring, and the hit/miss counters. Scores go through
-// ScoreLogProbFastBatch, which fills the cache.
+// COM-AID variants — and for the concept-encoding row pool behind it: the
+// warm-up on first use, the explicit warm-up (bit-identical to it),
+// invalidation on weight updates (with tape parity after the update),
+// concurrent first use, and the hit/miss counters. Scores go through
+// ScoreLogProbFastBatch, which warms an empty pool.
 // Run these under -fsanitize=thread (the `tsan` CMake preset) when touching
-// the cache or the scoring hot loop.
+// the pool or the scoring hot loop.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <thread>
@@ -88,39 +87,35 @@ TEST(InferenceTest, FastMatchesTapeAcrossVariants) {
 }
 
 TEST(InferenceTest, CacheFillsLazilyAndPrecomputesEagerly) {
+  // Fills are all or nothing: the first one-lane score encodes every
+  // concept, so an explicit warm-up afterwards has nothing left to do.
   ontology::Ontology onto = MakeOntology();
   ComAidModel model(SmallConfig(), &onto, {});
   EXPECT_EQ(model.num_cached_encodings(), 0u);
 
   Score(model, onto.FindByCode("N18.5"), {});
-  EXPECT_GE(model.num_cached_encodings(), 1u);
-
-  // The lazy fill of N18.5 also cached its ancestor N18: its structural
-  // context rows are copies of N18's cached final state.
-  size_t computed = model.PrecomputeConceptEncodings();
   EXPECT_EQ(model.num_cached_encodings(), onto.num_concepts());
-  EXPECT_EQ(computed + 2, onto.num_concepts());  // N18.5 and N18 were cached
+  EXPECT_EQ(model.PrecomputeConceptEncodings(), 0u);
 
-  // Idempotent: everything already cached.
+  // After an invalidation, an explicit warm-up encodes every concept once.
+  model.InvalidateConceptEncodings();
+  EXPECT_EQ(model.num_cached_encodings(), 0u);
+  EXPECT_EQ(model.PrecomputeConceptEncodings(), onto.num_concepts());
+  EXPECT_EQ(model.num_cached_encodings(), onto.num_concepts());
   EXPECT_EQ(model.PrecomputeConceptEncodings(), 0u);
 }
 
-TEST(InferenceTest, PrecomputeMatchesLazyFillBitExact) {
-  // The warm-up fills a depth level at a time on every core, copying
-  // structural-context rows from ancestors cached by earlier levels; a lazy
-  // fill caches the ancestors it reads on demand. Both must score every
-  // concept identically in all four variants. β = 3 pads every context:
-  // depth 1 with the concept itself, deeper ones with their depth-1
-  // ancestor. Scoring deepest first makes the lazy fills reach ancestors
-  // that are not cached yet.
+TEST(InferenceTest, PrecomputeMatchesFirstUseWarmUpBitExact) {
+  // An explicit warm-up and the warm-up a first scoring call runs must
+  // score every concept identically in all four variants, and within 1e-5
+  // of the tape. β = 3 pads every context: depth 1 with the concept itself,
+  // deeper ones with their depth-1 ancestor.
   ontology::Ontology onto = MakeOntology();
   ASSERT_TRUE(onto.AddConcept("N18.51",
                               {"chronic", "kidney", "disease", "stage", "5",
                                "on", "dialysis"},
                               onto.FindByCode("N18.5"))
                   .ok());
-  std::vector<ontology::ConceptId> ids = onto.AllConcepts();
-  std::reverse(ids.begin(), ids.end());
   for (bool text : {true, false}) {
     for (bool structural : {true, false}) {
       ComAidConfig config = SmallConfig();
@@ -128,14 +123,14 @@ TEST(InferenceTest, PrecomputeMatchesLazyFillBitExact) {
       config.text_attention = text;
       config.structural_attention = structural;
       ComAidModel warmed(config, &onto, {{"ckd"}});
-      ComAidModel lazy(config, &onto, {{"ckd"}});
+      ComAidModel first_use(config, &onto, {{"ckd"}});
       EXPECT_EQ(warmed.PrecomputeConceptEncodings(), onto.num_concepts());
       EXPECT_EQ(warmed.num_cached_encodings(), onto.num_concepts());
-      for (ontology::ConceptId id : ids) {
+      for (ontology::ConceptId id : onto.AllConcepts()) {
         for (const auto& query : TestQueries()) {
           auto target = warmed.MapTokens(query);
           const double eager = Score(warmed, id, target);
-          EXPECT_EQ(eager, Score(lazy, id, target))
+          EXPECT_EQ(eager, Score(first_use, id, target))
               << VariantName(config) << " concept " << onto.Get(id).code;
           EXPECT_NEAR(eager, warmed.ScoreLogProbIds(id, target), 1e-5)
               << VariantName(config) << " concept " << onto.Get(id).code;
@@ -145,24 +140,25 @@ TEST(InferenceTest, PrecomputeMatchesLazyFillBitExact) {
   }
 }
 
-TEST(InferenceTest, PrecomputeRacesLazyFills) {
-  // The cache lets a warm-up run while scorers fill it lazily; whichever
-  // fill installs a slot, every score is unchanged. Scoring deepest first
-  // makes the lazy fills race the warm-up for ancestors too. Run under the
-  // `tsan` preset to check the synchronisation.
+TEST(InferenceTest, PrecomputeRacesFirstUseWarmUps) {
+  // An explicit warm-up may race a scorer's first call; whichever of them
+  // warms the pool, it is warmed once and every score is unchanged. Run
+  // under the `tsan` preset to check the synchronisation.
   ontology::Ontology onto = MakeOntology();
   ComAidModel reference(SmallConfig(), &onto, {{"ckd", "5"}});
   ComAidModel model(SmallConfig(), &onto, {{"ckd", "5"}});
   const auto target = model.MapTokens({"ckd", "5"});
   std::vector<ontology::ConceptId> ids = onto.AllConcepts();
-  std::reverse(ids.begin(), ids.end());
   std::vector<double> scores(ids.size());
+  const auto& metrics = internal::GetConceptCacheMetrics();
+  const uint64_t fills = metrics.fills->value();
   std::thread scorer([&] {
     for (size_t i = 0; i < ids.size(); ++i) scores[i] = Score(model, ids[i], target);
   });
   model.PrecomputeConceptEncodings();
   scorer.join();
   EXPECT_EQ(model.num_cached_encodings(), onto.num_concepts());
+  EXPECT_EQ(metrics.fills->value() - fills, onto.num_concepts());
   for (size_t i = 0; i < ids.size(); ++i) {
     EXPECT_EQ(scores[i], Score(reference, ids[i], target))
         << "concept " << onto.Get(ids[i]).code;
@@ -221,8 +217,8 @@ TEST(InferenceTest, TrainingInvalidatesCacheAndKeepsParity) {
 }
 
 TEST(InferenceTest, ConcurrentScoringMatchesSerial) {
-  // Phase II scores k candidates concurrently on a pool; racing lazy cache
-  // fills and shared encoding reads must produce identical scores. Run
+  // Phase II scores k candidates concurrently on a pool; racing first-use
+  // warm-ups and shared encoding reads must produce identical scores. Run
   // under the `tsan` preset to check the synchronisation.
   ontology::Ontology onto = MakeOntology();
   ComAidModel model(SmallConfig(), &onto, {{"ckd", "5"}});
@@ -238,7 +234,7 @@ TEST(InferenceTest, ConcurrentScoringMatchesSerial) {
     serial[i] = model.ScoreLogProbIds(work[i].first, work[i].second);
   }
 
-  // Fresh cache so the concurrent pass exercises racing fills.
+  // Empty pool so the concurrent pass races the first-use warm-up.
   model.InvalidateConceptEncodings();
   std::vector<double> concurrent(work.size());
   ThreadPool pool(8);
@@ -253,7 +249,7 @@ TEST(InferenceTest, ConcurrentScoringMatchesSerial) {
 }
 
 TEST(InferenceTest, CacheMetricsShowAllHitsOnRepeatQuery) {
-  // The serving win behind the cache: the second identical query touches no
+  // The serving win behind the pool: the second identical query touches no
   // encoder. Assert it through the `ncl.concept_cache.*` counters.
   ontology::Ontology onto = MakeOntology();
   ComAidModel model(SmallConfig(), &onto, {});
@@ -266,23 +262,30 @@ TEST(InferenceTest, CacheMetricsShowAllHitsOnRepeatQuery) {
     lanes.push_back(BatchScoreLane{id, &target, 0.0});
   }
 
+  uint64_t hits_before = metrics.hits->value();
   uint64_t misses_before = metrics.misses->value();
   uint64_t fills_before = metrics.fills->value();
   model.ScoreLogProbFastBatch(lanes.data(), lanes.size());
-  // Cold pass: one miss + fill per concept.
-  EXPECT_EQ(metrics.misses->value() - misses_before, onto.num_concepts());
+  // Cold pass: one miss (the call that found the pool empty and warmed it)
+  // and one fill per concept.
+  EXPECT_EQ(metrics.misses->value() - misses_before, 1u);
+  EXPECT_EQ(metrics.hits->value() - hits_before, 0u);
   EXPECT_EQ(metrics.fills->value() - fills_before, onto.num_concepts());
 
-  uint64_t hits_before = metrics.hits->value();
+  hits_before = metrics.hits->value();
   misses_before = metrics.misses->value();
+  fills_before = metrics.fills->value();
   model.ScoreLogProbFastBatch(lanes.data(), lanes.size());
-  // Warm pass over the identical query: every lookup hits, none miss.
-  EXPECT_EQ(metrics.hits->value() - hits_before, onto.num_concepts());
+  // Warm pass over the identical query: one hit per lane, no miss or fill.
+  EXPECT_EQ(metrics.hits->value() - hits_before, lanes.size());
   EXPECT_EQ(metrics.misses->value() - misses_before, 0u);
+  EXPECT_EQ(metrics.fills->value() - fills_before, 0u);
 
-  uint64_t invalidations_before = metrics.invalidations->value();
+  const uint64_t invalidations_before = metrics.invalidations->value();
+  const uint64_t evictions_before = metrics.evictions->value();
   model.InvalidateConceptEncodings();
-  EXPECT_GT(metrics.invalidations->value(), invalidations_before);
+  EXPECT_EQ(metrics.invalidations->value() - invalidations_before, 1u);
+  EXPECT_EQ(metrics.evictions->value() - evictions_before, onto.num_concepts());
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
 // ncl::obs MetricsSampler: interval deltas and rates, windowed histogram
 // quantiles from bucket deltas, the bounded ring, prefix filtering, the
-// TIMESERIES JSON shape, background sampling, the WriteJson error path, and
-// a concurrent hammer (the TSan job runs this binary) pinning that sampling
-// never races the wait-free metric writers.
+// TIMESERIES JSON shape, background sampling and its one-hour period
+// ceiling, the WriteJson error path, and a concurrent hammer (the TSan job
+// runs this binary) pinning that sampling never races the wait-free metric
+// writers.
 
 #include "obs/sampler.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -195,6 +198,19 @@ TEST(MetricsSamplerTest, BackgroundThreadSamplesOnItsOwn) {
   }
   sampler.Stop();
   EXPECT_GE(sampler.sample_count(), 3u);
+}
+
+TEST(MetricsSamplerTest, HugeIntervalIsClampedNotSpun) {
+  // An INT64_MAX period overflowed the timed wait's nanosecond count: the
+  // background thread sampled continuously instead of never.
+  MetricsRegistry registry;
+  MetricsSampler::Config config;
+  config.interval_ms = std::numeric_limits<int64_t>::max();
+  MetricsSampler sampler(&registry, config);
+  EXPECT_EQ(sampler.config().interval_ms, MetricsSampler::kMaxIntervalMs);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  sampler.Stop();
+  EXPECT_EQ(sampler.sample_count(), 0u);
 }
 
 TEST(MetricsSamplerTest, StopIsIdempotentAndSampleNowStillWorks) {

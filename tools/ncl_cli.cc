@@ -72,7 +72,7 @@
 //                           command and write the windowed TIMESERIES JSON
 //                           (counter rates, windowed histogram p50/p99)
 //   --metrics-interval-ms N sampling period for --timeseries-out
-//                           (default 200)
+//                           (default 200, at most 3600000: one hour)
 // Flags accept both "--name value" and "--name=value".
 //
 // Exit status is non-zero on any error; diagnostics go to stderr.
@@ -146,7 +146,8 @@ int Usage() {
       "  --trace-out <path>        record spans; write Chrome trace JSON\n"
       "  --timeseries-out <path>   sample metrics during the run; write\n"
       "                            windowed TIMESERIES JSON\n"
-      "  --metrics-interval-ms N   sampling period (default 200)\n";
+      "  --metrics-interval-ms N   sampling period (default 200, at most\n"
+      "                            3600000: one hour)\n";
   return 2;
 }
 
@@ -843,6 +844,12 @@ int main(int argc, char** argv) {
       flags.contains("timeseries-out") ? flags.at("timeseries-out") : "";
   auto interval_ms = FlagInt(flags, "metrics-interval-ms", 200);
   if (!interval_ms.ok()) return Fail(interval_ms.status());
+  if (*interval_ms > obs::MetricsSampler::kMaxIntervalMs) {
+    return Fail(Status::InvalidArgument(
+        "--metrics-interval-ms expects at most " +
+        std::to_string(obs::MetricsSampler::kMaxIntervalMs) +
+        " (one hour), got " + std::to_string(*interval_ms)));
+  }
   if (!trace_path.empty()) obs::SetTracingEnabled(true);
   std::unique_ptr<obs::MetricsSampler> sampler;
   if (!timeseries_path.empty()) {
