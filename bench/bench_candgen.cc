@@ -10,7 +10,10 @@
 //   * recall@k: whether the gold concept survives Phase I (the coverage
 //     metric of Fig. 5(a));
 //   * candidate-generation latency (p50/p99 over the query set);
-//   * overlap@k between the two paths' candidate sets.
+//   * overlap@k between the two paths' candidate sets;
+//   * retrieval_hash: FNV-1a 64 over the doc ids and score bits of every
+//     query's index().TopK(query, k), so two builds can be checked for
+//     bit-identical retrieval.
 //
 // Emits BENCH_candgen.json. Acceptance (evaluated at the largest corpus
 // run): the pruned path keeps >= 0.95 of the exhaustive path's recall@k
@@ -23,6 +26,8 @@
 // (early-stop epsilon, percent) — -1 keeps the NgramIndexConfig default.
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <iostream>
 #include <memory>
 #include <set>
@@ -50,6 +55,7 @@ struct CorpusSpec {
 };
 
 struct PathResult {
+  uint64_t retrieval_hash = 0;
   double recall = 0.0;
   double p50_us = 0.0;
   double p99_us = 0.0;
@@ -68,6 +74,35 @@ struct SizeResult {
   double overlap = 0.0;
   double speedup_p50 = 0.0;
 };
+
+/// FNV-1a 64 over the 4-byte doc id and 8-byte score of every result of
+/// every query's index().TopK(query, k), in query order.
+uint64_t RetrievalHash(const linking::CandidateGenerator& generator,
+                       const std::vector<datagen::LabeledQuery>& queries,
+                       size_t k) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  const auto mix = [&hash](const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash ^= bytes[i];
+      hash *= 0x100000001b3ull;
+    }
+  };
+  for (const auto& query : queries) {
+    for (const text::ScoredDoc& doc : generator.index().TopK(query.tokens, k)) {
+      mix(&doc.doc_id, sizeof(doc.doc_id));
+      mix(&doc.score, sizeof(doc.score));
+    }
+  }
+  return hash;
+}
+
+std::string Hex(uint64_t value) {
+  char buffer[17];
+  std::snprintf(buffer, sizeof(buffer), "%016llx",
+                static_cast<unsigned long long>(value));
+  return buffer;
+}
 
 /// Measures one retrieval path over the query set; fills recall/latency and
 /// returns the per-query candidate sets for the overlap computation.
@@ -103,6 +138,7 @@ PathResult MeasurePath(const linking::CandidateGenerator& generator,
   result.p50_us = bench::PercentileSorted(latencies, 0.50);
   result.p99_us = bench::PercentileSorted(latencies, 0.99);
   result.mean_us = total_us / static_cast<double>(queries.size());
+  result.retrieval_hash = RetrievalHash(generator, queries, k);
   return result;
 }
 
@@ -181,13 +217,16 @@ SizeResult RunSize(const CorpusSpec& spec, size_t k, size_t num_queries) {
   std::cout << "[" << spec.name << "] exhaustive: recall@" << k << "="
             << FormatDouble(result.exhaustive.recall, 3)
             << "  p50=" << FormatDouble(result.exhaustive.p50_us, 0) << "us"
-            << "  p99=" << FormatDouble(result.exhaustive.p99_us, 0) << "us\n";
+            << "  p99=" << FormatDouble(result.exhaustive.p99_us, 0) << "us"
+            << "  retrieval_hash=" << Hex(result.exhaustive.retrieval_hash)
+            << "\n";
   std::cout << "[" << spec.name << "] pruned:     recall@" << k << "="
             << FormatDouble(result.pruned.recall, 3)
             << "  p50=" << FormatDouble(result.pruned.p50_us, 0) << "us"
             << "  p99=" << FormatDouble(result.pruned.p99_us, 0) << "us"
             << "  overlap=" << FormatDouble(result.overlap, 3)
-            << "  speedup_p50=" << FormatDouble(result.speedup_p50, 2) << "x\n";
+            << "  speedup_p50=" << FormatDouble(result.speedup_p50, 2) << "x"
+            << "  retrieval_hash=" << Hex(result.pruned.retrieval_hash) << "\n";
   return result;
 }
 
@@ -199,6 +238,7 @@ void EmitPath(JsonWriter& json, const char* key, const PathResult& r, size_t k) 
   json.Key("p99_us").Value(r.p99_us);
   json.Key("mean_us").Value(r.mean_us);
   json.Key("build_s").Value(r.build_s);
+  json.Key("retrieval_hash").Value(Hex(r.retrieval_hash));
   json.EndObject();
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string_view>
 #include <unordered_map>
 
@@ -19,9 +20,7 @@ template <typename Fn>
 void ForEachTerm(const NgramIndexConfig& config, const std::string& token,
                  Fn&& fn) {
   fn(std::string_view(token));
-  for (const auto& gram : CharNgramsPadded(token, config.ngram_size)) {
-    fn(std::string_view(gram));
-  }
+  ForEachCharNgramPadded(token, config.ngram_size, fn);
 }
 
 /// Below this many postings Finalize sorts on the calling thread: starting
@@ -29,16 +28,16 @@ void ForEachTerm(const NgramIndexConfig& config, const std::string& token,
 /// index holds a few thousand postings; the 93k ICD-10 ngram index, 5.2M.
 constexpr size_t kMinPostingsForParallelFinalize = size_t{1} << 15;
 
-/// k-th largest accumulator score (the maxscore threshold theta).
-double KthLargest(const std::unordered_map<int32_t, double>& accums, size_t k,
-                  std::vector<double>* scratch) {
-  scratch->clear();
-  scratch->reserve(accums.size());
-  for (const auto& [doc, score] : accums) scratch->push_back(score);
-  auto kth = scratch->begin() + static_cast<ptrdiff_t>(k - 1);
-  std::nth_element(scratch->begin(), kth, scratch->end(), std::greater<>());
-  return *kth;
-}
+/// Per-thread query scratch. It grows to the largest collection the thread
+/// has queried and is clean between queries: every accumulator -1 (not
+/// admitted; scores are never negative), every query weight 0, both lists
+/// empty.
+struct QueryScratch {
+  std::vector<double> accums;         // by doc id
+  std::vector<int32_t> admitted;      // doc ids with accums >= 0
+  std::vector<double> theta_pool;     // accumulators still in reach of theta
+  std::vector<double> query_weights;  // by term id
+};
 
 }  // namespace
 
@@ -154,20 +153,29 @@ void NgramIndex::Finalize() {
   for (double& norm : doc_norms_) norm = std::sqrt(norm);
 
   // Forward index for exact rescoring (only needed when pruning can
-  // truncate accumulation). Term ids ascend in the outer loop, so each
-  // document's pairs come out sorted by term id for the merge-join.
+  // truncate accumulation), in CSR layout. Term ids ascend in the outer
+  // loop, so each document's entries come out sorted by term id.
   if (config_.max_accumulators > 0 || config_.per_term_posting_budget > 0 ||
       config_.early_stop_epsilon > 0.0) {
-    std::vector<size_t> counts(doc_norms_.size(), 0);
+    NCL_CHECK(num_postings_ <= std::numeric_limits<uint32_t>::max())
+        << num_postings_ << " postings overflow the forward index offsets";
+    doc_offsets_.assign(doc_norms_.size() + 1, 0);
     for (const auto& plist : postings_) {
-      for (const Posting& p : plist) ++counts[static_cast<size_t>(p.doc_id)];
+      for (const Posting& p : plist) {
+        ++doc_offsets_[static_cast<size_t>(p.doc_id) + 1];
+      }
     }
-    doc_terms_.resize(doc_norms_.size());
-    for (size_t d = 0; d < counts.size(); ++d) doc_terms_[d].reserve(counts[d]);
+    for (size_t d = 1; d < doc_offsets_.size(); ++d) {
+      doc_offsets_[d] += doc_offsets_[d - 1];
+    }
+    fwd_terms_.resize(num_postings_);
+    fwd_impacts_.resize(num_postings_);
+    std::vector<uint32_t> cursor(doc_offsets_.begin(), doc_offsets_.end() - 1);
     for (size_t t = 0; t < postings_.size(); ++t) {
       for (const Posting& p : postings_[t]) {
-        doc_terms_[static_cast<size_t>(p.doc_id)].emplace_back(
-            static_cast<int32_t>(t), p.impact);
+        const uint32_t at = cursor[static_cast<size_t>(p.doc_id)]++;
+        fwd_terms_[at] = static_cast<int32_t>(t);
+        fwd_impacts_[at] = p.impact;
       }
     }
   }
@@ -219,6 +227,36 @@ std::vector<ScoredDoc> NgramIndex::RunTopK(const std::vector<std::string>& query
   const size_t max_accums = pruned ? config_.max_accumulators : 0;
   const size_t budget = pruned ? config_.per_term_posting_budget : 0;
   const double epsilon = pruned ? config_.early_stop_epsilon : 0.0;
+  // Stage two (below) runs whenever a knob can truncate accumulation; the
+  // zero-knob configuration has no forward index and needs none.
+  const bool rescore =
+      pruned && !doc_offsets_.empty() &&
+      (max_accums > 0 || budget > 0 || epsilon > 0.0);
+
+  thread_local QueryScratch scratch;
+  if (scratch.accums.size() < doc_norms_.size()) {
+    scratch.accums.resize(doc_norms_.size(), -1.0);
+  }
+  if (rescore && scratch.query_weights.size() < postings_.size()) {
+    scratch.query_weights.resize(postings_.size(), 0.0);
+  }
+  // Leaves the scratch clean however this call exits.
+  struct ScratchReset {
+    QueryScratch& scratch;
+    const std::vector<QueryTerm>* weighted = nullptr;
+    ~ScratchReset() {
+      for (int32_t doc : scratch.admitted) {
+        scratch.accums[static_cast<size_t>(doc)] = -1.0;
+      }
+      scratch.admitted.clear();
+      if (weighted == nullptr) return;
+      for (const QueryTerm& qt : *weighted) {
+        scratch.query_weights[static_cast<size_t>(qt.term_id)] = 0.0;
+      }
+    }
+  } reset{scratch};
+  std::vector<double>& accums = scratch.accums;
+  std::vector<int32_t>& admitted = scratch.admitted;
 
   // suffix_ub[i]: the most any document could still gain from terms i..end.
   std::vector<double> suffix_ub(terms.size() + 1, 0.0);
@@ -226,9 +264,6 @@ std::vector<ScoredDoc> NgramIndex::RunTopK(const std::vector<std::string>& query
     suffix_ub[i] = suffix_ub[i + 1] + terms[i].salience;
   }
 
-  std::unordered_map<int32_t, double> accums;
-  accums.reserve(max_accums > 0 ? max_accums : 1024);
-  std::vector<double> theta_scratch;
   double theta = 0.0;
   bool have_theta = false;
 
@@ -244,10 +279,10 @@ std::vector<ScoredDoc> NgramIndex::RunTopK(const std::vector<std::string>& query
     for (size_t p = 0; p < limit; ++p) {
       const Posting& post = plist[p];
       const double delta = qt.weight * static_cast<double>(post.impact);
-      auto it = accums.find(post.doc_id);
-      if (it != accums.end()) {
-        it->second += delta;
-      } else if (max_accums == 0 || accums.size() < max_accums) {
+      double& accum = accums[static_cast<size_t>(post.doc_id)];
+      if (accum >= 0.0) {
+        accum += delta;
+      } else if (max_accums == 0 || admitted.size() < max_accums) {
         // Maxscore admission: a document first seen at term i can
         // *accumulate* at most delta + suffix_ub[i+1] more. Once a
         // threshold is known, documents that cannot reach it are not
@@ -255,60 +290,68 @@ std::vector<ScoredDoc> NgramIndex::RunTopK(const std::vector<std::string>& query
         // accumulation, and >= keeps potential exact ties), reserving the
         // accumulator table for documents that can still make the top-k.
         if (!have_theta || delta + suffix_ub[i + 1] >= theta) {
-          accums.emplace(post.doc_id, delta);
+          accum = delta;
+          admitted.push_back(post.doc_id);
         }
       }
     }
-    if (epsilon > 0.0 && accums.size() >= k) {
-      theta = KthLargest(accums, k, &theta_scratch);
+    if (epsilon > 0.0 && admitted.size() >= k) {
+      // theta = the k-th largest accumulator. Accumulators only grow and
+      // admitted documents stay, so the k that reached the previous theta
+      // still do, and the new k-th largest is among the documents at or
+      // above it.
+      std::vector<double>& pool = scratch.theta_pool;
+      pool.clear();
+      for (int32_t doc : admitted) {
+        const double score = accums[static_cast<size_t>(doc)];
+        if (!have_theta || score >= theta) pool.push_back(score);
+      }
+      auto kth = pool.begin() + static_cast<ptrdiff_t>(k - 1);
+      std::nth_element(pool.begin(), kth, pool.end(), std::greater<>());
+      theta = *kth;
       have_theta = true;
     }
   }
 
   // Stage two: exact rescoring of the admitted set. Budget-truncated and
-  // epsilon-abandoned lists leave accumulated scores short; a merge-join of
-  // each admitted document's forward-index terms against the query restores
-  // the full cosine, so admission knobs never mis-rank a kept candidate.
-  // The zero-knob configuration accumulates completely and skips this (it
-  // also has no forward index), keeping it bit-identical to the exhaustive
-  // reference.
-  const bool rescore =
-      pruned && !doc_terms_.empty() &&
-      (max_accums > 0 || budget > 0 || epsilon > 0.0);
+  // epsilon-abandoned lists leave accumulated scores short; walking each
+  // admitted document's forward entries against a term -> query-weight
+  // table restores the full cosine, so admission knobs never mis-rank a
+  // kept candidate. Terms outside the query weigh 0 and add +0.0 to a
+  // non-negative sum, so each score has the bits of a merge-join over the
+  // shared terms in ascending term id.
   if (rescore) {
-    std::vector<std::pair<int32_t, double>> query_weights;
-    query_weights.reserve(terms.size());
+    std::vector<double>& weights = scratch.query_weights;
+    reset.weighted = &terms;
+    int32_t last_term = 0;
     for (const QueryTerm& qt : terms) {
-      query_weights.emplace_back(qt.term_id, qt.weight);
+      weights[static_cast<size_t>(qt.term_id)] = qt.weight;
+      last_term = std::max(last_term, qt.term_id);
     }
-    std::sort(query_weights.begin(), query_weights.end());
-    for (auto& [doc_id, score] : accums) {
-      const auto& doc = doc_terms_[static_cast<size_t>(doc_id)];
+    for (int32_t doc : admitted) {
+      const auto d = static_cast<size_t>(doc);
       double exact = 0.0;
-      size_t qi = 0;
-      for (const auto& [term_id, impact] : doc) {
-        while (qi < query_weights.size() && query_weights[qi].first < term_id) {
-          ++qi;
-        }
-        if (qi == query_weights.size()) break;
-        if (query_weights[qi].first == term_id) {
-          exact += query_weights[qi].second * static_cast<double>(impact);
-        }
+      for (uint32_t e = doc_offsets_[d]; e < doc_offsets_[d + 1]; ++e) {
+        const int32_t term_id = fwd_terms_[e];
+        if (term_id > last_term) break;
+        exact += weights[static_cast<size_t>(term_id)] *
+                 static_cast<double>(fwd_impacts_[e]);
       }
-      score = exact;
+      accums[d] = exact;
     }
   }
 
-  // Bounded min-heap selection under (score desc, doc_id asc) —
-  // deterministic regardless of the accumulator map's iteration order. The
-  // heap never outgrows the scored documents, however large k is.
+  // Bounded min-heap selection under (score desc, doc_id asc) — a total
+  // order, so the admission order does not matter. The heap never outgrows
+  // the scored documents, however large k is.
   const auto better = [](const ScoredDoc& a, const ScoredDoc& b) {
     if (a.score != b.score) return a.score > b.score;
     return a.doc_id < b.doc_id;
   };
   std::vector<ScoredDoc> heap;
-  heap.reserve(std::min(k, accums.size()));
-  for (const auto& [doc_id, score] : accums) {
+  heap.reserve(std::min(k, admitted.size()));
+  for (int32_t doc_id : admitted) {
+    const double score = accums[static_cast<size_t>(doc_id)];
     if (score <= 0.0) continue;
     ScoredDoc scored{doc_id, score / doc_norms_[static_cast<size_t>(doc_id)]};
     if (heap.size() < k) {

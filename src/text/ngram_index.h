@@ -37,6 +37,12 @@
 // to admit the right document, not by mis-ranking an admitted one. This is
 // what lets the admission knobs stay aggressive at paper scale.
 //
+// Each thread queries through its own dense scratch — an accumulator per
+// document (-1 = not admitted), the admitted list that resets it, and a
+// query weight per term (0 outside the query) for the rescore — which it
+// leaves clean when the query returns. Once that scratch has grown to the
+// collection, a query allocates nothing sized by the collection.
+//
 // With all three knobs zeroed retrieval is exhaustive over the same
 // analyzer — stage one admits every matching document with its full
 // accumulated score and stage two is skipped, making TopK bit-identical to
@@ -48,7 +54,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "text/vocabulary.h"
@@ -164,11 +169,14 @@ class NgramIndex {
   /// By doc id: the tf-idf weight norm while Finalize normalises, then the
   /// norm of the stored float impacts, which final scores are divided by.
   std::vector<double> doc_norms_;
-  /// Forward index for exact rescoring: per document, its (term id, impact)
-  /// pairs in ascending term id (merge-joined against the sorted query).
-  /// Only built when a pruning knob is active — the zero-knob configuration
-  /// never truncates accumulation and needs no second pass.
-  std::vector<std::vector<std::pair<int32_t, float>>> doc_terms_;
+  /// Forward index for exact rescoring, in CSR layout: document d's terms
+  /// are entries [doc_offsets_[d], doc_offsets_[d + 1]) of fwd_terms_ and
+  /// fwd_impacts_, in ascending term id. Only built when a pruning knob is
+  /// active — the zero-knob configuration never truncates accumulation and
+  /// needs no second pass.
+  std::vector<uint32_t> doc_offsets_;
+  std::vector<int32_t> fwd_terms_;
+  std::vector<float> fwd_impacts_;
   /// Build-time memo (freed by Finalize): by token id, the token's term ids
   /// in analyzer order.
   std::vector<std::vector<int32_t>> token_terms_;

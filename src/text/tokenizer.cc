@@ -66,20 +66,8 @@ std::vector<std::string> CharNgrams(std::string_view token, size_t n) {
 
 std::vector<std::string> CharNgramsPadded(std::string_view token, size_t n) {
   std::vector<std::string> grams;
-  if (token.empty() || n == 0) return grams;
-  std::string padded;
-  padded.reserve(token.size() + 2);
-  padded += kBoundaryChar;
-  padded += token;
-  padded += kBoundaryChar;
-  if (padded.size() <= n) {
-    grams.push_back(std::move(padded));
-    return grams;
-  }
-  grams.reserve(padded.size() - n + 1);
-  for (size_t i = 0; i + n <= padded.size(); ++i) {
-    grams.emplace_back(padded.substr(i, n));
-  }
+  ForEachCharNgramPadded(token, n,
+                         [&](std::string_view gram) { grams.emplace_back(gram); });
   return grams;
 }
 

@@ -44,4 +44,23 @@ std::vector<std::string> CharNgramsPadded(std::string_view token, size_t n);
 /// Boundary marker used by CharNgramsPadded.
 inline constexpr char kBoundaryChar = '#';
 
+/// \brief Calls `fn(std::string_view gram)` for each gram CharNgramsPadded
+/// returns, in the same order, as slices of one padded copy of the token:
+/// a token of L bytes costs one (L + 2)-byte buffer, not a string per gram.
+template <typename Fn>
+void ForEachCharNgramPadded(std::string_view token, size_t n, Fn&& fn) {
+  if (token.empty() || n == 0) return;
+  std::string padded;
+  padded.reserve(token.size() + 2);
+  padded += kBoundaryChar;
+  padded += token;
+  padded += kBoundaryChar;
+  const std::string_view view(padded);
+  if (view.size() <= n) {
+    fn(view);
+    return;
+  }
+  for (size_t i = 0; i + n <= view.size(); ++i) fn(view.substr(i, n));
+}
+
 }  // namespace ncl::text

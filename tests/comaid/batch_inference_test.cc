@@ -68,7 +68,8 @@ LaneSet MakeLanes(const ComAidModel& model, const ontology::Ontology& onto,
                   const std::vector<std::vector<std::string>>& queries =
                       TestQueries()) {
   LaneSet set;
-  for (ontology::ConceptId id : onto.AllConcepts()) {
+  const size_t num_concepts = onto.AllConcepts().size();
+  for (size_t c = 0; c < num_concepts; ++c) {
     for (const auto& query : queries) {
       set.targets.push_back(model.MapTokens(query));
     }

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/random.h"
@@ -25,11 +28,16 @@ std::vector<std::vector<std::string>> SmallCorpus() {
   };
 }
 
-NgramIndex MakeIndex(NgramIndexConfig config = {}) {
+NgramIndex BuildIndex(const std::vector<std::vector<std::string>>& corpus,
+                      const NgramIndexConfig& config) {
   NgramIndex index(config);
-  for (const auto& doc : SmallCorpus()) index.AddDocument(doc);
+  for (const auto& doc : corpus) index.AddDocument(doc);
   index.Finalize();
   return index;
+}
+
+NgramIndex MakeIndex(NgramIndexConfig config = {}) {
+  return BuildIndex(SmallCorpus(), config);
 }
 
 NgramIndexConfig ExactConfig() {
@@ -375,6 +383,160 @@ TEST(NgramIndexTest, TokensHoldIndexedWords) {
     EXPECT_FALSE(index.tokens().Contains("ckd"));
     EXPECT_FALSE(index.tokens().Contains("#an"));
     EXPECT_FALSE(index.tokens().Contains("ane"));
+  }
+}
+
+/// A few hundred documents over one shared vocabulary — SmallCorpus's words
+/// plus generated ones — so a query matches many documents and a small k
+/// sets the maxscore threshold.
+std::vector<std::vector<std::string>> SharedVocabularyCorpus(size_t num_docs) {
+  std::vector<std::string> words;
+  for (const auto& doc : SmallCorpus()) words.insert(words.end(), doc.begin(), doc.end());
+  for (int i = 0; i < 60; ++i) words.push_back("term" + std::to_string(i));
+  Rng rng(23);
+  std::vector<std::vector<std::string>> corpus(num_docs);
+  for (auto& doc : corpus) {
+    const size_t length = 3 + rng.Index(5);
+    for (size_t i = 0; i < length; ++i) doc.push_back(words[rng.Index(words.size())]);
+  }
+  return corpus;
+}
+
+/// Queries over SharedVocabularyCorpus's words, with a typo and a word
+/// neither corpus holds mixed in.
+std::vector<std::vector<std::string>> SharedVocabularyQueries() {
+  std::vector<std::vector<std::string>> queries = SmallCorpus();
+  Rng rng(29);
+  for (int q = 0; q < 30; ++q) {
+    std::vector<std::string> query;
+    for (size_t i = 0, n = 1 + rng.Index(4); i < n; ++i) {
+      query.push_back("term" + std::to_string(rng.Index(60)));
+    }
+    queries.push_back(std::move(query));
+  }
+  queries.push_back({"anemai", "term7", "deficiency"});
+  queries.push_back({"xylophone", "kidney", "term12"});
+  return queries;
+}
+
+/// Every configuration the query walk serves: both analyzers, each with the
+/// default pruning knobs and with all of them zeroed.
+std::vector<NgramIndexConfig> AllConfigs() {
+  std::vector<NgramIndexConfig> configs;
+  for (size_t n : kNgramSizes) {
+    configs.push_back(Analyzer(n));
+    configs.push_back(Analyzer(n, ExactConfig()));
+  }
+  return configs;
+}
+
+std::string ConfigName(const NgramIndexConfig& config) {
+  return AnalyzerName(config.ngram_size) +
+         (config.max_accumulators > 0 ? " default knobs" : " zeroed knobs");
+}
+
+/// The pruned and the exhaustive result of each query, in query order.
+std::vector<std::vector<ScoredDoc>> RunQueries(
+    const NgramIndex& index, const std::vector<std::vector<std::string>>& queries,
+    size_t k) {
+  std::vector<std::vector<ScoredDoc>> results;
+  for (const auto& query : queries) {
+    results.push_back(index.TopK(query, k));
+    results.push_back(index.TopKExhaustive(query, k));
+  }
+  return results;
+}
+
+/// RunQueries on a thread that has run no query before.
+std::vector<std::vector<ScoredDoc>> RunQueriesOnFreshThread(
+    const NgramIndex& index, const std::vector<std::vector<std::string>>& queries,
+    size_t k) {
+  std::vector<std::vector<ScoredDoc>> results;
+  std::thread([&] { results = RunQueries(index, queries, k); }).join();
+  return results;
+}
+
+/// Same doc ids and the same score bits, rank by rank.
+void ExpectSameResults(const std::vector<ScoredDoc>& actual,
+                       const std::vector<ScoredDoc>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].doc_id, expected[i].doc_id) << "rank " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(actual[i].score),
+              std::bit_cast<uint64_t>(expected[i].score))
+        << "rank " << i;
+  }
+}
+
+TEST(NgramIndexTest, ConcurrentQueriesMatchSerial) {
+  // Each thread queries through its own scratch; threads sharing one index
+  // must each get the single-thread result, bit for bit.
+  const auto corpus = SharedVocabularyCorpus(400);
+  const auto queries = SharedVocabularyQueries();
+  constexpr size_t kK = 5;
+  constexpr size_t kThreads = 4;
+  constexpr size_t kRounds = 3;
+  for (const NgramIndexConfig& config : AllConfigs()) {
+    SCOPED_TRACE(ConfigName(config));
+    const NgramIndex index = BuildIndex(corpus, config);
+    const auto serial = RunQueries(index, queries, kK);
+    std::vector<std::vector<std::vector<ScoredDoc>>> per_thread(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (size_t round = 0; round < kRounds; ++round) {
+          auto results = RunQueries(index, queries, kK);
+          per_thread[t].insert(per_thread[t].end(), results.begin(), results.end());
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (size_t t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(per_thread[t].size(), kRounds * serial.size());
+      for (size_t i = 0; i < per_thread[t].size(); ++i) {
+        SCOPED_TRACE("thread " + std::to_string(t) + " result " + std::to_string(i));
+        ExpectSameResults(per_thread[t][i], serial[i % serial.size()]);
+      }
+    }
+  }
+}
+
+TEST(NgramIndexTest, ScratchIsCleanAcrossIndexes) {
+  // One thread's scratch serves every index it queries: a large index's
+  // query must leave nothing behind for a small one's, and neither may an
+  // empty query, a query that matches nothing, or k = 0.
+  const auto queries = SharedVocabularyQueries();
+  constexpr size_t kK = 5;
+  for (const NgramIndexConfig& config : AllConfigs()) {
+    SCOPED_TRACE(ConfigName(config));
+    const NgramIndex large = BuildIndex(SharedVocabularyCorpus(400), config);
+    const NgramIndex small = BuildIndex(SmallCorpus(), config);
+    const auto large_expected = RunQueriesOnFreshThread(large, queries, kK);
+    const auto small_expected = RunQueriesOnFreshThread(small, queries, kK);
+    std::thread([&] {
+      // The queries that return early or find nothing, run between the
+      // large and the small index's turns.
+      const auto degenerate = [&](const NgramIndex& index,
+                                  const std::vector<std::string>& query) {
+        EXPECT_TRUE(index.TopK({}, kK).empty());
+        EXPECT_TRUE(index.TopK({"zzz", "qqq"}, kK).empty());
+        EXPECT_TRUE(index.TopK(query, 0).empty());
+        EXPECT_TRUE(index.TopKExhaustive(query, 0).empty());
+      };
+      for (size_t q = 0; q < queries.size(); ++q) {
+        SCOPED_TRACE("query " + std::to_string(q));
+        ExpectSameResults(large.TopK(queries[q], kK), large_expected[2 * q]);
+        degenerate(small, queries[q]);
+        ExpectSameResults(small.TopK(queries[q], kK), small_expected[2 * q]);
+        degenerate(large, queries[q]);
+        ExpectSameResults(large.TopKExhaustive(queries[q], kK),
+                          large_expected[2 * q + 1]);
+        degenerate(small, queries[q]);
+        ExpectSameResults(small.TopKExhaustive(queries[q], kK),
+                          small_expected[2 * q + 1]);
+        degenerate(large, queries[q]);
+      }
+    }).join();
   }
 }
 
