@@ -169,7 +169,9 @@ void BM_TfIdfTopK(benchmark::State& state) {
   // CandidateGenerator's exhaustive Phase I: the token analyzer, unpruned.
   text::NgramIndex index(text::ExhaustiveTokenConfig());
   std::vector<std::string> words;
-  for (int i = 0; i < 500; ++i) words.push_back("w" + std::to_string(i));
+  for (int i = 0; i < 500; ++i) {
+    words.push_back(std::string("w").append(std::to_string(i)));
+  }
   for (size_t d = 0; d < docs; ++d) {
     std::vector<std::string> doc;
     for (int i = 0; i < 6; ++i) doc.push_back(rng.Choice(words));
@@ -218,7 +220,9 @@ void BM_CbowEpoch(benchmark::State& state) {
   std::vector<std::vector<std::string>> corpus;
   Rng rng(7);
   std::vector<std::string> words;
-  for (int i = 0; i < 300; ++i) words.push_back("w" + std::to_string(i));
+  for (int i = 0; i < 300; ++i) {
+    words.push_back(std::string("w").append(std::to_string(i)));
+  }
   for (int s = 0; s < 200; ++s) {
     std::vector<std::string> sentence;
     for (int i = 0; i < 8; ++i) sentence.push_back(rng.Choice(words));

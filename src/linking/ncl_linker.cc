@@ -86,14 +86,10 @@ void ScoreLanes(const comaid::ComAidModel& model, ThreadPool* pool,
   }
 }
 
-/// Post-scoring per-candidate pass: length normalisation and the optional
-/// MAP concept prior (Eq. 11).
+/// Post-scoring per-candidate pass: the optional MAP concept prior (Eq. 11).
 ScoredCandidate Finalize(const NclConfig& config,
                          const comaid::BatchScoreLane& lane) {
   double log_prob = lane.log_prob;
-  if (config.length_normalize) {
-    log_prob /= static_cast<double>(lane.target->size() + 1);  // words + <eos>
-  }
   if (!config.concept_prior.empty()) {
     // MAP estimation (Eq. 11): p(c|q) ∝ p(q|c) p(c).
     auto it = config.concept_prior.find(lane.concept_id);

@@ -43,11 +43,6 @@ struct NclConfig {
   /// §5 Phase II: drop words shared with the candidate's canonical
   /// description before scoring.
   bool remove_shared_words = true;
-  /// Length-normalise Phase-II scores: rank by mean log-probability per
-  /// decoded factor (|target| words + <eos>) instead of the raw sum. Off by
-  /// default: with shared-word removal the raw sum deliberately rewards
-  /// candidates that explain more of the query lexically (Eq. 3 semantics).
-  bool length_normalize = false;
   /// Threads for parallel encode-decode scoring (paper uses ten). Lanes
   /// split across threads in ComAidModel::kDefaultScoreLanes-wide tiles.
   size_t scoring_threads = 10;

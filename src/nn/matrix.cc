@@ -108,7 +108,11 @@ double Matrix::Dot(const Matrix& other) const {
 }
 
 std::string Matrix::ShapeString() const {
-  return "(" + std::to_string(rows_) + " x " + std::to_string(cols_) + ")";
+  return std::string("(")
+      .append(std::to_string(rows_))
+      .append(" x ")
+      .append(std::to_string(cols_))
+      .append(")");
 }
 
 }  // namespace ncl::nn

@@ -32,8 +32,12 @@ MetricsSampler::Config WithBoundedInterval(MetricsSampler::Config config) {
 MetricsSampler::MetricsSampler(MetricsRegistry* registry)
     : MetricsSampler(registry, Config()) {}
 
-MetricsSampler::MetricsSampler(MetricsRegistry* registry, Config config)
-    : registry_(registry), config_(WithBoundedInterval(std::move(config))) {
+MetricsSampler::MetricsSampler(
+    MetricsRegistry* registry, Config config,
+    std::function<void(const TimeseriesSample&)> step)
+    : registry_(registry),
+      config_(WithBoundedInterval(std::move(config))),
+      step_(std::move(step)) {
   NCL_CHECK(registry_ != nullptr);
   NCL_CHECK(config_.max_samples > 0) << "max_samples must be positive";
   NCL_CHECK(config_.interval_ms > 0) << "interval_ms must be positive";
@@ -56,35 +60,27 @@ void MetricsSampler::Stop() {
 }
 
 void MetricsSampler::Loop() {
+  const auto interval = std::chrono::milliseconds(config_.interval_ms);
   std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    const bool stop = cv_stop_.wait_for(
-        lock, std::chrono::milliseconds(config_.interval_ms),
-        [this] { return stopping_; });
-    if (stop) return;
-    // Snapshot outside the sampler mutex would be nicer, but the registry
-    // read is lock-free against writers and short against exporters; the
-    // simplicity of one lock wins here (the hot path is never this thread).
-    const MetricsSnapshot current = registry_->Snapshot();
-    const double now_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start_)
-            .count();
-    RecordSampleLocked(current, now_ms);
+  while (!cv_stop_.wait_for(lock, interval, [this] { return stopping_; })) {
+    SampleLocked();
   }
 }
 
 void MetricsSampler::SampleNow() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  SampleLocked();
+}
+
+void MetricsSampler::SampleLocked() {
+  // Read under the lock: a snapshot read before it could be recorded after
+  // a newer one, and DeltaOf would then count a whole cumulative value as
+  // one interval. The registry read is lock-free against writers, so only
+  // exporters ever wait on it.
   const MetricsSnapshot current = registry_->Snapshot();
   const double now_ms = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - start_)
                             .count();
-  std::lock_guard<std::mutex> lock(mutex_);
-  RecordSampleLocked(current, now_ms);
-}
-
-void MetricsSampler::RecordSampleLocked(const MetricsSnapshot& current,
-                                        double now_ms) {
   TimeseriesSample sample;
   sample.t_ms = now_ms;
   sample.dt_ms = now_ms - prev_ms_;
@@ -147,6 +143,7 @@ void MetricsSampler::RecordSampleLocked(const MetricsSnapshot& current,
   }
   prev_ = current;
   prev_ms_ = now_ms;
+  if (step_) step_(samples_.back());
 }
 
 size_t MetricsSampler::sample_count() const {

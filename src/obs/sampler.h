@@ -7,9 +7,11 @@
 // Cumulative snapshots answer "what happened since the process started";
 // the sampler answers "what is happening *now*": a latency regression or a
 // queue building up shows in the windowed p99 / rate series immediately,
-// while the cumulative histogram dilutes it against hours of history. The
-// serving-side SLO watchdog (src/serve/slo.h) applies the same
-// bucket-delta technique to its own rolling window.
+// while the cumulative histogram dilutes it against hours of history. Each
+// sample reads the registry under the sampler's lock, so samples land in
+// the order they were read. An optional per-sample step sees each new
+// sample on the same thread and lock; the serving-side SLO watchdog
+// (src/serve/slo.h) evaluates its rolling windows that way.
 //
 // The sampler never blocks metric writers: MetricsRegistry::Snapshot reads
 // the same relaxed atomics the writers update, so hot paths keep their
@@ -31,6 +33,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -91,10 +94,13 @@ class MetricsSampler {
   };
 
   /// Starts sampling `registry` (must outlive the sampler) immediately.
+  /// `step`, when set, runs on each new sample on the thread that took it,
+  /// with the sampler's lock held, so it must not call back into the sampler.
   /// The single-argument form uses a default Config (defined out of line:
   /// a `Config()` default argument would need the nested class complete).
   explicit MetricsSampler(MetricsRegistry* registry = &MetricsRegistry::Global());
-  MetricsSampler(MetricsRegistry* registry, Config config);
+  MetricsSampler(MetricsRegistry* registry, Config config,
+                 std::function<void(const TimeseriesSample&)> step = {});
   ~MetricsSampler();
 
   MetricsSampler(const MetricsSampler&) = delete;
@@ -123,12 +129,14 @@ class MetricsSampler {
 
  private:
   void Loop();
-  /// Diff `current` against prev_ into a sample; requires mutex_ held.
-  void RecordSampleLocked(const MetricsSnapshot& current, double now_ms);
+  /// Read the registry, diff it against prev_ into a sample, and run the
+  /// step on it; requires mutex_ held.
+  void SampleLocked();
   void AppendJsonLocked(JsonWriter* json) const;
 
   MetricsRegistry* const registry_;
   const Config config_;
+  const std::function<void(const TimeseriesSample&)> step_;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_stop_;

@@ -70,6 +70,8 @@
 // SloWatchdog fed every completed request (rolling-window p50/p99, error
 // budget, stall detection over the shard-pass probe — see serve/slo.h) and a
 // SlowRequestLog keeping the N slowest requests with full stage breakdowns.
+// The watchdog evaluates on its obs::MetricsSampler's thread and its probe
+// takes mutex_, so StopInternal calls EvaluateNow and Stop with it released.
 
 #pragma once
 
@@ -309,8 +311,8 @@ class LinkingService {
   bool stopped_ = false;   ///< guarded by stop_mutex_
 
   /// SLO machinery (null when config_.slo.enabled is off). The watchdog's
-  /// probe reads this service, so both stop before the service's state is
-  /// torn down.
+  /// probe reads this service from the watchdog's sampler thread, so both
+  /// stop before the service's state is torn down.
   std::unique_ptr<SlowRequestLog> slow_log_;
   std::unique_ptr<SloWatchdog> slo_;
 

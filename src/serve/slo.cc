@@ -1,7 +1,6 @@
 #include "serve/slo.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "util/json_writer.h"
@@ -72,74 +71,84 @@ std::vector<SlowRequest> SlowRequestLog::Snapshot() const {
 // ---------------------------------------------------------------------------
 // SloWatchdog
 
-SloWatchdog::SloWatchdog(SloConfig config, std::function<Probe()> probe)
-    : config_(std::move(config)), probe_(std::move(probe)) {
-  NCL_CHECK(config_.check_interval_ms > 0) << "check_interval_ms must be > 0";
-  NCL_CHECK(config_.stall_deadline_multiple > 0)
+namespace {
+
+SloConfig Validated(SloConfig config) {
+  NCL_CHECK(config.check_interval_ms > 0) << "check_interval_ms must be > 0";
+  NCL_CHECK(config.stall_deadline_multiple > 0)
       << "stall_deadline_multiple must be > 0";
-  thread_ = std::thread([this] { Loop(); });
+  config.check_interval_ms = std::min(config.check_interval_ms,
+                                      obs::MetricsSampler::kMaxIntervalMs);
+  return config;
 }
 
-SloWatchdog::~SloWatchdog() { Stop(); }
+obs::MetricsSampler::Config SamplerConfig(const SloConfig& config) {
+  obs::MetricsSampler::Config sampler;
+  sampler.interval_ms = config.check_interval_ms;
+  sampler.max_samples = 1;  // Evaluate consumes each sample as it lands
+  return sampler;
+}
 
-void SloWatchdog::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) return;
-    stopping_ = true;
+/// The sample's value for `name`, or a default (a quiet histogram is
+/// absent from the sample).
+template <typename T>
+T ValueOf(const std::vector<std::pair<std::string, T>>& entries,
+          const std::string& name) {
+  for (const auto& [key, value] : entries) {
+    if (key == name) return value;
   }
-  cv_stop_.notify_all();
-  if (thread_.joinable()) thread_.join();
+  return T{};
 }
+
+}  // namespace
+
+SloWatchdog::SloWatchdog(SloConfig config, std::function<Probe()> probe)
+    : config_(Validated(std::move(config))),
+      probe_(std::move(probe)),
+      latency_(registry_.GetHistogram("e2e_us")),
+      ok_(registry_.GetCounter("ok")),
+      errors_(registry_.GetCounter("errors")),
+      sampler_(&registry_, SamplerConfig(config_),
+               [this](const obs::TimeseriesSample& sample) {
+                 Evaluate(sample);
+               }) {}
 
 void SloWatchdog::RecordRequest(double e2e_us, bool ok) {
-  latency_.RecordMicros(e2e_us);
-  (ok ? ok_ : errors_).fetch_add(1, std::memory_order_relaxed);
+  latency_->RecordMicros(e2e_us);
+  (ok ? ok_ : errors_)->Increment();
 }
 
-void SloWatchdog::Loop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    const bool stop = cv_stop_.wait_for(
-        lock, std::chrono::milliseconds(config_.check_interval_ms),
-        [this] { return stopping_; });
-    if (stop) return;
-    Evaluate();
-  }
-}
+void SloWatchdog::Evaluate(const obs::TimeseriesSample& sample) {
+  auto& registry = obs::MetricsRegistry::Global();
+  static obs::Gauge* const g_p50 =
+      registry.GetGauge("ncl.serve.slo.window_p50_us");
+  static obs::Gauge* const g_p99 =
+      registry.GetGauge("ncl.serve.slo.window_p99_us");
+  static obs::Gauge* const g_requests =
+      registry.GetGauge("ncl.serve.slo.window_requests");
+  static obs::Gauge* const g_error_rate =
+      registry.GetGauge("ncl.serve.slo.error_rate_pct");
+  static obs::Gauge* const g_budget =
+      registry.GetGauge("ncl.serve.slo.budget_remaining_pct");
+  static obs::Counter* const c_latency =
+      registry.GetCounter("ncl.serve.slo.latency_violations");
+  static obs::Counter* const c_budget =
+      registry.GetCounter("ncl.serve.slo.error_budget_breaches");
+  static obs::Counter* const c_stalls =
+      registry.GetCounter("ncl.serve.slo.stalls");
 
-void SloWatchdog::EvaluateNow() {
+  // --- Latency / error window: the sampler already diffed this interval.
+  const obs::WindowedHistogram latency = ValueOf(sample.histograms, "e2e_us");
+  const uint64_t window_errors = ValueOf(sample.counter_deltas, "errors");
+  const uint64_t window_requests =
+      ValueOf(sample.counter_deltas, "ok") + window_errors;
+
   std::lock_guard<std::mutex> lock(mutex_);
-  Evaluate();
-}
-
-void SloWatchdog::Evaluate() {
-  // --- Latency / error window: diff the wait-free feed against the last
-  // check's baseline, the same bucket-delta technique as the sampler.
-  const std::array<uint64_t, obs::kHistogramBuckets> buckets =
-      latency_.BucketCounts();
-  const uint64_t ok = ok_.load(std::memory_order_relaxed);
-  const uint64_t errors = errors_.load(std::memory_order_relaxed);
-
-  std::array<uint64_t, obs::kHistogramBuckets> window{};
-  uint64_t window_count = 0;
-  for (size_t b = 0; b < obs::kHistogramBuckets; ++b) {
-    window[b] = buckets[b] - prev_buckets_[b];
-    window_count += window[b];
-  }
-  const uint64_t window_errors = errors - prev_errors_;
-  const uint64_t window_requests = (ok - prev_ok_) + window_errors;
-  prev_buckets_ = buckets;
-  prev_ok_ = ok;
-  prev_errors_ = errors;
-
   window_.windows_evaluated += 1;
   window_.window_requests = window_requests;
   window_.window_errors = window_errors;
-  window_.window_p50_us =
-      obs::HistogramBucketQuantile(window, window_count, 0.50);
-  window_.window_p99_us =
-      obs::HistogramBucketQuantile(window, window_count, 0.99);
+  window_.window_p50_us = latency.p50;
+  window_.window_p99_us = latency.p99;
   window_.error_rate_pct =
       window_requests > 0 ? 100.0 * static_cast<double>(window_errors) /
                                 static_cast<double>(window_requests)
@@ -150,8 +159,9 @@ void SloWatchdog::Evaluate() {
                                              config_.error_budget_pct))
           : (window_errors == 0 ? 100.0 : 0.0);
 
-  if (window_count > 0 && window_.window_p99_us > config_.latency_target_us) {
+  if (latency.count > 0 && window_.window_p99_us > config_.latency_target_us) {
     window_.latency_violations += 1;
+    c_latency->Increment();
     NCL_LOG(Warning) << "slo_latency_violation"
                      << " window_p99_us=" << window_.window_p99_us
                      << " target_us=" << config_.latency_target_us
@@ -161,6 +171,7 @@ void SloWatchdog::Evaluate() {
   if (window_requests > 0 &&
       window_.error_rate_pct > config_.error_budget_pct) {
     window_.error_budget_breaches += 1;
+    c_budget->Increment();
     NCL_LOG(Warning) << "slo_error_budget_breach"
                      << " error_rate_pct=" << window_.error_rate_pct
                      << " budget_pct=" << config_.error_budget_pct
@@ -180,6 +191,7 @@ void SloWatchdog::Evaluate() {
     prev_batches_ = probe.batches;
     if (pinned_checks_ >= config_.stall_deadline_multiple) {
       window_.stalls += 1;
+      c_stalls->Increment();
       NCL_LOG(Warning) << "slo_stall"
                        << " queue_depth=" << probe.queue_depth
                        << " queue_capacity=" << probe.queue_capacity
@@ -191,44 +203,13 @@ void SloWatchdog::Evaluate() {
     }
   }
 
-  // --- Publish to the global registry so snapshots / the sampler / the CLI
-  // all see the watchdog's view under ncl.serve.slo.*.
-  auto& registry = obs::MetricsRegistry::Global();
-  static obs::Gauge* const g_p50 =
-      registry.GetGauge("ncl.serve.slo.window_p50_us");
-  static obs::Gauge* const g_p99 =
-      registry.GetGauge("ncl.serve.slo.window_p99_us");
-  static obs::Gauge* const g_requests =
-      registry.GetGauge("ncl.serve.slo.window_requests");
-  static obs::Gauge* const g_error_rate =
-      registry.GetGauge("ncl.serve.slo.error_rate_pct");
-  static obs::Gauge* const g_budget =
-      registry.GetGauge("ncl.serve.slo.budget_remaining_pct");
-  static obs::Counter* const c_latency =
-      registry.GetCounter("ncl.serve.slo.latency_violations");
-  static obs::Counter* const c_budget =
-      registry.GetCounter("ncl.serve.slo.error_budget_breaches");
-  static obs::Counter* const c_stalls =
-      registry.GetCounter("ncl.serve.slo.stalls");
+  // --- Publish the window to the global registry so snapshots / the
+  // sampler / the CLI all see the watchdog's view under ncl.serve.slo.*.
   g_p50->Set(window_.window_p50_us);
   g_p99->Set(window_.window_p99_us);
   g_requests->Set(static_cast<double>(window_.window_requests));
   g_error_rate->Set(window_.error_rate_pct);
   g_budget->Set(window_.budget_remaining_pct);
-  // Counters are cumulative across watchdog instances; publish only this
-  // instance's not-yet-published increments.
-  if (window_.latency_violations > published_.latency_violations) {
-    c_latency->Increment(window_.latency_violations -
-                         published_.latency_violations);
-  }
-  if (window_.error_budget_breaches > published_.error_budget_breaches) {
-    c_budget->Increment(window_.error_budget_breaches -
-                        published_.error_budget_breaches);
-  }
-  if (window_.stalls > published_.stalls) {
-    c_stalls->Increment(window_.stalls - published_.stalls);
-  }
-  published_ = window_;
 }
 
 SloWindowStats SloWatchdog::window() const {

@@ -4,10 +4,10 @@
 // The cumulative `ncl.serve.*` histograms answer "how has the service done
 // since start"; operating it needs "is the service healthy *right now*":
 //
-//   * SloWatchdog keeps its own wait-free latency histogram + ok/error
-//     counters fed per completed request, and a background thread diffs the
-//     log2 buckets every `check_interval_ms` (the same interval-delta
-//     technique as obs::MetricsSampler) into a rolling window. Windowed
+//   * SloWatchdog records each completed request into an instance-local
+//     registry (so two services never mix windows) and evaluates the
+//     samples one obs::MetricsSampler takes of it every `check_interval_ms`,
+//     as the sampler's per-sample step on the sampler's thread. Windowed
 //     p50/p99, error rate and remaining error budget are published as
 //     `ncl.serve.slo.*` gauges; a window whose p99 exceeds
 //     `latency_target_us` or whose error rate exceeds `error_budget_pct`
@@ -27,22 +27,25 @@
 //
 // Recording costs when the watchdog is attached: one histogram record and
 // one counter increment per request — the same wait-free primitives as the
-// global registry. A service with `SloConfig::enabled == false` constructs
-// neither the watchdog nor the log; its per-request cost is a null check.
+// global registry, so they honour obs::SetMetricsEnabled. A service with
+// `SloConfig::enabled == false` constructs neither the watchdog nor the
+// log; its per-request cost is a null check.
+//
+// Lock order: the sampler's lock, then the watchdog's, then whatever the
+// probe takes (LinkingService's queue mutex). window() takes only the
+// watchdog's lock.
 
 #pragma once
 
-#include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/sampler.h"
 #include "util/status.h"
 
 namespace ncl {
@@ -66,7 +69,7 @@ struct RequestTimings {
 /// Watchdog knobs. The defaults suit a service whose requests complete in
 /// tens of milliseconds; serve-eval and bench_serve override them.
 struct SloConfig {
-  /// Master switch: off constructs no watchdog thread and no slow log.
+  /// Master switch: off constructs no watchdog and no slow log.
   bool enabled = false;
   /// Rolling-window p99 target. A window (one check interval) whose p99
   /// exceeds this counts one latency violation.
@@ -74,7 +77,8 @@ struct SloConfig {
   /// Allowed failed-request percentage per window; beyond it the window
   /// counts one error-budget breach.
   double error_budget_pct = 1.0;
-  /// Watchdog evaluation period (must be > 0).
+  /// Watchdog evaluation period (must be > 0; clamped to
+  /// obs::MetricsSampler::kMaxIntervalMs).
   int64_t check_interval_ms = 200;
   /// Stall deadline as a multiple of the check interval: a queue pinned at
   /// capacity with no completed batch for this many consecutive checks is
@@ -134,8 +138,8 @@ struct SloWindowStats {
   uint64_t windows_evaluated = 0;
 };
 
-/// \brief The watchdog: wait-free per-request recording, a background
-/// evaluation thread, `ncl.serve.slo.*` metrics, structured warnings.
+/// \brief The watchdog: wait-free per-request recording, evaluation on its
+/// sampler's thread, `ncl.serve.slo.*` metrics, structured warnings.
 class SloWatchdog {
  public:
   /// Shard-progress reading for the stall detector.
@@ -145,24 +149,23 @@ class SloWatchdog {
     uint64_t batches = 0;  ///< shard passes taken from the queue
   };
 
-  /// \param probe called from the watchdog thread each check; must be
+  /// \param probe called from the sampler's thread each check; must be
   ///        thread-safe and non-blocking (LinkingService passes a stats()
   ///        reader). An empty function disables stall detection.
   SloWatchdog(SloConfig config, std::function<Probe()> probe);
-  ~SloWatchdog();
 
   SloWatchdog(const SloWatchdog&) = delete;
   SloWatchdog& operator=(const SloWatchdog&) = delete;
 
-  /// Stop the evaluation thread. Idempotent; implied by the destructor.
-  void Stop();
+  /// Stop the sampler's thread. Idempotent; implied by the destructor.
+  void Stop() { sampler_.Stop(); }
 
   /// Record one finished request (wait-free; called from shard threads).
   void RecordRequest(double e2e_us, bool ok);
 
-  /// Run one evaluation tick synchronously (tests; also useful for a final
-  /// evaluation after Drain so short runs still produce a window).
-  void EvaluateNow();
+  /// Take and evaluate one window synchronously (tests; also useful for a
+  /// final evaluation after Drain so short runs still produce a window).
+  void EvaluateNow() { sampler_.SampleNow(); }
 
   SloWindowStats window() const;
   const SloConfig& config() const { return config_; }
@@ -172,30 +175,26 @@ class SloWatchdog {
   void AppendJson(JsonWriter* writer) const;
 
  private:
-  void Loop();
-  void Evaluate();
+  /// The sampler's per-sample step: one window.
+  void Evaluate(const obs::TimeseriesSample& sample);
 
   const SloConfig config_;
   const std::function<Probe()> probe_;
 
-  /// Wait-free request feed (same primitives as the global registry, but
-  /// instance-local so two services do not mix windows).
-  obs::Histogram latency_;
-  std::atomic<uint64_t> ok_{0};
-  std::atomic<uint64_t> errors_{0};
+  /// Instance-local request feed, so two services do not mix windows.
+  obs::MetricsRegistry registry_;
+  obs::Histogram* const latency_;
+  obs::Counter* const ok_;
+  obs::Counter* const errors_;
 
-  mutable std::mutex mutex_;  ///< guards window_ and the prev_* baselines
-  std::condition_variable cv_stop_;
-  bool stopping_ = false;
+  mutable std::mutex mutex_;  ///< guards window_ and the stall countdown
   SloWindowStats window_;
-  SloWindowStats published_;  ///< violation counts already in the registry
-  std::array<uint64_t, obs::kHistogramBuckets> prev_buckets_{};
-  uint64_t prev_ok_ = 0;
-  uint64_t prev_errors_ = 0;
   uint64_t prev_batches_ = 0;
   int64_t pinned_checks_ = 0;  ///< consecutive checks with a frozen, full queue
 
-  std::thread thread_;
+  /// Declared last: its thread starts after, and is joined before, every
+  /// member Evaluate reads.
+  obs::MetricsSampler sampler_;
 };
 
 }  // namespace ncl::serve

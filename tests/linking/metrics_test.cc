@@ -92,7 +92,7 @@ TEST(CoverageTest, LargerKNeverLowersCoverage) {
   ontology::Ontology onto;
   std::vector<ontology::ConceptId> ids;
   for (int i = 0; i < 6; ++i) {
-    ids.push_back(*onto.AddConcept("C" + std::to_string(i),
+    ids.push_back(*onto.AddConcept(std::string("C").append(std::to_string(i)),
                                    {"shared", "word", std::to_string(i)},
                                    ontology::kRootConcept));
   }

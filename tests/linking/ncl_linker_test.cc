@@ -347,10 +347,8 @@ TEST(NclLinkerTest, LinkBatchDetailedMatchesSequentialLinkDetailed) {
 
 TEST(NclLinkerTest, LinkBatchDetailedEmptyAndPriorPostPass) {
   Fixture f;
-  // The shared post-pass (length normalisation + MAP prior) must apply in
-  // the batched path too.
+  // The shared post-pass (the MAP prior) must apply in the batched path too.
   NclConfig config;
-  config.length_normalize = true;
   config.concept_prior[f.onto.FindByCode("N18.9")] = 1.0;
   config.default_prior = 1e-12;
   NclLinker linker(f.model.get(), f.candidates.get(), nullptr, config);

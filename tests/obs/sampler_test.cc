@@ -1,9 +1,10 @@
 // ncl::obs MetricsSampler: interval deltas and rates, windowed histogram
 // quantiles from bucket deltas, the bounded ring, prefix filtering, the
 // TIMESERIES JSON shape, background sampling and its one-hour period
-// ceiling, the WriteJson error path, and a concurrent hammer (the TSan job
-// runs this binary) pinning that sampling never races the wait-free metric
-// writers.
+// ceiling, the WriteJson error path, the per-sample step, and concurrent
+// hammers (the TSan job runs this binary) pinning that sampling never races
+// the wait-free metric writers and that SampleNow never races the
+// background tick into double-counting an interval.
 
 #include "obs/sampler.h"
 
@@ -284,6 +285,56 @@ TEST(MetricsSamplerTest, ConcurrentWritersNeverBlockOrRace) {
     }
   }
   EXPECT_EQ(total, counter->value());
+}
+
+TEST(MetricsSamplerTest, ConcurrentSampleNowCountsEachEventOnce) {
+  // A SampleNow that reads the registry before taking the sampler's lock
+  // can, racing the background tick, record an older snapshot after a
+  // newer one; the saturating delta then reports a whole cumulative count
+  // as one interval.
+  for (int round = 0; round < 5; ++round) {
+    MetricsRegistry registry;
+    Counter* counter = registry.GetCounter("test.race");
+    MetricsSampler::Config config;
+    config.interval_ms = 1;
+    config.max_samples = 200000;
+    MetricsSampler sampler(&registry, config);
+
+    std::atomic<bool> stop{false};
+    std::thread writer([&] {
+      while (!stop.load(std::memory_order_relaxed)) counter->Increment();
+    });
+    for (int i = 0; i < 100000; ++i) sampler.SampleNow();
+    stop.store(true);
+    writer.join();
+    sampler.Stop();
+    sampler.SampleNow();
+
+    ASSERT_EQ(sampler.dropped_samples(), 0u) << "round " << round;
+    uint64_t total = 0;
+    for (const TimeseriesSample& sample : sampler.Samples()) {
+      for (const auto& [name, delta] : sample.counter_deltas) total += delta;
+    }
+    EXPECT_EQ(total, counter->value()) << "round " << round;
+  }
+}
+
+TEST(MetricsSamplerTest, PerSampleStepSeesEachNewSample) {
+  MetricsRegistry registry;
+  Counter* counter = registry.GetCounter("test.step");
+  std::vector<uint64_t> seen;  // written under the sampler's lock
+  MetricsSampler sampler(&registry, ManualConfig(),
+                         [&seen](const TimeseriesSample& sample) {
+                           ASSERT_EQ(sample.counter_deltas.size(), 1u);
+                           seen.push_back(sample.counter_deltas[0].second);
+                         });
+  counter->Increment(3);
+  sampler.SampleNow();
+  sampler.SampleNow();
+  counter->Increment();
+  sampler.SampleNow();
+  sampler.Stop();
+  EXPECT_EQ(seen, (std::vector<uint64_t>{3, 0, 1}));
 }
 
 }  // namespace

@@ -121,7 +121,8 @@ TEST(OntologyTest, DeepChainContext) {
   ConceptId parent = kRootConcept;
   for (int i = 0; i < 5; ++i) {
     auto result =
-        onto.AddConcept("L" + std::to_string(i), {"level", std::to_string(i)}, parent);
+        onto.AddConcept(std::string("L").append(std::to_string(i)),
+                        {"level", std::to_string(i)}, parent);
     ASSERT_TRUE(result.ok());
     parent = *result;
   }

@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/sampler.h"
 #include "util/json_writer.h"
 
 namespace ncl::serve {
@@ -248,6 +251,20 @@ TEST(SloWatchdogTest, BackgroundThreadEvaluatesOnItsOwn) {
   }
   watchdog.Stop();
   EXPECT_GE(watchdog.window().windows_evaluated, 3u);
+}
+
+TEST(SloWatchdogTest, HugeIntervalIsClampedNotSpun) {
+  // An unclamped period overflowed the timed wait's nanosecond count, and
+  // the watchdog evaluated continuously instead of once an hour.
+  SloConfig config;
+  config.enabled = true;
+  config.check_interval_ms = std::numeric_limits<int64_t>::max() / 2;
+  SloWatchdog watchdog(config, nullptr);
+  EXPECT_EQ(watchdog.config().check_interval_ms,
+            obs::MetricsSampler::kMaxIntervalMs);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  watchdog.Stop();
+  EXPECT_EQ(watchdog.window().windows_evaluated, 0u);
 }
 
 TEST(SloWatchdogTest, AppendJsonEmitsTheReportShape) {

@@ -347,8 +347,10 @@ TEST(NgramIndexTest, LargeCollectionRetrievesEveryDocument) {
   Rng rng(17);
   std::vector<std::vector<std::string>> corpus;
   for (int d = 0; d < 3000; ++d) {
-    std::vector<std::string> doc{"u" + std::to_string(d)};
-    for (int i = 0; i < 10; ++i) doc.push_back("w" + std::to_string(rng.Index(400)));
+    std::vector<std::string> doc{std::string("u").append(std::to_string(d))};
+    for (int i = 0; i < 10; ++i) {
+      doc.push_back(std::string("w").append(std::to_string(rng.Index(400))));
+    }
     corpus.push_back(std::move(doc));
   }
   NgramIndex index;
