@@ -77,8 +77,9 @@ int main() {
       }
       linking::NclConfig link_config;
       link_config.remove_shared_words = row.remove_shared;
-      link_config.rewrite_queries = row.rewrite;
-      linking::NclLinker linker = pipeline->MakeLinker(link_config);
+      linking::NclLinker linker(
+          pipeline->model.get(), pipeline->candidates.get(),
+          row.rewrite ? pipeline->rewriter.get() : nullptr, link_config);
       auto result =
           linking::EvaluateLinkerOverGroups(linker, pipeline->eval_groups, 20);
       cells.push_back(result.accuracy);

@@ -4,11 +4,14 @@
 // (OR), pkduck similarity, and the dense matrix product underneath it all.
 //
 // The custom main additionally times the inference-critical kernels with a
-// plain stopwatch loop and writes matmul/matvec GFLOP/s (and LSTM steps/s)
-// to BENCH_kernels.json so kernel throughput is tracked across PRs.
+// plain stopwatch loop (each row the median of five timed windows) and
+// writes matmul/matvec GFLOP/s (and LSTM steps/s) to BENCH_kernels.json so
+// kernel throughput is tracked across PRs.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <iostream>
 #include <iterator>
 #include <string>
@@ -237,18 +240,28 @@ void BM_CbowEpoch(benchmark::State& state) {
 }
 BENCHMARK(BM_CbowEpoch)->Unit(benchmark::kMillisecond);
 
-/// Seconds per call of `fn`, amortised over enough iterations to be stable.
+/// Timed windows per report row; the row is their median.
+constexpr size_t kTimedWindows = 5;
+
+/// Seconds per call of `fn`: the median over kTimedWindows windows of ~50ms
+/// each, so one window disturbed by another process cannot move a row.
 template <typename Fn>
 double TimePerCall(Fn&& fn) {
-  // Warm up and pick an iteration count targeting ~50ms of work.
+  // Warm up and pick an iteration count targeting ~50ms of work per window.
   fn();
   Stopwatch probe;
   fn();
   double once = probe.ElapsedSeconds();
   size_t iters = once > 0 ? static_cast<size_t>(0.05 / once) + 1 : 1000;
-  Stopwatch watch;
-  for (size_t i = 0; i < iters; ++i) fn();
-  return watch.ElapsedSeconds() / static_cast<double>(iters);
+  std::array<double, kTimedWindows> per_call;
+  for (double& sec : per_call) {
+    Stopwatch watch;
+    for (size_t i = 0; i < iters; ++i) fn();
+    sec = watch.ElapsedSeconds() / static_cast<double>(iters);
+  }
+  auto median = per_call.begin() + kTimedWindows / 2;
+  std::nth_element(per_call.begin(), median, per_call.end());
+  return *median;
 }
 
 /// Naive i-k-j triple loop, the pre-blocking baseline GemmNN replaced.
@@ -302,6 +315,7 @@ void WriteKernelReport() {
   json.BeginObject();
   json.Key("bench").Value("micro_kernels");
   json.Key("simd").Value(nn::SimdPathName());
+  json.Key("timed_windows").Value(static_cast<uint64_t>(kTimedWindows));
   json.Key("kernels").BeginArray();
 
   // Square matmul (training shapes).

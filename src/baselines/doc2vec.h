@@ -42,9 +42,6 @@ class Doc2Vec {
   size_t dim() const { return config_.dim; }
   size_t num_documents() const { return doc_vectors_.rows(); }
 
-  /// Trained vector of document `doc` (row view).
-  const float* DocVector(size_t doc) const { return doc_vectors_.row_data(doc); }
-
   /// Infer a vector for an unseen document (word weights frozen).
   std::vector<float> Infer(const std::vector<std::string>& tokens,
                            uint64_t seed = 123) const;
@@ -53,10 +50,6 @@ class Doc2Vec {
   double Cosine(const std::vector<float>& inferred, size_t doc) const;
 
  private:
-  void TrainDocument(nn::Matrix* doc_matrix, size_t doc_row,
-                     const std::vector<text::WordId>& words, double lr,
-                     Rng& rng) const;
-
   Doc2VecConfig config_;
   text::Vocabulary vocab_;
   nn::Matrix doc_vectors_;   // D x dim (input side)

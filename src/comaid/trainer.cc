@@ -72,7 +72,8 @@ std::vector<TrainingPair> MakeResidualAugmentedPairs(
   return pairs;
 }
 
-double ComAidTrainer::TrainBatch(ComAidModel* model, nn::Optimizer* optimizer,
+double ComAidTrainer::TrainBatch(ComAidModel* model,
+                                 nn::SgdOptimizer* optimizer,
                                  const std::vector<TrainingPair>& batch) const {
   NCL_CHECK(!batch.empty());
   NCL_TRACE_SPAN("ncl.train.batch");

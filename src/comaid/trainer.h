@@ -64,10 +64,10 @@ class ComAidTrainer {
   /// Train `model` on `pairs`; returns the final epoch's mean loss per pair.
   double Train(ComAidModel* model, const std::vector<TrainingPair>& pairs) const;
 
-  /// One gradient step over a batch; returns the batch mean loss.
-  /// Exposed for the incremental-feedback experiment (Appendix A.2), which
-  /// feeds single examples and snapshots representations between steps.
-  double TrainBatch(ComAidModel* model, nn::Optimizer* optimizer,
+  /// One gradient step over a batch, the step Train takes per mini-batch;
+  /// returns the batch mean loss. Public so a caller can step one batch at a
+  /// time and inspect the model between steps.
+  double TrainBatch(ComAidModel* model, nn::SgdOptimizer* optimizer,
                     const std::vector<TrainingPair>& batch) const;
 
   const TrainConfig& config() const { return config_; }

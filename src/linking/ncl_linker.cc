@@ -168,10 +168,8 @@ std::vector<std::vector<ScoredCandidate>> NclLinker::LinkBatchDetailed(
     NCL_TRACE_SPAN_FLOW("ncl.link.query", 0,
                         flow_ids != nullptr ? flow_ids[q] : 0);
     watch.Reset();
-    std::vector<std::string> rewritten = queries[q];
-    if (config_.rewrite_queries && rewriter_ != nullptr) {
-      rewritten = rewriter_->Rewrite(queries[q]);
-    }
+    std::vector<std::string> rewritten =
+        rewriter_ != nullptr ? rewriter_->Rewrite(queries[q]) : queries[q];
     local[q].rewrite_us = watch.ElapsedMicros();
 
     watch.Reset();

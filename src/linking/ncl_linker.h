@@ -38,8 +38,6 @@ namespace ncl::linking {
 struct NclConfig {
   /// Phase-I candidate count k (paper default: 20).
   size_t k = 20;
-  /// Apply query rewriting (requires a QueryRewriter).
-  bool rewrite_queries = true;
   /// §5 Phase II: drop words shared with the candidate's canonical
   /// description before scoring.
   bool remove_shared_words = true;
@@ -73,7 +71,7 @@ struct PhaseTimings {
 class NclLinker : public ConceptLinker {
  public:
   /// All pointers must outlive the linker; `rewriter` may be nullptr (then
-  /// rewriting is skipped regardless of config). `config.k` must be > 0.
+  /// queries are not rewritten). `config.k` must be > 0.
   NclLinker(const comaid::ComAidModel* model, const CandidateGenerator* candidates,
             const QueryRewriter* rewriter, NclConfig config = {});
 

@@ -246,9 +246,9 @@ Result<FrameHeader> DecodeHeader(std::string_view bytes,
                                    std::to_string(bytes.size()));
   }
   Reader reader(bytes.substr(0, kHeaderSize));
-  uint16_t magic;
-  uint8_t version;
-  uint8_t type;
+  uint16_t magic = 0;
+  uint8_t version = 0;
+  uint8_t type = 0;
   FrameHeader header;
   reader.ReadU16(&magic);
   reader.ReadU8(&version);

@@ -1,23 +1,15 @@
 #include "nn/optimizer.h"
 
-#include <cmath>
-
 namespace ncl::nn {
 
-void Optimizer::Step(ParameterStore* store) {
+void SgdOptimizer::Step(ParameterStore* store) {
   if (clip_norm_ > 0.0) store->ClipGradients(clip_norm_);
-  ApplyUpdate(store);
-  store->ZeroGrads();
-}
-
-void SgdOptimizer::ApplyUpdate(ParameterStore* store) {
   const float lr = static_cast<float>(learning_rate_);
   const float mu = static_cast<float>(momentum_);
   for (auto& p : store->parameters()) {
     if (momentum_ != 0.0) {
-      if (p->slot0.empty()) p->slot0 = Matrix(p->value.rows(), p->value.cols());
-      // v = mu * v + g ; w -= lr * v
-      Matrix& velocity = p->slot0;
+      Matrix& velocity = p->velocity;
+      if (velocity.empty()) velocity = Matrix(p->value.rows(), p->value.cols());
       for (size_t i = 0; i < velocity.size(); ++i) {
         velocity[i] = mu * velocity[i] + p->grad[i];
         p->value[i] -= lr * velocity[i];
@@ -26,48 +18,7 @@ void SgdOptimizer::ApplyUpdate(ParameterStore* store) {
       p->value.Axpy(-lr, p->grad);
     }
   }
-}
-
-void AdagradOptimizer::ApplyUpdate(ParameterStore* store) {
-  const float lr = static_cast<float>(learning_rate_);
-  const float eps = static_cast<float>(epsilon_);
-  for (auto& p : store->parameters()) {
-    if (p->slot0.empty()) p->slot0 = Matrix(p->value.rows(), p->value.cols());
-    Matrix& accum = p->slot0;
-    for (size_t i = 0; i < accum.size(); ++i) {
-      float g = p->grad[i];
-      accum[i] += g * g;
-      p->value[i] -= lr * g / (std::sqrt(accum[i]) + eps);
-    }
-  }
-}
-
-void AdamOptimizer::ApplyUpdate(ParameterStore* store) {
-  ++step_count_;
-  const float lr = static_cast<float>(learning_rate_);
-  const float b1 = static_cast<float>(beta1_);
-  const float b2 = static_cast<float>(beta2_);
-  const float eps = static_cast<float>(epsilon_);
-  const float bias1 =
-      1.0f - std::pow(b1, static_cast<float>(step_count_));
-  const float bias2 =
-      1.0f - std::pow(b2, static_cast<float>(step_count_));
-  for (auto& p : store->parameters()) {
-    if (p->slot0.empty()) {
-      p->slot0 = Matrix(p->value.rows(), p->value.cols());
-      p->slot1 = Matrix(p->value.rows(), p->value.cols());
-    }
-    Matrix& m = p->slot0;
-    Matrix& v = p->slot1;
-    for (size_t i = 0; i < m.size(); ++i) {
-      float g = p->grad[i];
-      m[i] = b1 * m[i] + (1.0f - b1) * g;
-      v[i] = b2 * v[i] + (1.0f - b2) * g * g;
-      float m_hat = m[i] / bias1;
-      float v_hat = v[i] / bias2;
-      p->value[i] -= lr * m_hat / (std::sqrt(v_hat) + eps);
-    }
-  }
+  store->ZeroGrads();
 }
 
 }  // namespace ncl::nn

@@ -1,25 +1,27 @@
-// First-order optimisers over a ParameterStore.
+// Mini-batch SGD over a ParameterStore.
 //
-// The paper trains COM-AID with mini-batch SGD (§4.2); SGD with optional
-// momentum is the default. Adagrad and Adam are provided for the extension
-// experiments. All optimisers apply global-norm gradient clipping first.
+// The paper trains COM-AID with mini-batch SGD (§4.2); ComAidTrainer runs
+// it with classical momentum. Every step clips the global gradient norm
+// first.
 
 #pragma once
-
-#include <cstddef>
 
 #include "nn/parameter.h"
 
 namespace ncl::nn {
 
-/// \brief Abstract optimiser interface: consume accumulated gradients and
-/// update parameter values in place.
-class Optimizer {
+/// \brief Stochastic gradient descent with optional classical momentum.
+class SgdOptimizer {
  public:
-  virtual ~Optimizer() = default;
+  explicit SgdOptimizer(double learning_rate, double momentum = 0.0,
+                        double clip_norm = 5.0)
+      : learning_rate_(learning_rate),
+        momentum_(momentum),
+        clip_norm_(clip_norm) {}
 
   /// Apply one update using the gradients currently accumulated in `store`,
-  /// then zero them.
+  /// then zero them: clip the gradients to `clip_norm`, then v = μ·v + g and
+  /// w -= lr·v (w -= lr·g when μ = 0).
   void Step(ParameterStore* store);
 
   /// Current learning rate.
@@ -30,63 +32,10 @@ class Optimizer {
   double clip_norm() const { return clip_norm_; }
   void set_clip_norm(double clip) { clip_norm_ = clip; }
 
- protected:
-  Optimizer(double learning_rate, double clip_norm)
-      : learning_rate_(learning_rate), clip_norm_(clip_norm) {}
-
-  virtual void ApplyUpdate(ParameterStore* store) = 0;
-
+ private:
   double learning_rate_;
-  double clip_norm_;
-};
-
-/// \brief Stochastic gradient descent with optional classical momentum.
-class SgdOptimizer : public Optimizer {
- public:
-  explicit SgdOptimizer(double learning_rate, double momentum = 0.0,
-                        double clip_norm = 5.0)
-      : Optimizer(learning_rate, clip_norm), momentum_(momentum) {}
-
- protected:
-  void ApplyUpdate(ParameterStore* store) override;
-
- private:
   double momentum_;
-};
-
-/// \brief Adagrad: per-coordinate adaptive learning rates.
-class AdagradOptimizer : public Optimizer {
- public:
-  explicit AdagradOptimizer(double learning_rate, double epsilon = 1e-8,
-                            double clip_norm = 5.0)
-      : Optimizer(learning_rate, clip_norm), epsilon_(epsilon) {}
-
- protected:
-  void ApplyUpdate(ParameterStore* store) override;
-
- private:
-  double epsilon_;
-};
-
-/// \brief Adam (Kingma & Ba) with bias correction.
-class AdamOptimizer : public Optimizer {
- public:
-  explicit AdamOptimizer(double learning_rate, double beta1 = 0.9,
-                         double beta2 = 0.999, double epsilon = 1e-8,
-                         double clip_norm = 5.0)
-      : Optimizer(learning_rate, clip_norm),
-        beta1_(beta1),
-        beta2_(beta2),
-        epsilon_(epsilon) {}
-
- protected:
-  void ApplyUpdate(ParameterStore* store) override;
-
- private:
-  double beta1_;
-  double beta2_;
-  double epsilon_;
-  size_t step_count_ = 0;
+  double clip_norm_;
 };
 
 }  // namespace ncl::nn

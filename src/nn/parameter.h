@@ -1,9 +1,10 @@
 // Named trainable parameters and their container.
 //
 // A Parameter pairs a value matrix with a gradient accumulator of the same
-// shape. ParameterStore owns all parameters of a model, provides name-based
-// lookup, gradient bookkeeping (zeroing, global-norm clipping) and binary
-// (de)serialisation for model checkpoints.
+// shape, plus SgdOptimizer's momentum buffer. ParameterStore owns all
+// parameters of a model, provides name-based lookup, gradient bookkeeping
+// (zeroing, global-norm clipping) and binary (de)serialisation of the values
+// for model checkpoints.
 
 #pragma once
 
@@ -26,15 +27,14 @@ enum class Init {
   kSmallUniform,    ///< uniform in [-0.08, 0.08]; LSTM-style init.
 };
 
-/// \brief One trainable tensor: value + gradient (+ optimizer slots).
+/// \brief One trainable tensor: value + gradient (+ momentum).
 struct Parameter {
   std::string name;
   Matrix value;
   Matrix grad;
-  // Lazily allocated optimiser state (momentum / Adam moments), managed by
-  // the optimisers in optimizer.h.
-  Matrix slot0;
-  Matrix slot1;
+  // SgdOptimizer's momentum buffer, allocated on its first momentum step.
+  // Checkpoints store only `value`.
+  Matrix velocity;
 };
 
 /// \brief Owner of a model's parameters.

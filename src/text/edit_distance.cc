@@ -25,28 +25,6 @@ size_t Levenshtein(std::string_view a, std::string_view b) {
   return row[n];
 }
 
-size_t DamerauLevenshtein(std::string_view a, std::string_view b) {
-  const size_t n = a.size();
-  const size_t m = b.size();
-  if (n == 0) return m;
-  if (m == 0) return n;
-
-  // Three rolling rows: two back for the transposition case.
-  std::vector<std::vector<size_t>> d(n + 1, std::vector<size_t>(m + 1));
-  for (size_t i = 0; i <= n; ++i) d[i][0] = i;
-  for (size_t j = 0; j <= m; ++j) d[0][j] = j;
-  for (size_t i = 1; i <= n; ++i) {
-    for (size_t j = 1; j <= m; ++j) {
-      size_t cost = a[i - 1] != b[j - 1] ? 1 : 0;
-      d[i][j] = std::min({d[i - 1][j] + 1, d[i][j - 1] + 1, d[i - 1][j - 1] + cost});
-      if (i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1]) {
-        d[i][j] = std::min(d[i][j], d[i - 2][j - 2] + 1);
-      }
-    }
-  }
-  return d[n][m];
-}
-
 size_t BoundedLevenshtein(std::string_view a, std::string_view b,
                           size_t max_distance) {
   if (a.size() > b.size()) std::swap(a, b);
@@ -70,12 +48,6 @@ size_t BoundedLevenshtein(std::string_view a, std::string_view b,
     if (row_min > max_distance) return max_distance + 1;
   }
   return std::min(row[n], max_distance + 1);
-}
-
-double LevenshteinSimilarity(std::string_view a, std::string_view b) {
-  size_t longest = std::max(a.size(), b.size());
-  if (longest == 0) return 1.0;
-  return 1.0 - static_cast<double>(Levenshtein(a, b)) / static_cast<double>(longest);
 }
 
 }  // namespace ncl::text

@@ -1,8 +1,8 @@
 // String edit distances.
 //
-// Used by the online query rewriter (§5 Phase I: a query word absent from
-// the embedding vocabulary Ω' is first mapped to a textually similar word
-// via edit distance) and by the typo-injection model in datagen.
+// The online query rewriter (§5 Phase I) maps a query word absent from the
+// embedding vocabulary Ω' to a textually similar word with
+// BoundedLevenshtein; the exact Levenshtein is its reference.
 
 #pragma once
 
@@ -14,18 +14,10 @@ namespace ncl::text {
 /// \brief Classic Levenshtein distance (insert/delete/substitute, unit cost).
 size_t Levenshtein(std::string_view a, std::string_view b);
 
-/// \brief Damerau–Levenshtein distance (adds adjacent transposition), the
-/// better model for keyboard typos like "neuropaty".
-size_t DamerauLevenshtein(std::string_view a, std::string_view b);
-
 /// \brief Levenshtein with early exit: returns max_distance + 1 as soon as
 /// the true distance provably exceeds max_distance. Useful for nearest-word
 /// scans over a vocabulary.
 size_t BoundedLevenshtein(std::string_view a, std::string_view b,
                           size_t max_distance);
-
-/// \brief Normalised similarity in [0,1]: 1 - distance / max(|a|,|b|).
-/// Returns 1.0 when both strings are empty.
-double LevenshteinSimilarity(std::string_view a, std::string_view b);
 
 }  // namespace ncl::text

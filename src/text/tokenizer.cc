@@ -47,23 +47,6 @@ std::vector<std::string> Tokenize(std::string_view raw) {
   return result;
 }
 
-std::string Detokenize(const std::vector<std::string>& tokens) {
-  return Join(tokens, " ");
-}
-
-std::vector<std::string> CharNgrams(std::string_view token, size_t n) {
-  std::vector<std::string> grams;
-  if (token.size() <= n) {
-    grams.emplace_back(token);
-    return grams;
-  }
-  grams.reserve(token.size() - n + 1);
-  for (size_t i = 0; i + n <= token.size(); ++i) {
-    grams.emplace_back(token.substr(i, n));
-  }
-  return grams;
-}
-
 std::vector<std::string> CharNgramsPadded(std::string_view token, size_t n) {
   std::vector<std::string> grams;
   ForEachCharNgramPadded(token, n,

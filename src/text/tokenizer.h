@@ -23,14 +23,6 @@ std::string Normalize(std::string_view raw);
 /// \brief Normalize then split into tokens.
 std::vector<std::string> Tokenize(std::string_view raw);
 
-/// \brief Join tokens back into a snippet string.
-std::string Detokenize(const std::vector<std::string>& tokens);
-
-/// \brief Character n-grams of a token (used by LR+ bigram features and by
-/// the fuzzy matching fallback). Returns the whole token if it is shorter
-/// than n.
-std::vector<std::string> CharNgrams(std::string_view token, size_t n);
-
 /// \brief Character n-grams of a token padded with `kBoundaryChar` on both
 /// sides ("dm" -> "#dm", "dm#" for n = 3), the scispacy-style analyzer used
 /// by the candidate-generation inverted index. Boundary padding makes word

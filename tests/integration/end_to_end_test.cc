@@ -12,8 +12,6 @@
 #include "linking/ncl_linker.h"
 #include "linking/query_rewriter.h"
 #include "pretrain/cbow.h"
-#include "baselines/pkduck_linker.h"
-#include "linking/fusion_linker.h"
 #include "pretrain/concept_injection.h"
 
 namespace ncl {
@@ -126,28 +124,6 @@ TEST(EndToEndTest, QueryRewritingImprovesCoverage) {
                                            p.rewriter.get());
   double without = linking::CandidateCoverage(*p.candidates, queries, 20, nullptr);
   EXPECT_GE(with, without);
-}
-
-TEST(EndToEndTest, FusionOfNclAndPkduckIsCompetitive) {
-  // The §2.2 "combined annotator" direction: fusing NCL with pkduck via
-  // reciprocal-rank fusion must not fall apart — it should land at or
-  // above the weaker member on the same queries.
-  Pipeline p;
-  linking::NclLinker ncl_linker(p.model.get(), p.candidates.get(),
-                                p.rewriter.get());
-  auto rules =
-      baselines::RulesFromVocabulary(datagen::DefaultMedicalVocabulary());
-  baselines::PkduckConfig pk;
-  pk.theta = 0.1;
-  baselines::PkduckLinker pkduck(p.data.onto, p.aliases, rules, pk);
-  linking::FusionLinker fusion({{&ncl_linker, 1.0}, {&pkduck, 1.0}});
-
-  auto queries = p.EvalQueries();
-  double acc_ncl = linking::EvaluateLinker(ncl_linker, queries, 10).accuracy;
-  double acc_pk = linking::EvaluateLinker(pkduck, queries, 10).accuracy;
-  double acc_fused = linking::EvaluateLinker(fusion, queries, 10).accuracy;
-  EXPECT_GE(acc_fused, std::min(acc_ncl, acc_pk));
-  EXPECT_GT(acc_fused, 0.2);
 }
 
 TEST(EndToEndTest, ModelCheckpointRoundTripsScores) {
