@@ -77,8 +77,6 @@ Status Server::Start() {
 
   started_.store(true);
   loop_thread_ = std::thread([this] { EventLoop(); });
-  completion_thread_ = std::thread([this] { CompletionLoop(); });
-  drain_thread_ = std::thread([this] { DrainLoop(); });
   NCL_LOG(Info) << "net::Server listening on " << bound_endpoint_.ToString();
   return Status::OK();
 }
@@ -87,13 +85,21 @@ void Server::Stop() {
   std::lock_guard<std::mutex> stop_lock(stop_mutex_);
   if (!started_.load() || stopped_) return;
   stopped_ = true;
-  stopping_.store(true, std::memory_order_release);
+  {
+    // Under drain_mutex_, so a WaitForDrain between its check and its wait
+    // cannot miss the stop.
+    std::lock_guard<std::mutex> lock(drain_mutex_);
+    stopping_.store(true, std::memory_order_release);
+  }
   Wakeup();
-  inflight_cv_.notify_all();
   drain_cv_.notify_all();
   if (loop_thread_.joinable()) loop_thread_.join();
-  if (completion_thread_.joinable()) completion_thread_.join();
-  if (drain_thread_.joinable()) drain_thread_.join();
+  {
+    // Every submitted request calls back exactly once, and a callback is
+    // done with this server once it has notified under pending_mutex_.
+    std::unique_lock<std::mutex> lock(pending_mutex_);
+    in_flight_cv_.wait(lock, [this] { return in_flight_ == 0; });
+  }
   if (config_.endpoint.kind == Endpoint::Kind::kUnix) {
     ::unlink(config_.endpoint.path.c_str());
   }
@@ -118,13 +124,10 @@ ServerStats Server::stats() const {
   stats.requests = requests_.load(std::memory_order_relaxed);
   stats.responses = responses_.load(std::memory_order_relaxed);
   stats.decode_errors = decode_errors_.load(std::memory_order_relaxed);
-  stats.in_flight = in_flight_.load(std::memory_order_relaxed);
   stats.drain_requests = drain_requests_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(pending_mutex_);
+  stats.in_flight = in_flight_;
   return stats;
-}
-
-void Server::QueueResponse(Connection* conn, std::string frame_bytes) {
-  conn->outbox.append(frame_bytes);
 }
 
 void Server::HandleFrame(Connection* conn, Frame frame) {
@@ -136,29 +139,60 @@ void Server::HandleFrame(Connection* conn, Frame frame) {
       if (!request.ok()) {
         decode_errors_.fetch_add(1, std::memory_order_relaxed);
         metrics.decode_errors->Increment();
-        QueueResponse(conn,
-                      EncodeErrorResponse(correlation_id, request.status()));
+        conn->outbox += EncodeErrorResponse(correlation_id, request.status());
         return;
       }
       requests_.fetch_add(1, std::memory_order_relaxed);
       metrics.requests->Increment();
+      if (drain_requested()) {
+        // Nothing new reaches the service after the drain ack, so the
+        // service's Drain() in the loop's epilogue waits on none of ours.
+        LinkResponseMsg refused;
+        refused.status = Status::Unavailable("replica is draining");
+        conn->outbox += EncodeLinkResponse(correlation_id, refused);
+        responses_.fetch_add(1, std::memory_order_relaxed);
+        metrics.responses->Increment();
+        return;
+      }
       serve::RequestOptions options;
       // deadline_us was clamped to kMaxDeadlineUs at decode, so this
       // conversion can never feed the service an overflowing duration.
       options.deadline = std::chrono::microseconds(request->deadline_us);
       options.ontology = std::move(request->ontology);
+      // Counted before the submit: a refusal calls back before SubmitLink
+      // returns.
+      {
+        std::lock_guard<std::mutex> lock(pending_mutex_);
+        ++in_flight_;
+      }
+      metrics.in_flight->Increment();
+      // Runs on the shard that served the request (or here, for a refusal).
+      // It names the connection by id, never by pointer: the connection
+      // may be gone by then. Whatever touches this server happens under
+      // pending_mutex_, which Stop waits on, so no callback outlives it.
+      auto done = [this, connection_id = conn->id,
+                   correlation_id](serve::LinkResult result) {
+        LinkResponseMsg response;
+        response.status = std::move(result.status);
+        response.snapshot_version = result.snapshot_version;
+        response.server_request_id = result.request_id;
+        response.timings = result.timings;
+        response.candidates = std::move(result.candidates);
+        std::string bytes = EncodeLinkResponse(correlation_id, response);
+        const NetMetrics& net_metrics = GetNetMetrics();
+        net_metrics.responses->Increment();
+        net_metrics.in_flight->Add(-1.0);
+        std::lock_guard<std::mutex> lock(pending_mutex_);
+        pending_writes_.emplace_back(connection_id, std::move(bytes));
+        responses_.fetch_add(1, std::memory_order_relaxed);
+        --in_flight_;
+        Wakeup();
+        in_flight_cv_.notify_all();
+      };
       // May block under a full kBlock admission queue — intentional: the
       // loop stops reading and the kernel back-pressures every client.
-      std::future<serve::LinkResult> future =
-          service_->SubmitLink(std::move(request->tokens), options);
-      in_flight_.fetch_add(1, std::memory_order_relaxed);
-      metrics.in_flight->Increment();
-      {
-        std::lock_guard<std::mutex> lock(inflight_mutex_);
-        inflight_.push_back(
-            InFlight{conn->id, correlation_id, std::move(future)});
-      }
-      inflight_cv_.notify_one();
+      service_->SubmitLink(std::move(request->tokens), std::move(options),
+                           std::move(done));
       return;
     }
     case MessageType::kHealthRequest: {
@@ -166,37 +200,34 @@ void Server::HandleFrame(Connection* conn, Frame frame) {
       health.state = drain_requested() ? ServerState::kDraining
                                        : ServerState::kServing;
       health.snapshot_version = registry_->max_version();
-      QueueResponse(conn, EncodeHealthResponse(correlation_id, health));
+      conn->outbox += EncodeHealthResponse(correlation_id, health);
       return;
     }
     case MessageType::kStatsRequest: {
       StatsResponseMsg stats_msg;
       stats_msg.stats = service_->stats();
-      QueueResponse(conn, EncodeStatsResponse(correlation_id, stats_msg));
+      conn->outbox += EncodeStatsResponse(correlation_id, stats_msg);
       return;
     }
     case MessageType::kDrainRequest: {
       drain_requests_.fetch_add(1, std::memory_order_relaxed);
       metrics.drain_requests->Increment();
-      // Acknowledge first, drain on the helper thread: Drain() blocks until
-      // the queue empties, which must not stall the loop that has to flush
-      // the very responses Drain waits on.
+      // Acknowledge at once. From here on link requests are refused, and
+      // the loop's epilogue drains the service once everything submitted
+      // before this point has called back.
       drain_requested_.store(true, std::memory_order_release);
-      drain_cv_.notify_all();
-      QueueResponse(conn, EncodeDrainResponse(correlation_id, Status::OK()));
+      conn->outbox += EncodeDrainResponse(correlation_id, Status::OK());
       NCL_LOG(Info) << "net::Server drain requested over the wire";
       return;
     }
     default: {
       decode_errors_.fetch_add(1, std::memory_order_relaxed);
       metrics.decode_errors->Increment();
-      QueueResponse(
-          conn,
-          EncodeErrorResponse(
-              correlation_id,
-              Status::InvalidArgument(
-                  "unexpected message type " +
-                  std::to_string(static_cast<int>(frame.header.type)))));
+      conn->outbox += EncodeErrorResponse(
+          correlation_id,
+          Status::InvalidArgument(
+              "unexpected message type " +
+              std::to_string(static_cast<int>(frame.header.type))));
       return;
     }
   }
@@ -216,7 +247,7 @@ void Server::EventLoop() {
     // Accepting continues through a drain: fresh connections must still be
     // able to ask Health (that is how a router's probe sees kDraining —
     // probes reconnect each sweep) and get a proper Unavailable for link
-    // requests from SubmitLink, instead of hanging in the backlog.
+    // requests, instead of hanging in the backlog.
     pollfds.push_back(pollfd{listener_.get(), POLLIN, 0});
     poll_conn_ids.push_back(0);
     for (auto& [id, conn] : connections_) {
@@ -233,7 +264,15 @@ void Server::EventLoop() {
       break;
     }
 
-    // Splice responses encoded by the completion thread into outboxes.
+    // Empty the wakeup pipe before taking the pending replies: a callback
+    // that queues a reply after the take writes a byte this read has not
+    // consumed, so the next poll returns at once instead of timing out.
+    if (pollfds[0].revents != 0) {
+      char drain[256];
+      while (::read(wakeup_read_.get(), drain, sizeof(drain)) > 0) {
+      }
+    }
+    // Splice replies encoded by completion callbacks into outboxes.
     {
       std::vector<std::pair<uint64_t, std::string>> writes;
       {
@@ -242,20 +281,14 @@ void Server::EventLoop() {
       }
       for (auto& [conn_id, bytes] : writes) {
         auto it = connections_.find(conn_id);
-        if (it != connections_.end()) QueueResponse(it->second.get(), bytes);
+        if (it != connections_.end()) it->second->outbox += bytes;
         // else: the client went away before its response was ready — drop.
       }
     }
 
     for (size_t i = 0; i < pollfds.size(); ++i) {
       const pollfd& pfd = pollfds[i];
-      if (pfd.revents == 0) continue;
-      if (pfd.fd == wakeup_read_.get()) {
-        char drain[256];
-        while (::read(wakeup_read_.get(), drain, sizeof(drain)) > 0) {
-        }
-        continue;
-      }
+      if (pfd.revents == 0 || pfd.fd == wakeup_read_.get()) continue;
       if (pfd.fd == listener_.get() && poll_conn_ids[i] == 0) {
         for (;;) {
           int client = ::accept(listener_.get(), nullptr, nullptr);
@@ -354,13 +387,20 @@ void Server::EventLoop() {
       }
     }
 
-    // Drain epilogue: once the service is drained, every in-flight response
-    // is encoded and every outbox is empty, the fleet owner may stop us.
+    // Drain epilogue: once every request submitted before the drain ack
+    // has called back, the service holds none of ours, so its Drain() only
+    // stops the shards. Once every outbox is empty too, the fleet owner may
+    // stop us.
     if (drain_requested()) {
-      bool all_flushed = in_flight_.load(std::memory_order_acquire) == 0;
-      if (all_flushed) {
+      bool all_flushed = false;
+      {
         std::lock_guard<std::mutex> lock(pending_mutex_);
-        all_flushed = pending_writes_.empty();
+        all_flushed = in_flight_ == 0 && pending_writes_.empty();
+      }
+      if (all_flushed && !drained_) {
+        service_->Drain();
+        drained_ = true;
+        NCL_LOG(Info) << "net::Server service drained";
       }
       if (all_flushed) {
         for (auto& [id, conn] : connections_) {
@@ -372,7 +412,7 @@ void Server::EventLoop() {
       }
       if (all_flushed) {
         std::lock_guard<std::mutex> lock(drain_mutex_);
-        if (drained_ && !flushed_) {
+        if (!flushed_) {
           flushed_ = true;
           drain_cv_.notify_all();
         }
@@ -382,65 +422,6 @@ void Server::EventLoop() {
   connections_.clear();
   active_connections_.store(0, std::memory_order_relaxed);
   GetNetMetrics().active_connections->Set(0.0);
-}
-
-void Server::CompletionLoop() {
-  const NetMetrics& metrics = GetNetMetrics();
-  for (;;) {
-    InFlight entry;
-    {
-      std::unique_lock<std::mutex> lock(inflight_mutex_);
-      inflight_cv_.wait(lock, [this] {
-        return stopping_.load(std::memory_order_acquire) || !inflight_.empty();
-      });
-      if (inflight_.empty()) {
-        if (stopping_.load(std::memory_order_acquire)) return;
-        continue;
-      }
-      entry = std::move(inflight_.front());
-      inflight_.pop_front();
-    }
-    // Futures always resolve (LinkingService contract), even across
-    // Drain/Shutdown, so this wait is bounded by service progress.
-    serve::LinkResult result = entry.future.get();
-    LinkResponseMsg response;
-    response.status = std::move(result.status);
-    response.snapshot_version = result.snapshot_version;
-    response.server_request_id = result.request_id;
-    response.timings = result.timings;
-    response.candidates = std::move(result.candidates);
-    std::string bytes = EncodeLinkResponse(entry.correlation_id, response);
-    {
-      std::lock_guard<std::mutex> lock(pending_mutex_);
-      pending_writes_.emplace_back(entry.connection_id, std::move(bytes));
-    }
-    responses_.fetch_add(1, std::memory_order_relaxed);
-    metrics.responses->Increment();
-    in_flight_.fetch_sub(1, std::memory_order_release);
-    metrics.in_flight->Add(-1.0);
-    Wakeup();
-  }
-}
-
-void Server::DrainLoop() {
-  {
-    std::unique_lock<std::mutex> lock(drain_mutex_);
-    drain_cv_.wait(lock, [this] {
-      return drain_requested_.load(std::memory_order_acquire) ||
-             stopping_.load(std::memory_order_acquire);
-    });
-    if (!drain_requested_.load(std::memory_order_acquire)) return;
-  }
-  // Off-loop: completes everything queued; the completion + event loops
-  // flush the responses while we wait here.
-  service_->Drain();
-  {
-    std::lock_guard<std::mutex> lock(drain_mutex_);
-    drained_ = true;
-  }
-  drain_cv_.notify_all();
-  Wakeup();  // let the event loop run its drain epilogue promptly
-  NCL_LOG(Info) << "net::Server service drained";
 }
 
 }  // namespace ncl::net

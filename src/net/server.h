@@ -1,36 +1,36 @@
 // net::Server — the transport that turns a LinkingService into a network
 // replica.
 //
-// One poll(2) event loop owns the listener and every connection: it accepts,
-// reads, decodes frames (net/wire.h) and writes buffered responses; it never
-// scores. Link requests are submitted to the LinkingService via SubmitLink —
-// the wire deadline_us field becomes RequestOptions::deadline, so admission
-// control, micro-batching and deadline enforcement are exactly the
-// in-process semantics — and a completion thread waits on the returned
-// futures in FIFO order (shards take requests in FIFO order and resolve
-// them in near-FIFO order, so head-of-line waiting is cheap), encodes
-// LinkResponse frames and hands the bytes back to the event loop through a
-// wakeup pipe. Health, Stats and Drain frames are answered inline on the
-// loop.
+// One thread, a poll(2) event loop, owns the listener and every connection:
+// it accepts, reads, decodes frames (net/wire.h) and writes buffered
+// responses; it never scores. Link requests go to LinkingService::SubmitLink
+// with a completion callback — the wire deadline_us field becomes
+// RequestOptions::deadline, so admission control, micro-batching and
+// deadline enforcement are exactly the in-process semantics. The callback
+// runs on the shard that served the request (on the loop, for a refusal at
+// admission), encodes the LinkResponse, queues it under the connection's id
+// and wakes the loop through a pipe, so replies leave in completion order
+// and a slow request holds back no other reply. Health, Stats and Drain
+// frames are answered inline on the loop.
 //
-// Backpressure: the admission queue's kBlock policy blocks SubmitLink on the
-// event-loop thread, which stops the server reading new frames until the
-// queue has space — TCP/UDS flow control then pushes back on every client.
-// That is intentional (it is the wire analogue of a blocked in-process
-// submitter); deployments that prefer fast failure configure kReject or
-// kShedOldest and the error envelope carries ResourceExhausted/Unavailable
-// to the client with the Status code intact. A connection whose unsent
-// replies pass 1 MiB is not read again until they drain, so a client that
-// pipelines requests and never reads is held back the same way.
+// Backpressure: `ncl serve-net` has no policy flag and always runs kBlock,
+// which blocks SubmitLink on the loop until the admission queue has space:
+// the server stops reading, and TCP/UDS flow control pushes back on every
+// client (the wire analogue of a blocked in-process submitter). A program
+// that builds its service with kReject or kShedOldest fails fast instead,
+// with ResourceExhausted or Unavailable intact in the response. A
+// connection whose unsent replies pass 1 MiB is not read again until they
+// drain, so a client that pipelines requests and never reads is held back
+// the same way.
 //
-// Drain: a kDrainRequest is acknowledged immediately, then a helper thread
-// runs LinkingService::Drain() — queued requests complete and their
-// responses flush before WaitForDrain() returns, while health flips to
-// kDraining so a router stops routing here. New link requests after a drain
-// fail with Unavailable (from SubmitLink). This is the per-replica half of
-// zero-downtime rollout: drain, restart with the new model (the
-// TenantRegistry publish flow), health flips back to kServing, the router
-// re-adds the replica.
+// Drain: a kDrainRequest is acknowledged at once and health flips to
+// kDraining, so a router stops routing here; the loop answers later link
+// requests with Unavailable itself. Once every earlier request has called
+// back, the loop runs LinkingService::Drain(), which then holds none of
+// ours, and once every reply has left its outbox WaitForDrain() returns.
+// This is the per-replica half of zero-downtime rollout: drain, restart with
+// the new model (the TenantRegistry publish flow), health flips back to
+// kServing, the router re-adds the replica.
 //
 // Observability (`ncl.net.*`): connections / active_connections,
 // bytes_in / bytes_out, requests / responses, decode_errors, in_flight,
@@ -41,8 +41,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -100,8 +98,9 @@ class Server {
   /// already bound; idempotence is not supported (one Start per instance).
   Status Start();
 
-  /// Stop accepting and reading, let in-flight futures resolve, close every
-  /// connection, join the threads. Idempotent. Does not stop the service.
+  /// Stop accepting and reading, close every connection and join the loop,
+  /// then wait until every submitted request has called back (the service
+  /// must still be serving them). Idempotent. Does not stop the service.
   void Stop();
 
   /// Block until a wire Drain has been requested *and* the service finished
@@ -131,18 +130,8 @@ class Server {
     explicit Connection(uint32_t max_body) : decoder(max_body) {}
   };
 
-  /// One submitted link request whose response is still pending.
-  struct InFlight {
-    uint64_t connection_id = 0;
-    uint64_t correlation_id = 0;
-    std::future<serve::LinkResult> future;
-  };
-
   void EventLoop();
-  void CompletionLoop();
-  void DrainLoop();
   void HandleFrame(Connection* conn, Frame frame);
-  void QueueResponse(Connection* conn, std::string frame_bytes);
   void Wakeup();
 
   serve::LinkingService* service_;
@@ -159,36 +148,31 @@ class Server {
   std::mutex stop_mutex_;  ///< serialises Stop/destructor
   bool stopped_ = false;   ///< guarded by stop_mutex_
 
-  /// Responses encoded off-loop (completion thread), spliced into
-  /// connection outboxes by the event loop after a wakeup.
-  std::mutex pending_mutex_;
+  /// Replies encoded by completion callbacks, keyed by connection id and
+  /// spliced into outboxes by the event loop after a wakeup; `in_flight_`
+  /// counts link requests submitted and not yet called back.
+  mutable std::mutex pending_mutex_;
+  std::condition_variable in_flight_cv_;  ///< Stop: in_flight_ reached 0
   std::vector<std::pair<uint64_t, std::string>> pending_writes_;
+  size_t in_flight_ = 0;
 
-  /// FIFO of futures the completion thread resolves.
-  std::mutex inflight_mutex_;
-  std::condition_variable inflight_cv_;
-  std::deque<InFlight> inflight_;
-
-  /// Drain state machine: requested (wire) -> drained (service) -> flushed
-  /// (all responses on the wire).
+  /// Drain state machine: requested (wire) -> drained (service; loop-only
+  /// state) -> flushed (all responses on the wire).
   std::mutex drain_mutex_;
   std::condition_variable drain_cv_;
   std::atomic<bool> drain_requested_{false};
   bool drained_ = false;
   bool flushed_ = false;
 
-  /// Per-instance counters (event loop thread + completion thread).
+  /// Per-instance counters (event loop thread + completion callbacks).
   std::atomic<uint64_t> connections_accepted_{0};
   std::atomic<size_t> active_connections_{0};
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> responses_{0};
   std::atomic<uint64_t> decode_errors_{0};
-  std::atomic<size_t> in_flight_{0};
   std::atomic<uint64_t> drain_requests_{0};
 
   std::thread loop_thread_;
-  std::thread completion_thread_;
-  std::thread drain_thread_;
 
   /// Event-loop-private connection table (id -> connection). Ids are
   /// monotonic so a recycled fd never aliases a stale pending write.

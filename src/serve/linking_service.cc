@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <exception>
+#include <optional>
+#include <sstream>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -18,6 +20,7 @@ struct ServeMetrics {
   obs::Gauge* queue_depth;
   obs::Counter* admitted;
   obs::Counter* rejected;
+  obs::Counter* rejected_oversize;
   obs::Counter* shed;
   obs::Counter* deadline_exceeded;
   obs::Counter* completed;
@@ -34,6 +37,7 @@ const ServeMetrics& GetServeMetrics() {
     return ServeMetrics{registry.GetGauge("ncl.serve.queue_depth"),
                         registry.GetCounter("ncl.serve.admit"),
                         registry.GetCounter("ncl.serve.reject"),
+                        registry.GetCounter("ncl.serve.rejected_oversize"),
                         registry.GetCounter("ncl.serve.shed"),
                         registry.GetCounter("ncl.serve.deadline_exceeded"),
                         registry.GetCounter("ncl.serve.completed"),
@@ -51,13 +55,36 @@ double MicrosBetween(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
-std::future<LinkResult> MakeErrorFuture(Status status, uint64_t request_id = 0) {
-  std::promise<LinkResult> promise;
+LinkResult ErrorResult(Status status, uint64_t request_id = 0) {
   LinkResult result;
   result.status = std::move(status);
   result.request_id = request_id;
-  promise.set_value(std::move(result));
-  return promise.get_future();
+  return result;
+}
+
+/// InvalidArgument naming the cap when `query` has over kMaxQueryTokens
+/// tokens or a token over kMaxTokenBytes bytes. A refusal is counted and
+/// logged with its size and cap, never the query text.
+Status CheckQueryBounds(const std::vector<std::string>& query) {
+  const char* cap_name = "kMaxQueryTokens";
+  const char* unit = " tokens";
+  size_t cap = kMaxQueryTokens;
+  size_t size = query.size();
+  if (size <= cap) {
+    cap_name = "kMaxTokenBytes";
+    unit = " bytes in one token";
+    cap = kMaxTokenBytes;
+    size = 0;  // the longest token's bytes
+    for (const std::string& token : query) size = std::max(size, token.size());
+    if (size <= cap) return Status::OK();
+  }
+  GetServeMetrics().rejected_oversize->Increment();
+  NCL_LOG(Warning) << "serve_rejected_oversize cap=" << cap_name
+                   << " limit=" << cap << " size=" << size;
+  std::ostringstream message;
+  message << "query over serve::" << cap_name << " = " << cap << ": " << size
+          << unit;
+  return Status::InvalidArgument(message.str());
 }
 
 /// Process-wide so request ids — and therefore trace flow-edge ids — stay
@@ -127,8 +154,13 @@ LinkingService::TenantState* LinkingService::GetTenantStateLocked(
   return tenant_states_.emplace(tenant, std::move(state)).first->second.get();
 }
 
-std::future<LinkResult> LinkingService::SubmitLink(
-    std::vector<std::string> query, RequestOptions options) {
+void LinkingService::SubmitLink(std::vector<std::string> query,
+                                RequestOptions options,
+                                std::function<void(LinkResult)> done) {
+  if (Status bounds = CheckQueryBounds(query); !bounds.ok()) {
+    done(ErrorResult(std::move(bounds)));
+    return;
+  }
   PendingRequest request;
   request.id = g_next_request_id.fetch_add(1, std::memory_order_relaxed);
   // Hop 0 of the request's trace lane: the admission span (covering any
@@ -136,6 +168,7 @@ std::future<LinkResult> LinkingService::SubmitLink(
   // finishes.
   NCL_TRACE_SPAN_FLOW("ncl.serve.admit", obs::RequestFlowId(request.id, 0), 0);
   request.query = std::move(query);
+  request.done = std::move(done);
   request.tenant = options.ontology.empty() ? std::string(kDefaultTenant)
                                             : std::move(options.ontology);
   request.enqueued = std::chrono::steady_clock::now();
@@ -149,12 +182,18 @@ std::future<LinkResult> LinkingService::SubmitLink(
     request.deadline = request.enqueued + deadline;
     request.has_deadline = true;
   }
-  std::future<LinkResult> future = request.promise.get_future();
 
+  // A refused request and a shed victim are called back only after the
+  // lock is released.
+  std::optional<PendingRequest> shed;
   std::unique_lock<std::mutex> lock(mutex_);
+  const auto refuse = [&lock, &request](Status status) {
+    lock.unlock();
+    request.done(ErrorResult(std::move(status), request.id));
+  };
   if (!accepting_) {
-    return MakeErrorFuture(
-        Status::Unavailable("service is not accepting requests"), request.id);
+    refuse(Status::Unavailable("service is not accepting requests"));
+    return;
   }
   TenantState* state = GetTenantStateLocked(request.tenant);
   request.tenant_state = state;
@@ -171,9 +210,8 @@ std::future<LinkResult> LinkingService::SubmitLink(
         cv_space_.wait(lock,
                        [this, &over_limits] { return !accepting_ || !over_limits(); });
         if (!accepting_) {
-          return MakeErrorFuture(
-              Status::Unavailable("service stopped while waiting for queue space"),
-              request.id);
+          refuse(Status::Unavailable("service stopped while waiting for queue space"));
+          return;
         }
         break;
       case OverloadPolicy::kReject: {
@@ -182,15 +220,14 @@ std::future<LinkResult> LinkingService::SubmitLink(
         state->m_rejected->Increment();
         const bool tenant_limited =
             config_.tenant_quota > 0 && state->queued >= config_.tenant_quota;
-        return MakeErrorFuture(
-            tenant_limited
-                ? Status::ResourceExhausted(
-                      "tenant '" + request.tenant + "' at admission quota (" +
-                      std::to_string(config_.tenant_quota) + " queued)")
-                : Status::ResourceExhausted(
-                      "admission queue full (capacity " +
-                      std::to_string(config_.queue_capacity) + ")"),
-            request.id);
+        refuse(tenant_limited
+                   ? Status::ResourceExhausted(
+                         "tenant '" + request.tenant + "' at admission quota (" +
+                         std::to_string(config_.tenant_quota) + " queued)")
+                   : Status::ResourceExhausted(
+                         "admission queue full (capacity " +
+                         std::to_string(config_.queue_capacity) + ")"));
+        return;
       }
       case OverloadPolicy::kShedOldest: {
         // Shed the submitting tenant's own oldest request when it has one
@@ -203,21 +240,14 @@ std::future<LinkResult> LinkingService::SubmitLink(
                            return queued.tenant_state == state;
                          });
         if (victim_it == queue_.end()) victim_it = queue_.begin();
-        PendingRequest victim = std::move(*victim_it);
+        shed.emplace(std::move(*victim_it));
         queue_.erase(victim_it);
-        victim.tenant_state->queued--;
-        victim.tenant_state->m_queue_depth->Set(
-            static_cast<double>(victim.tenant_state->queued));
+        shed->tenant_state->queued--;
+        shed->tenant_state->m_queue_depth->Set(
+            static_cast<double>(shed->tenant_state->queued));
         GetServeMetrics().shed->Increment();
-        victim.tenant_state->shed.fetch_add(1, std::memory_order_relaxed);
-        victim.tenant_state->m_shed->Increment();
-        LinkResult shed_result;
-        shed_result.status =
-            Status::Unavailable("shed from admission queue under overload");
-        shed_result.request_id = victim.id;
-        shed_result.queue_us =
-            MicrosBetween(victim.enqueued, std::chrono::steady_clock::now());
-        victim.promise.set_value(std::move(shed_result));
+        shed->tenant_state->shed.fetch_add(1, std::memory_order_relaxed);
+        shed->tenant_state->m_shed->Increment();
         break;
       }
     }
@@ -231,12 +261,28 @@ std::future<LinkResult> LinkingService::SubmitLink(
   PublishQueueDepthLocked();
   lock.unlock();
   cv_work_.notify_one();
-  return future;
+  if (shed) {
+    LinkResult shed_result = ErrorResult(
+        Status::Unavailable("shed from admission queue under overload"),
+        shed->id);
+    shed_result.queue_us =
+        MicrosBetween(shed->enqueued, std::chrono::steady_clock::now());
+    shed->done(std::move(shed_result));
+  }
+}
+
+std::future<LinkResult> LinkingService::SubmitLink(
+    std::vector<std::string> query, RequestOptions options) {
+  auto promise = std::make_shared<std::promise<LinkResult>>();
+  SubmitLink(std::move(query), std::move(options), [promise](LinkResult result) {
+    promise->set_value(std::move(result));
+  });
+  return promise->get_future();
 }
 
 LinkResult LinkingService::Link(std::vector<std::string> query,
                                 RequestOptions options) {
-  return SubmitLink(std::move(query), options).get();
+  return SubmitLink(std::move(query), std::move(options)).get();
 }
 
 uint64_t LinkingService::ProcessSlice(
@@ -342,8 +388,8 @@ uint64_t LinkingService::ProcessSlice(
   for (size_t i = 0; i < count; ++i) {
     LinkResult& result = results[i];
     result.timings.total_us = result.queue_us + result.service_us;
-    // Feed the SLO machinery before resolving the promise: every request
-    // that reached a shard counts toward the rolling window, served or not.
+    // Feed the SLO machinery before calling back: every request that
+    // reached a shard counts toward the rolling window, served or not.
     if (slo_ != nullptr) {
       slo_->RecordRequest(result.timings.total_us, result.status.ok());
     }
@@ -351,7 +397,7 @@ uint64_t LinkingService::ProcessSlice(
       slow_log_->Offer(result.request_id, result.timings.total_us,
                        result.timings, requests[i].query);
     }
-    requests[i].promise.set_value(std::move(results[i]));
+    requests[i].done(std::move(results[i]));
   }
   return scored_candidates;
 }
@@ -447,26 +493,26 @@ void LinkingService::ShardLoop() {
 void LinkingService::StopInternal(bool fail_queued) {
   std::lock_guard<std::mutex> stop_lock(stop_mutex_);
   if (stopped_) return;
+  std::deque<PendingRequest> failed;  // called back once the lock is released
   {
     std::lock_guard<std::mutex> lock(mutex_);
     accepting_ = false;
     if (fail_queued) {
-      while (!queue_.empty()) {
-        PendingRequest victim = std::move(queue_.front());
-        queue_.pop_front();
+      failed.swap(queue_);
+      for (PendingRequest& victim : failed) {
         victim.tenant_state->queued--;
         victim.tenant_state->m_queue_depth->Set(
             static_cast<double>(victim.tenant_state->queued));
-        LinkResult result;
-        result.status =
-            Status::Unavailable("service shut down before the request was served");
-        result.request_id = victim.id;
-        victim.promise.set_value(std::move(result));
       }
       PublishQueueDepthLocked();
     }
   }
   cv_space_.notify_all();  // release submitters blocked on a full queue
+  for (PendingRequest& victim : failed) {
+    victim.done(ErrorResult(
+        Status::Unavailable("service shut down before the request was served"),
+        victim.id));
+  }
   {
     std::unique_lock<std::mutex> lock(mutex_);
     cv_idle_.wait(lock, [this] { return queue_.empty() && busy_shards_ == 0; });

@@ -12,7 +12,8 @@
 //     which then fails with Unavailable) — plus optional per-request
 //     deadlines, enforced at dispatch: a request that waited past its
 //     deadline fails with DeadlineExceeded instead of burning a shard on an
-//     answer nobody is waiting for.
+//     answer nobody is waiting for. An oversize query (kMaxQueryTokens,
+//     kMaxTokenBytes) is refused with InvalidArgument before any of that.
 //
 //   * Pull-based shards: `num_shards` shard threads take work straight from
 //     the admission queue. Each pass takes its share of the backlog —
@@ -46,10 +47,13 @@
 // admission and completes everything queued; Shutdown stops admission and
 // fails queued requests with Unavailable. Both wait for an empty queue and
 // no busy shard, are terminal and idempotent; the destructor implies
-// Shutdown.
+// Shutdown. Whatever its fate, every request completes by one call of its
+// SubmitLink callback, made outside the service lock.
 //
 // Observability (`ncl.serve.*`): queue_depth gauge; admitted / rejected /
-// shed / deadline_exceeded / completed counters; batch_size (requests per
+// rejected_oversize / shed / deadline_exceeded / completed counters (an
+// oversize refusal also logs one `serve_rejected_oversize` line giving the
+// size and the cap, never the query text); batch_size (requests per
 // pass), candidates_per_batch, queue_wait_us, service_us and e2e_us
 // histograms (e2e = queue wait + service); per-pass `ncl.serve.batch` and
 // per-tenant-group `ncl.serve.slice` trace spans.
@@ -80,6 +84,7 @@
 #include <cstdint>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -138,6 +143,13 @@ struct ServeConfig {
 /// overflow the steady_clock time_point into the past.
 inline constexpr std::chrono::microseconds kMaxRequestDeadline{
     3'600'000'000};  // 1 hour
+
+/// Admission bounds on one request's work, checked before it is queued: the
+/// worst admitted request scores k lanes × 257 decode steps (256 tokens,
+/// then end-of-sequence). Real queries have ~10 tokens of ≤16 bytes; the
+/// 16 MiB wire frame cap alone would admit ~3.3M tokens, or one 16 MiB one.
+inline constexpr size_t kMaxQueryTokens = 256;
+inline constexpr size_t kMaxTokenBytes = 256;
 
 /// Per-request overrides.
 struct RequestOptions {
@@ -207,10 +219,18 @@ class LinkingService {
   LinkingService(const LinkingService&) = delete;
   LinkingService& operator=(const LinkingService&) = delete;
 
-  /// Async entry point: admit `query` and resolve the future when a shard
-  /// has scored it (or admission/dispatch failed — the future always
-  /// resolves; inspect LinkResult::status). With a full queue under kBlock
-  /// this call blocks until space frees.
+  /// Async entry point: admit `query` and call `done` exactly once with its
+  /// result (inspect LinkResult::status), never under the service lock. A
+  /// served request calls back on its shard thread; a request refused at
+  /// admission, shed by a later submitter or failed by Shutdown calls back
+  /// on the thread of that call, once it released the lock (a refusal
+  /// before this returns). `done` may read stats() but must not call Link,
+  /// Drain or Shutdown (a shard would wait on itself), and must not throw.
+  /// With a full queue under kBlock this call blocks until space frees.
+  void SubmitLink(std::vector<std::string> query, RequestOptions options,
+                  std::function<void(LinkResult)> done);
+
+  /// The same, resolving a future instead of calling back.
   std::future<LinkResult> SubmitLink(std::vector<std::string> query,
                                      RequestOptions options = {});
 
@@ -262,7 +282,7 @@ class LinkingService {
   /// One queued request.
   struct PendingRequest {
     std::vector<std::string> query;
-    std::promise<LinkResult> promise;
+    std::function<void(LinkResult)> done;
     uint64_t id = 0;  ///< process-unique, assigned at admission
     std::string tenant;             ///< canonical (never empty)
     TenantState* tenant_state = nullptr;

@@ -217,8 +217,9 @@ TEST(BatchInferenceTest, ContextReuseAcrossShapes) {
 }
 
 TEST(BatchInferenceTest, ConcurrentBatchesMatchSerial) {
-  // Shards score tiles concurrently against one shared model (race-safe
-  // lazy cache fills). Run under the tsan preset.
+  // Shards score tiles concurrently against one shared model whose
+  // encodings were just invalidated, so their first-use warm-ups race.
+  // Run under the tsan preset.
   ontology::Ontology onto = MakeOntology();
   ComAidModel model(SmallConfig(), &onto, {{"ckd"}});
   LaneSet serial = MakeLanes(model, onto);

@@ -65,8 +65,9 @@ double Score(const ComAidModel& model, ontology::ConceptId id,
 }
 
 TEST(InferenceTest, FastMatchesTapeAcrossVariants) {
-  // Each candidate scored on its own (a cold one-lane batch per pair) must
-  // agree with the tape in all four attention variants.
+  // Each candidate scored on its own (a one-lane batch per pair; the first
+  // call warms every concept's encoding) must agree with the tape in all
+  // four attention variants.
   ontology::Ontology onto = MakeOntology();
   for (bool text : {true, false}) {
     for (bool structural : {true, false}) {

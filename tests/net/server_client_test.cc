@@ -1,8 +1,10 @@
 // End-to-end net::Server + net::Client tests over Unix-domain sockets: the
 // networked path returns bit-identical results to in-process Link on the
 // same service, wire deadlines become RequestOptions deadlines and come
-// back as DeadlineExceeded, Status codes survive the error envelope, and a
-// wire Drain flushes every queued response before WaitForDrain returns.
+// back as DeadlineExceeded, Status codes survive the error envelope, replies
+// leave in completion order, oversize queries are refused at admission, a
+// wire Drain flushes every queued response before WaitForDrain returns, and
+// Stop outlasts every completion callback.
 
 #include "net/client.h"
 #include "net/server.h"
@@ -13,6 +15,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,9 +52,47 @@ class FakeSnapshot : public serve::ModelSnapshot {
   int concept_offset_;
 };
 
+/// Snapshot that holds queries starting with "slow" until Release(); every
+/// other query answers at once.
+class GatedSnapshot : public FakeSnapshot {
+ public:
+  std::vector<linking::ScoredCandidate> Link(
+      const std::vector<std::string>& query) const override {
+    if (!query.empty() && query[0] == "slow") {
+      std::unique_lock<std::mutex> lock(mutex_);
+      slow_scoring_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return released_; });
+    }
+    return FakeSnapshot::Link(query);
+  }
+
+  /// Wait (up to `timeout`) until a slow query is being scored.
+  bool WaitForSlowQuery(std::chrono::milliseconds timeout) const {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, timeout, [this] { return slow_scoring_; });
+  }
+
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
+  mutable bool slow_scoring_ = false;
+  bool released_ = false;
+};
+
 std::vector<std::string> Query(size_t words) {
   return std::vector<std::string>(words, "anemia");
 }
+
+const std::vector<std::string> kSlowQuery = {"slow", "query"};
 
 /// Fresh /tmp UDS path per server (sun_path caps at ~108 bytes, so /tmp).
 Endpoint TestEndpoint() {
@@ -68,9 +110,12 @@ struct Replica {
   std::unique_ptr<Server> server;
 
   explicit Replica(std::chrono::microseconds latency = 0us,
-                   serve::ServeConfig config = {}) {
-    registry.Publish(serve::kDefaultTenant,
-                     std::make_shared<FakeSnapshot>(latency));
+                   serve::ServeConfig config = {})
+      : Replica(std::make_shared<FakeSnapshot>(latency), config) {}
+
+  Replica(std::shared_ptr<serve::ModelSnapshot> snapshot,
+          serve::ServeConfig config) {
+    registry.Publish(serve::kDefaultTenant, std::move(snapshot));
     service = std::make_unique<serve::LinkingService>(&registry, config);
     ServerConfig server_config;
     server_config.endpoint = TestEndpoint();
@@ -80,6 +125,18 @@ struct Replica {
   ~Replica() {
     if (server != nullptr) server->Stop();
   }
+};
+
+/// A replica whose snapshot holds slow queries until the gate opens. The
+/// gate opens before the replica stops, so a failed assertion never leaves
+/// Stop waiting for a gated request.
+struct GatedReplica {
+  std::shared_ptr<GatedSnapshot> gate = std::make_shared<GatedSnapshot>();
+  Replica replica;
+
+  explicit GatedReplica(serve::ServeConfig config = {})
+      : replica(gate, config) {}
+  ~GatedReplica() { gate->Release(); }
 };
 
 TEST(ServerClientTest, LinkOverWireMatchesInProcessBitExact) {
@@ -189,6 +246,138 @@ TEST(ServerClientTest, PipelinedRequestsAllAnswered) {
   std::sort(sent.begin(), sent.end());
   std::sort(answered.begin(), answered.end());
   EXPECT_EQ(sent, answered);  // every request answered exactly once
+}
+
+TEST(ServerClientTest, SlowRequestDoesNotHoldOtherConnectionsReplies) {
+  serve::ServeConfig config;
+  config.num_shards = 2;
+  config.max_batch = 2;
+  GatedReplica gated(config);
+  Replica& replica = gated.replica;
+  GatedSnapshot* gate = gated.gate.get();
+  ASSERT_TRUE(replica.server->Start().ok());
+  auto a = Client::Connect(replica.server->bound_endpoint());
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ClientConfig no_retry;
+  no_retry.max_retries = 0;
+  no_retry.recv_timeout_ms = 5000;
+  auto b = Client::Connect(replica.server->bound_endpoint(), no_retry);
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+
+  auto slow_id = (*a)->SendLink(kSlowQuery);
+  ASSERT_TRUE(slow_id.ok()) << slow_id.status().ToString();
+  ASSERT_TRUE(gate->WaitForSlowQuery(5s));
+  // One shard is stuck on A's request; the other serves B's, whose reply
+  // must not wait for A's.
+  auto fast = (*b)->Link(Query(2));
+  gate->Release();
+  ASSERT_TRUE(fast.ok()) << "B's reply waited behind A's gated request: "
+                         << fast.status().ToString();
+  EXPECT_TRUE(fast->status.ok()) << fast->status.ToString();
+
+  uint64_t correlation_id = 0;
+  auto slow = (*a)->ReceiveLink(&correlation_id);
+  ASSERT_TRUE(slow.ok()) << slow.status().ToString();
+  EXPECT_EQ(correlation_id, *slow_id);
+  EXPECT_TRUE(slow->status.ok()) << slow->status.ToString();
+}
+
+TEST(ServerClientTest, StopWaitsUntilInFlightRepliesAreCounted) {
+  GatedReplica gated;
+  Replica& replica = gated.replica;
+  GatedSnapshot* gate = gated.gate.get();
+  ASSERT_TRUE(replica.server->Start().ok());
+  auto client = Client::Connect(replica.server->bound_endpoint());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE((*client)->SendLink(kSlowQuery).ok());
+  ASSERT_TRUE(gate->WaitForSlowQuery(5s));
+
+  std::thread opener([&] {
+    std::this_thread::sleep_for(50ms);
+    gate->Release();
+  });
+  replica.server->Stop();
+  const ServerStats stats = replica.server->stats();
+  EXPECT_EQ(stats.responses, 1u);
+  EXPECT_EQ(stats.in_flight, 0u);
+  // Free the server at once: a callback that still touched it would be a
+  // use-after-free (ASan) or a race (TSan).
+  replica.server.reset();
+  opener.join();
+}
+
+/// A kLinkRequest frame of `count` tokens of `token_bytes` bytes each,
+/// written out directly so no token vector is built on this side.
+std::string LinkRequestFrame(uint64_t correlation_id, uint32_t count,
+                             uint32_t token_bytes) {
+  std::string frame;
+  const auto put = [&frame](uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      frame.push_back(static_cast<char>(value >> (8 * i)));
+    }
+  };
+  put(kMagic, 2);
+  put(kProtocolVersion, 1);
+  put(static_cast<uint8_t>(MessageType::kLinkRequest), 1);
+  put(16 + uint64_t{count} * (4 + token_bytes), 4);  // body bytes
+  put(correlation_id, 8);
+  put(0, 8);  // deadline_us
+  put(0, 4);  // ontology ""
+  put(count, 4);
+  for (uint32_t i = 0; i < count; ++i) {
+    put(token_bytes, 4);
+    frame.append(token_bytes, 'x');
+  }
+  return frame;
+}
+
+/// Send `frame` on `fd` and read the link response that answers it.
+Result<LinkResponseMsg> Exchange(const Fd& fd, const std::string& frame) {
+  NCL_RETURN_NOT_OK(SendAll(fd.get(), frame, 10000));
+  std::string header_bytes;
+  NCL_RETURN_NOT_OK(RecvExactly(fd.get(), kHeaderSize, &header_bytes, 10000));
+  NCL_ASSIGN_OR_RETURN(FrameHeader header, DecodeHeader(header_bytes));
+  if (header.type != MessageType::kLinkResponse) {
+    return Status::Internal("unexpected reply type " +
+                            std::to_string(static_cast<int>(header.type)));
+  }
+  std::string body;
+  NCL_RETURN_NOT_OK(RecvExactly(fd.get(), header.body_size, &body, 10000));
+  return DecodeLinkResponse(body);
+}
+
+TEST(ServerClientTest, OversizeQueriesAreRefusedAndTheConnectionServesOn) {
+  Replica replica;
+  ASSERT_TRUE(replica.server->Start().ok());
+  auto fd = Connect(replica.server->bound_endpoint(), 2000);
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+
+  // One token filling the 16 MiB frame cap, then as many one-byte tokens as
+  // the cap holds (~3.3M). Each is refused before it reaches a shard, and
+  // the next request on the same connection is served. The time bound is
+  // far below the ~25 s of shard time the second frame would cost a real
+  // hospital-x model, and loose enough for the sanitizer builds (~2 s).
+  const std::string frames[] = {
+      LinkRequestFrame(1, 1, kDefaultMaxBodyBytes - 20),
+      LinkRequestFrame(3, (kDefaultMaxBodyBytes - 16) / 5, 1)};
+  for (const std::string& frame : frames) {
+    ASSERT_LE(frame.size() - kHeaderSize, kDefaultMaxBodyBytes);
+    const auto started = std::chrono::steady_clock::now();
+    auto refused = Exchange(*fd, frame);
+    const auto elapsed = std::chrono::steady_clock::now() - started;
+    ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+    EXPECT_EQ(refused->status.code(), StatusCode::kInvalidArgument)
+        << refused->status.ToString();
+    EXPECT_LT(elapsed, 10s);
+
+    LinkRequestMsg next;
+    next.tokens = Query(3);
+    auto served = Exchange(*fd, EncodeLinkRequest(2, next));
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ASSERT_TRUE(served->status.ok()) << served->status.ToString();
+    EXPECT_EQ(served->candidates[0].concept_id, 3);
+  }
+  EXPECT_EQ(replica.service->stats().admitted, 2u);
 }
 
 TEST(ServerClientTest, NonReadingClientIsBackPressured) {

@@ -1,8 +1,10 @@
 // LinkingService unit tests: admission policies bound the queue, deadlines
-// fail instead of waiting forever, bursts fan out across shards without one
-// slow query holding up the rest, and the Drain/Shutdown lifecycle resolves
-// every future exactly once. A fake snapshot with controllable latency
-// stands in for the real linker so saturation is cheap to produce.
+// fail instead of waiting forever, oversize queries are refused before they
+// reach a shard, bursts fan out across shards without one slow query
+// holding up the rest, and every completion path — the Drain/Shutdown
+// lifecycle included — calls back exactly once, outside the service lock.
+// A fake snapshot with controllable latency stands in for the real linker
+// so saturation is cheap to produce.
 
 #include "serve/linking_service.h"
 
@@ -11,7 +13,9 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -393,6 +397,174 @@ TEST(LinkingServiceTest, SlowQueryDoesNotHoldUpRequestsBehindIt) {
   EXPECT_TRUE(fast_served) << "a fast request waited behind a slow one";
   EXPECT_TRUE(fast.get().status.ok());
   EXPECT_TRUE(slow.get().status.ok());
+}
+
+TEST(LinkingServiceTest, QueryAtEachCapLinks) {
+  TenantRegistry registry;
+  registry.Publish(kDefaultTenant, std::make_shared<FakeSnapshot>());
+  LinkingService service(&registry);
+
+  LinkResult most_tokens = service.Link(Query(kMaxQueryTokens));
+  ASSERT_TRUE(most_tokens.status.ok()) << most_tokens.status.ToString();
+  EXPECT_EQ(most_tokens.candidates[0].concept_id,
+            static_cast<ontology::ConceptId>(kMaxQueryTokens));
+  LinkResult longest_token =
+      service.Link({"anemia", std::string(kMaxTokenBytes, 'a')});
+  EXPECT_TRUE(longest_token.status.ok()) << longest_token.status.ToString();
+}
+
+TEST(LinkingServiceTest, QueryOverEitherCapIsRefusedBeforeScoring) {
+  obs::Counter* refusals = obs::MetricsRegistry::Global().GetCounter(
+      "ncl.serve.rejected_oversize");
+  const uint64_t refusals_before = refusals->value();
+  TenantRegistry registry;
+  auto snapshot = std::make_shared<FakeSnapshot>();
+  registry.Publish(kDefaultTenant, snapshot);
+  LinkingService service(&registry);
+
+  LinkResult too_many = service.Link(Query(kMaxQueryTokens + 1));
+  EXPECT_EQ(too_many.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(too_many.status.message().find("kMaxQueryTokens"),
+            std::string::npos)
+      << too_many.status.ToString();
+  LinkResult too_long =
+      service.Link({"anemia", std::string(kMaxTokenBytes + 1, 'a')});
+  EXPECT_EQ(too_long.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(too_long.status.message().find("kMaxTokenBytes"),
+            std::string::npos)
+      << too_long.status.ToString();
+
+  EXPECT_EQ(snapshot->calls(), 0u);
+  EXPECT_EQ(service.stats().admitted, 0u);
+  EXPECT_EQ(refusals->value() - refusals_before, 2u);
+}
+
+/// Records each request's completion. Its callbacks call stats(), which
+/// takes the service lock, so a path that calls back while holding that
+/// lock deadlocks here.
+class CompletionLog {
+ public:
+  /// Submit `query` to `service`; returns the request's slot.
+  size_t Submit(LinkingService& service, std::vector<std::string> query,
+                RequestOptions options = {}) {
+    size_t slot = 0;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      slot = calls_.size();
+      calls_.push_back(0);
+      codes_.push_back(StatusCode::kOk);
+    }
+    service.SubmitLink(std::move(query), std::move(options),
+                       [this, &service, slot](LinkResult result) {
+                         service.stats();
+                         std::lock_guard<std::mutex> lock(mutex_);
+                         ++calls_[slot];
+                         codes_[slot] = result.status.code();
+                         cv_.notify_all();
+                       });
+    return slot;
+  }
+
+  /// The status code request `slot` completed with (nullopt after 5 s).
+  std::optional<StatusCode> Wait(size_t slot) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (!cv_.wait_for(lock, 5s, [&] { return calls_[slot] > 0; })) {
+      return std::nullopt;
+    }
+    return codes_[slot];
+  }
+
+  std::vector<int> calls() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return calls_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<int> calls_;
+  std::vector<StatusCode> codes_;
+};
+
+/// One shard, a one-request queue, and a snapshot that holds slow queries
+/// until the gate opens.
+struct GatedService {
+  TenantRegistry registry;
+  std::shared_ptr<SlowQueryGate> gate = std::make_shared<SlowQueryGate>();
+  std::unique_ptr<LinkingService> service;
+
+  explicit GatedService(OverloadPolicy policy) {
+    registry.Publish(kDefaultTenant, gate);
+    ServeConfig config;
+    config.num_shards = 1;
+    config.max_batch = 1;
+    config.queue_capacity = 1;
+    config.policy = policy;
+    service = std::make_unique<LinkingService>(&registry, config);
+  }
+  ~GatedService() { gate->Release(); }  // never leave a shard stuck
+};
+
+TEST(LinkingServiceTest, EveryCompletionPathCallsBackOutsideTheLock) {
+  CompletionLog log;  // outlives every service below
+  const std::vector<std::string> slow = {"slow", "query"};
+
+  GatedService shedding(OverloadPolicy::kShedOldest);
+  LinkingService& shed = *shedding.service;
+  // One at a time: a second request queued behind the first would shed it.
+  EXPECT_EQ(log.Wait(log.Submit(shed, Query())), StatusCode::kOk);
+  RequestOptions unknown_tenant;
+  unknown_tenant.ontology = "snomed";
+  EXPECT_EQ(log.Wait(log.Submit(shed, Query(), unknown_tenant)),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(log.Wait(log.Submit(shed, Query(kMaxQueryTokens + 1))),
+            StatusCode::kInvalidArgument);
+  // The slow query holds the only shard, so the next request fills the
+  // queue and the one after sheds it.
+  const size_t held = log.Submit(shed, slow);
+  ASSERT_TRUE(shedding.gate->WaitForSlowQuery(5s));
+  const size_t victim = log.Submit(shed, Query());
+  RequestOptions tight;
+  tight.deadline = 1ms;
+  const size_t expired = log.Submit(shed, Query(), tight);
+  EXPECT_EQ(log.Wait(victim), StatusCode::kUnavailable);
+  std::this_thread::sleep_for(10ms);
+  shedding.gate->Release();
+  EXPECT_EQ(log.Wait(held), StatusCode::kOk);
+  EXPECT_EQ(log.Wait(expired), StatusCode::kDeadlineExceeded);
+  shed.Drain();
+  EXPECT_EQ(log.Wait(log.Submit(shed, Query())), StatusCode::kUnavailable);
+
+  GatedService rejecting(OverloadPolicy::kReject);
+  LinkingService& reject = *rejecting.service;
+  const size_t reject_held = log.Submit(reject, slow);
+  ASSERT_TRUE(rejecting.gate->WaitForSlowQuery(5s));
+  const size_t queued = log.Submit(reject, Query());
+  EXPECT_EQ(log.Wait(log.Submit(reject, Query())),
+            StatusCode::kResourceExhausted);
+  rejecting.gate->Release();
+  EXPECT_EQ(log.Wait(reject_held), StatusCode::kOk);
+  EXPECT_EQ(log.Wait(queued), StatusCode::kOk);
+
+  // Shutdown fails the queued request and the submitter blocked on the
+  // full queue, while the slow query still holds the shard.
+  GatedService blocking(OverloadPolicy::kBlock);
+  LinkingService& block = *blocking.service;
+  const size_t block_held = log.Submit(block, slow);
+  ASSERT_TRUE(blocking.gate->WaitForSlowQuery(5s));
+  const size_t failed = log.Submit(block, Query());
+  size_t blocked = 0;
+  std::thread submitter([&] { blocked = log.Submit(block, Query()); });
+  std::this_thread::sleep_for(20ms);
+  std::thread stopper([&] { block.Shutdown(); });
+  EXPECT_EQ(log.Wait(failed), StatusCode::kUnavailable);
+  submitter.join();
+  EXPECT_EQ(log.Wait(blocked), StatusCode::kUnavailable);
+  blocking.gate->Release();
+  stopper.join();
+  EXPECT_EQ(log.Wait(block_held), StatusCode::kOk);
+
+  for (int calls : log.calls()) EXPECT_EQ(calls, 1);
 }
 
 /// Snapshot that records LinkBatch slice sizes (the service's shard slices
