@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -36,12 +37,16 @@ namespace ncl::comaid {
 namespace {
 
 /// Fused dot-product attention on values (Eqs. 5-7): out = sum_r alpha_r v_r
-/// with alpha = softmax(values * key), over the `n` contiguous d-wide rows
-/// at `values`. `scores` must hold n floats; `out` holds d floats and is
+/// with alpha = softmax(values * key), over the `n` d-wide rows of `pool`
+/// named by `ids`. `scores` must hold n floats; `out` holds d floats and is
 /// overwritten.
-void AttentionInto(const float* values, size_t n, size_t d, const float* key,
-                   float* scores, float* out) {
-  nn::GemmNT(n, 1, d, values, d, key, d, scores, 1);  // e_r = v_r . s
+void AttentionInto(const float* pool, const uint32_t* ids, size_t n, size_t d,
+                   const float* key, float* scores, float* out) {
+  // e_r = v_r . s. DotCanonical equals a GemmNT (mat-vec) row bit for bit
+  // (nn/gemm.h), so the rows need not be contiguous.
+  for (size_t r = 0; r < n; ++r) {
+    scores[r] = nn::DotCanonical(pool + size_t{ids[r]} * d, key, d);
+  }
 
   float max_score = -std::numeric_limits<float>::infinity();
   for (size_t r = 0; r < n; ++r) max_score = std::max(max_score, scores[r]);
@@ -53,7 +58,7 @@ void AttentionInto(const float* values, size_t n, size_t d, const float* key,
   std::fill(out, out + d, 0.0f);
   for (size_t r = 0; r < n; ++r) {
     const float alpha = scores[r] * inv_denom;
-    const float* row = values + r * d;
+    const float* row = pool + size_t{ids[r]} * d;
     for (size_t j = 0; j < d; ++j) out[j] += alpha * row[j];
   }
 }
@@ -205,20 +210,20 @@ void ComAidModel::ScoreBatchTile(BatchScoreLane* lanes,
     for (size_t r = 0; r < active; ++r) {
       // The lane's pool rows: n description states, then β context rows.
       const ontology::ConceptId id = lanes[order[r]].concept_id;
-      const float* states = EncodingRows(id);
+      const uint32_t* ids = RowIds(id);
       const size_t n = concept_words_[static_cast<size_t>(id)].size();
       const float* h_row = h + r * d;
       float* comp_row = composite + r * comp_width;
       std::copy(h_row, h_row + d, comp_row);
       size_t offset = d;
       if (use_text) {
-        AttentionInto(states, n, d, h_row, ctx.attn_scores(),
+        AttentionInto(rows_.data(), ids, n, d, h_row, ctx.attn_scores(),
                       comp_row + offset);
         offset += d;
       }
       if (use_structure) {
-        AttentionInto(states + n * d, beta, d, h_row, ctx.attn_scores(),
-                      comp_row + offset);
+        AttentionInto(rows_.data(), ids + n, beta, d, h_row,
+                      ctx.attn_scores(), comp_row + offset);
       }
     }
 

@@ -6,9 +6,10 @@
 // batch_inference.cc.
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "comaid/model.h"
-#include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace ncl::comaid {
@@ -22,6 +23,7 @@ const ConceptCacheMetrics& GetConceptCacheMetrics() {
         registry.GetCounter("ncl.concept_cache.hits"),
         registry.GetCounter("ncl.concept_cache.misses"),
         registry.GetCounter("ncl.concept_cache.fills"),
+        registry.GetCounter("ncl.concept_cache.encoder_steps"),
         registry.GetCounter("ncl.concept_cache.invalidations"),
         registry.GetCounter("ncl.concept_cache.evictions")};
   }();
@@ -36,50 +38,49 @@ size_t ComAidModel::PrecomputeConceptEncodings() const {
   const size_t d = config_.dim;
   const size_t num_concepts = concept_words_.size() - 1;  // ids 1..n; 0 = root
 
+  // The first-word subtrees, as preorder node ranges
+  // [subtrees[s], subtrees[s + 1]), and the trie's depth.
+  std::vector<uint32_t> subtrees;
+  size_t max_depth = 0;
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i].depth == 1) subtrees.push_back(static_cast<uint32_t>(i));
+    max_depth = std::max<size_t>(max_depth, nodes_[i].depth);
+  }
+  subtrees.push_back(static_cast<uint32_t>(nodes_.size()));
+
   // One allocation, made by the calling thread; the helpers only fill
   // values.
-  rows_.assign(first_row_.back() * d, 0.0f);
-  // Per worker: h_0, the cell, and the 2d gate floats StepValueBatch needs.
-  std::vector<float> scratch(NumCores() * 4 * d);
+  rows_.assign(nodes_.size() * d, 0.0f);
+  // Per worker: the 2d gate floats StepValueBatch needs, then one cell per
+  // depth 0..max_depth (depth 0 is the empty prefix and stays zero, so it
+  // is also h_0), and the last node stepped at each depth.
+  const size_t stride = (max_depth + 3) * d;
+  std::vector<float> scratch(NumCores() * stride);
+  std::vector<uint32_t> last_node(NumCores() * (max_depth + 1));
 
-  // Encoder pass over each canonical description, keeping every h_t (the
-  // text attention needs the full state sequence, Eqs. 5-6).
-  ParallelForOnCores(num_concepts, [&](size_t worker, size_t i) {
-    const auto id = static_cast<ontology::ConceptId>(i + 1);
-    const auto& words = concept_words_[i + 1];
-    NCL_DCHECK(!words.empty());
-    float* h0 = scratch.data() + worker * 4 * d;
-    float* cell = h0 + d;
-    float* gates = h0 + 2 * d;
-    std::fill(h0, h0 + 2 * d, 0.0f);
-    float* states = EncodingRows(id);
-    const float* h_prev = h0;
-    for (size_t t = 0; t < words.size(); ++t) {
-      float* h_out = states + t * d;
-      encoder_->StepValueBatch(1, EmbeddingRow(words[t]), h_prev, cell, h_out,
-                               cell, gates);
-      h_prev = h_out;
+  // Walk each subtree in preorder: a node steps from its parent, the last
+  // node before it one level up, whose h is that node's pool row and whose
+  // cell is still on this worker's stack. So every row holds, bit for bit,
+  // the state a one-lane encoder pass over a description containing that
+  // prefix reaches after it: the same step on the same inputs.
+  ParallelForOnCores(subtrees.size() - 1, [&](size_t worker, size_t s) {
+    float* gates = scratch.data() + worker * stride;
+    float* cells = gates + 2 * d;
+    uint32_t* last = last_node.data() + worker * (max_depth + 1);
+    for (size_t i = subtrees[s]; i < subtrees[s + 1]; ++i) {
+      const size_t depth = nodes_[i].depth;
+      const float* h_prev =
+          depth == 1 ? cells : rows_.data() + size_t{last[depth - 1]} * d;
+      encoder_->StepValueBatch(1, EmbeddingRow(nodes_[i].word), h_prev,
+                               cells + (depth - 1) * d, rows_.data() + i * d,
+                               cells + depth * d, gates);
+      last[depth] = static_cast<uint32_t>(i);
     }
   });
 
-  // Structural context (Def. 4.1): a slot's representation is that
-  // concept's final encoder state (Eq. 7 shares the encoder), so each row
-  // is a copy of a final row the pass above wrote. Duplicate slots keep
-  // duplicate rows so the attention softmax matches the tape path's
-  // repeated values.
-  if (config_.structural_attention) {
-    ParallelForOnCores(num_concepts, [&](size_t, size_t i) {
-      const auto id = static_cast<ontology::ConceptId>(i + 1);
-      float* row = EncodingRows(id) + concept_words_[i + 1].size() * d;
-      for (ontology::ConceptId slot :
-           onto_->AncestorContext(id, config_.beta)) {
-        const float* state = FinalState(slot);
-        row = std::copy(state, state + d, row);
-      }
-    });
-  }
-
-  internal::GetConceptCacheMetrics().fills->Increment(num_concepts);
+  const auto& metrics = internal::GetConceptCacheMetrics();
+  metrics.fills->Increment(num_concepts);
+  metrics.encoder_steps->Increment(nodes_.size());
   pool_ready_.store(true, std::memory_order_release);
   return num_concepts;
 }

@@ -8,11 +8,14 @@
 //
 //   * Every concept's query-independent encoder outputs — the per-step
 //     hidden states over its description (consumed by the text attention,
-//     Eqs. 5-6) and its β structural-context rows (consumed by the
-//     structure attention, Eq. 7) — live in one row pool, written only by
-//     ComAidModel::PrecomputeConceptEncodings. The scorer runs that warm-up
-//     on first use; afterwards readers check one acquire flag and index the
-//     pool.
+//     Eqs. 5-6) and its β structural-context representations (consumed by
+//     the structure attention, Eq. 7) — live in one row pool, written only
+//     by ComAidModel::PrecomputeConceptEncodings. The encoder is a
+//     left-to-right LSTM started from zero, so h_t depends only on the
+//     first t words: the pool holds one row per distinct description
+//     prefix, and a concept names its rows by id — its prefixes' rows, then
+//     each context slot's final row. The scorer runs the warm-up on first
+//     use; afterwards readers check one acquire flag and index the pool.
 //   * BatchScoreLane is one (concept, target) pair of a scoring call; the
 //     decoder itself runs lanes in lock-step (comaid/batch_inference.cc).
 //
@@ -43,6 +46,8 @@ struct ConceptCacheMetrics {
                                 ///< and warmed it (an explicit warm-up
                                 ///< counts neither)
   obs::Counter* fills;          ///< concepts encoded by warm-ups
+  obs::Counter* encoder_steps;  ///< encoder steps warm-ups ran: one per
+                                ///< description prefix, i.e. per pool row
   obs::Counter* invalidations;  ///< InvalidateConceptEncodings calls
   obs::Counter* evictions;      ///< concepts dropped across all invalidations
 };

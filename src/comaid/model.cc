@@ -52,18 +52,68 @@ ComAidModel::ComAidModel(ComAidConfig config, const ontology::Ontology* onto,
   b_s_ = params_.Create("b_s", v, 1, nn::Init::kZero, rng);
 
   // Pre-map every concept description to word ids (all in-vocabulary), and
-  // lay out the encoding pool: each concept's description states, then its
-  // β context rows under structural attention.
+  // lay out each concept's row ids: its description prefixes, then its β
+  // context slots under structural attention.
   const size_t context_rows =
       config_.structural_attention ? static_cast<size_t>(config_.beta) : 0;
+  const std::vector<ontology::ConceptId> ids = onto_->AllConcepts();
   concept_words_.resize(onto_->size());
   first_row_.assign(onto_->size() + 1, 0);
-  for (ontology::ConceptId id : onto_->AllConcepts()) {
+  for (ontology::ConceptId id : ids) {
     const auto slot = static_cast<size_t>(id);
     concept_words_[slot] = MapTokens(onto_->Get(id).description);
+    NCL_CHECK(!concept_words_[slot].empty())
+        << "concept '" << onto_->Get(id).code << "' has an empty description";
     first_row_[slot + 1] = concept_words_[slot].size() + context_rows;
   }
   std::partial_sum(first_row_.begin(), first_row_.end(), first_row_.begin());
+  // Node ids and depths are at most the row-id count.
+  NCL_CHECK(first_row_.back() <= UINT32_MAX)
+      << first_row_.back() << " concept rows overflow 32-bit row ids";
+  row_ids_.resize(first_row_.back());
+
+  // The prefix trie. Sorted descriptions list it in preorder: each shares
+  // the nodes of its common prefix with the one before it and adds one node
+  // per word past that prefix.
+  std::vector<ontology::ConceptId> sorted = ids;
+  std::sort(sorted.begin(), sorted.end(),
+            [&](ontology::ConceptId a, ontology::ConceptId b) {
+              return concept_words_[static_cast<size_t>(a)] <
+                     concept_words_[static_cast<size_t>(b)];
+            });
+  ontology::ConceptId prev = ontology::kRootConcept;  // empty description
+  for (ontology::ConceptId id : sorted) {
+    const auto& words = concept_words_[static_cast<size_t>(id)];
+    const auto& prev_words = concept_words_[static_cast<size_t>(prev)];
+    const auto shared = static_cast<size_t>(
+        std::mismatch(words.begin(), words.end(), prev_words.begin(),
+                      prev_words.end())
+            .first -
+        words.begin());
+    uint32_t* rows = row_ids_.data() + first_row_[static_cast<size_t>(id)];
+    std::copy(RowIds(prev), RowIds(prev) + shared, rows);
+    for (size_t t = shared; t < words.size(); ++t) {
+      rows[t] = static_cast<uint32_t>(nodes_.size());
+      nodes_.push_back(PrefixNode{words[t], static_cast<uint32_t>(t + 1)});
+    }
+    prev = id;
+  }
+  nodes_.shrink_to_fit();
+
+  // Structural context (Def. 4.1): a slot's representation is the final
+  // encoder state of the concept it names (Eq. 7 shares the encoder), so it
+  // names that concept's last description row. Duplicate slots keep
+  // duplicate ids, so the attention softmax matches the tape path's
+  // repeated values.
+  if (context_rows > 0) {
+    for (ontology::ConceptId id : ids) {
+      uint32_t* slot = row_ids_.data() + first_row_[static_cast<size_t>(id)] +
+                       concept_words_[static_cast<size_t>(id)].size();
+      for (ontology::ConceptId anc : onto_->AncestorContext(id, config_.beta)) {
+        *slot++ = FinalRow(anc);
+      }
+    }
+  }
 }
 
 size_t ComAidModel::InitializeEmbeddings(const pretrain::WordEmbeddings& pretrained) {

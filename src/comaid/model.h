@@ -19,6 +19,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -63,8 +64,9 @@ std::string VariantName(const ComAidConfig& config);
 /// points (ScoreLogProb / ScoreLogProbIds / ScoreLogProbFastBatch /
 /// EncodeConcept / NextWordLogProbs) are safe to call concurrently. The tape
 /// paths read parameter values through private tapes; the batched scorer
-/// additionally shares the concept-encoding row pool, which its first call
-/// fills under a mutex and later calls read after one acquire load.
+/// additionally shares the concept-encoding row pool (one row per distinct
+/// description prefix), which its first call fills under a mutex and later
+/// calls read after one acquire load.
 /// Weight mutation — training, InitializeEmbeddings, model loading — must be
 /// single-threaded and must not overlap any scoring call; each mutation ends
 /// with NotifyWeightsChanged(), which empties the pool.
@@ -140,10 +142,12 @@ class ComAidModel {
   /// warm.
   ///
   /// Runs under a mutex, so concurrent callers and first scoring calls warm
-  /// the pool once. One pass encodes each description; a second copies each
-  /// structural-context row from the final state of the concept it names.
-  /// The calling thread allocates the pool and the helpers only fill
-  /// values. Counts `fills`, not hits or misses.
+  /// the pool once. One pass over the prefix trie's first-word subtrees
+  /// encodes each distinct description prefix once; structural-context
+  /// slots name their ancestors' final rows, so nothing is copied. The
+  /// calling thread allocates the pool and the helpers only fill values.
+  /// Counts `fills` (concepts) and `encoder_steps` (rows), not hits or
+  /// misses.
   size_t PrecomputeConceptEncodings() const;
 
   /// Empty the row pool (the next scoring call warms it again).
@@ -233,17 +237,22 @@ class ComAidModel {
     return embeddings_->value.row_data(static_cast<size_t>(word));
   }
 
-  /// `id`'s encoding in the row pool: its n description states (n x d,
-  /// row-major, so the text attention's score pass is one mat-vec), then,
-  /// under structural attention, its β context rows.
-  float* EncodingRows(ontology::ConceptId id) const {
-    return rows_.data() + first_row_[static_cast<size_t>(id)] * config_.dim;
+  /// `id`'s encoding as pool row ids: the rows of its n description
+  /// prefixes (the encoder states h_1..h_n the text attention reads), then,
+  /// under structural attention, the final row of each of its β context
+  /// slots.
+  const uint32_t* RowIds(ontology::ConceptId id) const {
+    return row_ids_.data() + first_row_[static_cast<size_t>(id)];
   }
 
-  /// The concept representation h_n^c: `id`'s last description state.
+  /// The row of the concept representation h_n^c: `id`'s last
+  /// description row.
+  uint32_t FinalRow(ontology::ConceptId id) const {
+    return RowIds(id)[concept_words_[static_cast<size_t>(id)].size() - 1];
+  }
+
   const float* FinalState(ontology::ConceptId id) const {
-    return EncodingRows(id) +
-           (concept_words_[static_cast<size_t>(id)].size() - 1) * config_.dim;
+    return rows_.data() + size_t{FinalRow(id)} * config_.dim;
   }
 
   /// One lock-step tile of ScoreLogProbFastBatch (batch_inference.cc).
@@ -268,12 +277,25 @@ class ComAidModel {
   /// Concept descriptions pre-mapped to model word ids.
   std::vector<std::vector<text::WordId>> concept_words_;
 
-  /// Per concept id, its first row in rows_; first_row_.back() is the
-  /// pool's row count. Fixed at construction.
+  /// One node of the description prefix trie: the prefix ending in `word`
+  /// at `depth` words. Nodes are in preorder, so a node extends the last
+  /// node before it at depth - 1, and each first word's subtree is a
+  /// contiguous run that starts at a depth-1 node.
+  struct PrefixNode {
+    text::WordId word;
+    uint32_t depth;
+  };
+  /// The trie over every concept description; node i owns pool row i.
+  /// Fixed at construction.
+  std::vector<PrefixNode> nodes_;
+  /// Per concept id, its first entry in row_ids_ (see RowIds);
+  /// first_row_.back() is row_ids_.size(). Fixed at construction.
   std::vector<size_t> first_row_;
-  /// The concept-encoding row pool (see EncodingRows). Written only by
-  /// PrecomputeConceptEncodings under pool_mutex_, which then sets
-  /// pool_ready_; scorers read it after an acquire load of the flag.
+  std::vector<uint32_t> row_ids_;
+  /// The concept-encoding row pool: one d-wide encoder state per trie node.
+  /// Written only by PrecomputeConceptEncodings under pool_mutex_, which
+  /// then sets pool_ready_; scorers read it after an acquire load of the
+  /// flag.
   mutable std::vector<float> rows_;
   mutable std::mutex pool_mutex_;
   mutable std::atomic<bool> pool_ready_{false};

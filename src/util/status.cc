@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <ostream>
 
 namespace ncl {
 
@@ -33,6 +34,10 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "DeadlineExceeded";
   }
   return "Unknown";
+}
+
+std::ostream& operator<<(std::ostream& os, StatusCode code) {
+  return os << StatusCodeToString(code);
 }
 
 std::optional<StatusCode> StatusCodeFromString(std::string_view name) {

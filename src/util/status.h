@@ -7,6 +7,7 @@
 
 #pragma once
 
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -33,6 +34,10 @@ enum class StatusCode {
 
 /// \brief Human-readable name of a StatusCode (e.g. "InvalidArgument").
 std::string_view StatusCodeToString(StatusCode code);
+
+/// Streams StatusCodeToString(code), so log lines and gtest failure
+/// messages name the code instead of printing its bytes.
+std::ostream& operator<<(std::ostream& os, StatusCode code);
 
 /// \brief Inverse of StatusCodeToString: parse a code name back to the enum.
 ///

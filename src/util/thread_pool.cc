@@ -40,6 +40,9 @@ double MicrosSince(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
+  // Register the pool metrics now, so a pool that never runs a task still
+  // exports them (ncl.pool.tasks reads 0 instead of being absent).
+  GetPoolMetrics();
   num_threads = std::max<size_t>(1, num_threads);
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {

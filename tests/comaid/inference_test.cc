@@ -1,9 +1,11 @@
 // Tests for the Phase-II scorer one candidate at a time — tape parity across
 // COM-AID variants — and for the concept-encoding row pool behind it: the
-// warm-up on first use, the explicit warm-up (bit-identical to it),
-// invalidation on weight updates (with tape parity after the update),
-// concurrent first use, and the hit/miss counters. Scores go through
-// ScoreLogProbFastBatch, which warms an empty pool.
+// warm-up on first use, the explicit warm-up (bit-identical to it), rows
+// shared by description prefixes (one encoder step per prefix, scores
+// independent of who shares one), invalidation on weight updates (with tape
+// parity after the update), concurrent first use, and the hit/miss
+// counters. Scores go through ScoreLogProbFastBatch, which warms an empty
+// pool.
 // Run these under -fsanitize=thread (the `tsan` CMake preset) when touching
 // the pool or the scoring hot loop.
 
@@ -17,6 +19,7 @@
 #include "comaid/model.h"
 #include "comaid/trainer.h"
 #include "nn/optimizer.h"
+#include "obs/metrics.h"
 #include "util/thread_pool.h"
 
 namespace ncl::comaid {
@@ -186,6 +189,73 @@ TEST(InferenceTest, WarmUpIsNotCountedAsCacheTraffic) {
   EXPECT_EQ(metrics.hits->value(), hits);
   EXPECT_EQ(metrics.misses->value(), misses);
   EXPECT_EQ(metrics.fills->value() - fills, onto.num_concepts());
+}
+
+TEST(InferenceTest, ScoresDoNotDependOnWhoSharesAPrefix) {
+  // The pool holds one row per distinct description prefix, so appending
+  // concepts renumbers the rows others share. Two leaves built from
+  // in-vocabulary words, one of them repeating N18's description exactly,
+  // must leave every original concept's scores bit-identical (same config,
+  // seed and vocabulary, so the same weights), and score the new leaves
+  // like the tape, in all four variants.
+  ontology::Ontology base = MakeOntology();
+  ontology::Ontology extended = MakeOntology();
+  ASSERT_TRUE(extended
+                  .AddConcept("D50.8", {"iron", "deficiency", "anemia", "stage"},
+                              extended.FindByCode("D50"))
+                  .ok());
+  ASSERT_TRUE(extended
+                  .AddConcept("N18.9", {"chronic", "kidney", "disease"},
+                              extended.FindByCode("N18"))
+                  .ok());
+  for (bool text : {true, false}) {
+    for (bool structural : {true, false}) {
+      ComAidConfig config = SmallConfig();
+      config.text_attention = text;
+      config.structural_attention = structural;
+      ComAidModel base_model(config, &base, {{"ckd"}});
+      ComAidModel extended_model(config, &extended, {{"ckd"}});
+      ASSERT_EQ(base_model.vocabulary().size(),
+                extended_model.vocabulary().size());
+      for (const auto& query : TestQueries()) {
+        const auto target = base_model.MapTokens(query);
+        for (ontology::ConceptId id : base.AllConcepts()) {
+          EXPECT_EQ(Score(base_model, id, target),
+                    Score(extended_model, id, target))
+              << VariantName(config) << " concept " << base.Get(id).code;
+        }
+        for (const char* code : {"D50.8", "N18.9"}) {
+          const ontology::ConceptId id = extended.FindByCode(code);
+          EXPECT_NEAR(Score(extended_model, id, target),
+                      extended_model.ScoreLogProbIds(id, target), 1e-5)
+              << VariantName(config) << " concept " << code;
+        }
+      }
+    }
+  }
+}
+
+TEST(InferenceTest, WarmUpEncodesEachDistinctPrefixOnce) {
+  // MakeOntology's five descriptions hold 22 tokens but 13 distinct
+  // prefixes: "iron deficiency anemia" and "chronic kidney disease" each
+  // start two descriptions. A warm-up runs one encoder step per prefix.
+  ontology::Ontology onto = MakeOntology();
+  ComAidModel model(SmallConfig(), &onto, {});
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const obs::Counter* steps =
+      registry.GetCounter("ncl.concept_cache.encoder_steps");
+  const obs::Counter* fills = registry.GetCounter("ncl.concept_cache.fills");
+  const uint64_t steps_before = steps->value();
+  const uint64_t fills_before = fills->value();
+
+  model.PrecomputeConceptEncodings();
+  EXPECT_EQ(steps->value() - steps_before, 13u);
+  EXPECT_EQ(fills->value() - fills_before, 5u);
+
+  // Already warm: nothing to encode.
+  model.PrecomputeConceptEncodings();
+  EXPECT_EQ(steps->value() - steps_before, 13u);
+  EXPECT_EQ(fills->value() - fills_before, 5u);
 }
 
 TEST(InferenceTest, TrainingInvalidatesCacheAndKeepsParity) {

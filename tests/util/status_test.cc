@@ -51,6 +51,12 @@ TEST(StatusCodeTest, NamesAreHumanReadable) {
             "DeadlineExceeded");
 }
 
+TEST(StatusCodeTest, PrintsItsName) {
+  // gtest prints a failing EXPECT_EQ's codes through operator<<.
+  EXPECT_EQ(::testing::PrintToString(StatusCode::kInvalidArgument),
+            "InvalidArgument");
+}
+
 TEST(StatusCodeTest, FromStringRoundTripsEveryCode) {
   const StatusCode codes[] = {
       StatusCode::kOk,           StatusCode::kInvalidArgument,

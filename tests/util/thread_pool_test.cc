@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace ncl {
 namespace {
@@ -54,6 +57,17 @@ TEST(ThreadPoolTest, ParallelForComputesCorrectSum) {
   pool.ParallelFor(n, [&](size_t i) { results[i] = static_cast<long long>(i); });
   long long total = std::accumulate(results.begin(), results.end(), 0LL);
   EXPECT_EQ(total, static_cast<long long>(n) * (n - 1) / 2);
+}
+
+TEST(ThreadPoolTest, IdlePoolExportsItsMetrics) {
+  // A pool that runs nothing still reports ncl.pool.tasks (as 0 in a
+  // process where no pool ran a task).
+  ThreadPool pool(2);
+  const obs::MetricsSnapshot snapshot =
+      obs::MetricsRegistry::Global().Snapshot();
+  EXPECT_TRUE(std::any_of(
+      snapshot.counters.begin(), snapshot.counters.end(),
+      [](const auto& counter) { return counter.first == "ncl.pool.tasks"; }));
 }
 
 TEST(ThreadPoolTest, MinimumOneWorker) {
