@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "build_name.h"
 #include "nn/simd.h"
 #include "util/env.h"
 #include "util/json_writer.h"
@@ -106,6 +107,7 @@ int main() {
   json.Key("full_mode").Value(full);
   json.Key("scale").Value(scale);
   json.Key("simd").Value(nn::SimdPathName());
+  json.Key("build").Value(kBuildName);
   json.Key("hardware_concurrency")
       .Value(static_cast<size_t>(std::thread::hardware_concurrency()));
   json.Key("single_lanes").Value(size_t{1});

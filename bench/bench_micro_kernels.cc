@@ -6,7 +6,9 @@
 // The custom main additionally times the inference-critical kernels with a
 // plain stopwatch loop (each row the median of five timed windows) and
 // writes matmul/matvec GFLOP/s (and LSTM steps/s) to BENCH_kernels.json so
-// kernel throughput is tracked across PRs.
+// kernel throughput is tracked across PRs. The report names the kernel set
+// that ran ("simd") and the build ("build": "default" or "native"); the
+// decoder's GEMM shapes get a gemm_nt row and a gemm_nt_packed row each.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "baselines/pkduck_linker.h"
+#include "build_name.h"
 #include "nn/gemm.h"
 #include "nn/lstm.h"
 #include "nn/simd.h"
@@ -99,10 +102,11 @@ void BM_LstmStepValue(benchmark::State& state) {
   Rng rng(2);
   nn::ParameterStore store;
   nn::LstmCell cell("bench", d, d, &store, rng);
+  const nn::LstmCell::PackedGates gates = cell.Pack();
   std::vector<float> x(d, 0.3f), h(d, 0.0f), c(d, 0.0f), scratch(2 * d);
   for (auto _ : state) {
-    cell.StepValueBatch(1, x.data(), h.data(), c.data(), h.data(), c.data(),
-                        scratch.data());
+    cell.StepValueBatch(gates, 1, x.data(), h.data(), c.data(), h.data(),
+                        c.data(), scratch.data());
     benchmark::DoNotOptimize(h.data());
   }
 }
@@ -315,6 +319,7 @@ void WriteKernelReport() {
   json.BeginObject();
   json.Key("bench").Value("micro_kernels");
   json.Key("simd").Value(nn::SimdPathName());
+  json.Key("build").Value(bench::kBuildName);
   json.Key("timed_windows").Value(static_cast<uint64_t>(kTimedWindows));
   json.Key("kernels").BeginArray();
 
@@ -407,16 +412,44 @@ void WriteKernelReport() {
     time_shapes("gemm_nn", squares, std::size(squares), /*transposed_b=*/false);
     time_shapes("gemm_nt", squares, std::size(squares), /*transposed_b=*/true);
     time_shapes("gemm_nt", skinny, std::size(skinny), /*transposed_b=*/true);
+
+    // The batched decoder's products, row-major (GemmNT) against packed
+    // (GemmNTPacked) weights: a 20-lane tile's logits at V = 1,828 and
+    // V = 133, its LSTM gate and W_d products at d = 32, one lane's gate,
+    // and a 10-lane gate at d = 128.
+    const GemmShape decoder[] = {{20, 1828, 32}, {20, 133, 32}, {20, 32, 32},
+                                 {20, 32, 96},   {1, 32, 32},   {10, 128, 128}};
+    for (const auto& [m, n, k] : decoder) {
+      nn::Matrix a = nn::Matrix::RandomUniform(m, k, 1.0f, rng);
+      nn::Matrix b = nn::Matrix::RandomUniform(n, k, 1.0f, rng);
+      const nn::PackedNT packed = nn::PackNT(b.data(), n, k, k);
+      std::vector<float> c(m * n);
+      double nt_sec = TimePerCall([&] {
+        nn::GemmNT(m, n, k, a.data(), k, b.data(), k, c.data(), n);
+        benchmark::DoNotOptimize(c.data());
+      });
+      double packed_sec = TimePerCall([&] {
+        nn::GemmNTPacked(m, a.data(), k, packed, c.data(), n);
+        benchmark::DoNotOptimize(c.data());
+      });
+      double naive_sec = TimePerCall([&] {
+        NaiveGemmNT(m, n, k, a.data(), b.data(), c.data());
+        benchmark::DoNotOptimize(c.data());
+      });
+      EmitGemmEntry(json, "gemm_nt", m, n, k, nt_sec, naive_sec);
+      EmitGemmEntry(json, "gemm_nt_packed", m, n, k, packed_sec, naive_sec);
+    }
   }
 
   // Tape-free one-lane LSTM step throughput.
   for (size_t d : {32u, 64u, 128u}) {
     nn::ParameterStore store;
     nn::LstmCell cell("report", d, d, &store, rng);
+    const nn::LstmCell::PackedGates gates = cell.Pack();
     std::vector<float> x(d, 0.3f), h(d, 0.0f), c(d, 0.0f), scratch(2 * d);
     double sec = TimePerCall([&] {
-      cell.StepValueBatch(1, x.data(), h.data(), c.data(), h.data(), c.data(),
-                          scratch.data());
+      cell.StepValueBatch(gates, 1, x.data(), h.data(), c.data(), h.data(),
+                          c.data(), scratch.data());
       benchmark::DoNotOptimize(h.data());
     });
     json.BeginObject();

@@ -4,9 +4,9 @@
 // nodes, no backward closures, no per-step heap allocations after warm-up.
 // Up to max_lanes candidates run in lock-step: per decode step, the per-lane
 // states stack into (active x d) activation matrices and every weight is
-// applied once via the blocked GemmNT kernels (nn/gemm.h), so the V x d
-// softmax weight streams once per step for the whole tile instead of once
-// per candidate.
+// applied once via the packed panel kernels (nn/gemm.h) on the weights the
+// warm-up packed, so the V x d softmax weight streams once per step for the
+// whole tile instead of once per candidate.
 //
 // Ragged candidate lengths: lanes are sorted by target length (descending,
 // stable), so "lane finished" masking is just the active row prefix
@@ -64,14 +64,12 @@ void AttentionInto(const float* pool, const uint32_t* ids, size_t n, size_t d,
 }
 
 /// -log softmax(logits)[gold] with the same accumulation scheme as
-/// Tape::SoftmaxCrossEntropy (float max, double denominator). Kept out of
-/// line: inlined into the tile's logits loop (GCC 12, portable -O2 build),
-/// perfbench icd10_93k (d = 32) served ~7% fewer queries per second on a
-/// 4-vCPU x86-64 host.
+/// Tape::SoftmaxCrossEntropy (float max, double denominator), given the
+/// row's max (nn::AddBiasMax). Kept out of line: inlined into the tile's
+/// logits loop (GCC 12, portable -O2 build), perfbench icd10_93k (d = 32)
+/// served ~7% fewer queries per second on a 4-vCPU x86-64 host.
 [[gnu::noinline]] double CrossEntropyValue(const float* logits, size_t vocab,
-                                           int32_t gold) {
-  float max_logit = -std::numeric_limits<float>::infinity();
-  for (size_t i = 0; i < vocab; ++i) max_logit = std::max(max_logit, logits[i]);
+                                           float max_logit, int32_t gold) {
   double denom = nn::SumExpShifted(logits, vocab, max_logit);
   double log_denom = std::log(denom) + static_cast<double>(max_logit);
   return log_denom - static_cast<double>(logits[static_cast<size_t>(gold)]);
@@ -203,7 +201,8 @@ void ComAidModel::ScoreBatchTile(BatchScoreLane* lanes,
       const float* row = EmbeddingRow(prev_word[r]);
       std::copy(row, row + d, x + r * d);
     }
-    decoder_->StepValueBatch(active, x, h, cell, h, cell, ctx.lstm_scratch());
+    decoder_->StepValueBatch(packed_.gates, active, x, h, cell, h, cell,
+                             ctx.lstm_scratch());
 
     // Composite rows: [s_t ; tc_t ; sc_t] (Eq. 8). Attention stays per lane
     // — each lane attends over its own concept's encoder states.
@@ -227,10 +226,9 @@ void ComAidModel::ScoreBatchTile(BatchScoreLane* lanes,
       }
     }
 
-    // s~ = tanh(W_d [s; tc; sc] + b_d): one GemmNT instead of `active`
+    // s~ = tanh(W_d [s; tc; sc] + b_d): one product instead of `active`
     // mat-vecs against W_d.
-    nn::GemmNT(active, d, comp_width, composite, comp_width,
-               w_d_->value.data(), comp_width, s_tilde, d);
+    nn::GemmNTPacked(active, composite, comp_width, packed_.w_d, s_tilde, d);
     for (size_t r = 0; r < active; ++r) {
       float* row = s_tilde + r * d;
       for (size_t j = 0; j < d; ++j) row[j] += b_d[j];
@@ -239,15 +237,14 @@ void ComAidModel::ScoreBatchTile(BatchScoreLane* lanes,
 
     // logits = W_s s~ + b_s (Eq. 9) — the dominant GEMM: the V x d softmax
     // weight streams once per step for the whole batch.
-    nn::GemmNT(active, vocab, d, s_tilde, d, w_s_->value.data(), d, logits,
-               vocab);
+    nn::GemmNTPacked(active, s_tilde, d, packed_.w_s, logits, vocab);
     for (size_t r = 0; r < active; ++r) {
       float* row = logits + r * vocab;
-      for (size_t j = 0; j < vocab; ++j) row[j] += b_s[j];
+      const float max_logit = nn::AddBiasMax(row, b_s, vocab);
       const auto& target = *lanes[order[r]].target;
       const text::WordId gold = t < target.size() ? target[t] : eos_id_;
-      loss[r] += static_cast<float>(
-          CrossEntropyValue(row, vocab, static_cast<int32_t>(gold)));
+      loss[r] += static_cast<float>(CrossEntropyValue(
+          row, vocab, max_logit, static_cast<int32_t>(gold)));
       prev_word[r] = gold;
     }
   }

@@ -2,8 +2,8 @@
 // comaid/inference.h).
 //
 // The warm-up mirrors the encoder half of ComAidModel::Forward on raw
-// values: no tape nodes, no backward closures. The decoder half lives in
-// batch_inference.cc.
+// values: no tape nodes, no backward closures. It also packs the decoder's
+// fixed weights for the decoder half, which lives in batch_inference.cc.
 
 #include <algorithm>
 #include <cstdint>
@@ -48,6 +48,15 @@ size_t ComAidModel::PrecomputeConceptEncodings() const {
   }
   subtrees.push_back(static_cast<uint32_t>(nodes_.size()));
 
+  // The scorer's packed decoder weights, and the encoder gates this pass
+  // steps with.
+  auto pack = [](const nn::Parameter* p) {
+    return nn::PackNT(p->value.data(), p->value.rows(), p->value.cols(),
+                      p->value.cols());
+  };
+  packed_ = {decoder_->Pack(), pack(w_d_), pack(w_s_)};
+  const nn::LstmCell::PackedGates encoder_gates = encoder_->Pack();
+
   // One allocation, made by the calling thread; the helpers only fill
   // values.
   rows_.assign(nodes_.size() * d, 0.0f);
@@ -71,9 +80,9 @@ size_t ComAidModel::PrecomputeConceptEncodings() const {
       const size_t depth = nodes_[i].depth;
       const float* h_prev =
           depth == 1 ? cells : rows_.data() + size_t{last[depth - 1]} * d;
-      encoder_->StepValueBatch(1, EmbeddingRow(nodes_[i].word), h_prev,
-                               cells + (depth - 1) * d, rows_.data() + i * d,
-                               cells + depth * d, gates);
+      encoder_->StepValueBatch(encoder_gates, 1, EmbeddingRow(nodes_[i].word),
+                               h_prev, cells + (depth - 1) * d,
+                               rows_.data() + i * d, cells + depth * d, gates);
       last[depth] = static_cast<uint32_t>(i);
     }
   });
@@ -93,6 +102,7 @@ void ComAidModel::InvalidateConceptEncodings() const {
     metrics.evictions->Increment(concept_words_.size() - 1);
   }
   std::vector<float>().swap(rows_);  // release the memory, not just the size
+  packed_ = {};
 }
 
 void ComAidModel::NotifyWeightsChanged() {

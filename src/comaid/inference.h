@@ -16,14 +16,19 @@
 //     prefix, and a concept names its rows by id — its prefixes' rows, then
 //     each context slot's final row. The scorer runs the warm-up on first
 //     use; afterwards readers check one acquire flag and index the pool.
+//   * The same warm-up packs the decoder's fixed weights (its LSTM gates,
+//     W_d and W_s) into 8-column panels for nn::GemmNTPacked, beside the
+//     pool and under the same flag, so every decode step reads them
+//     packed.
 //   * BatchScoreLane is one (concept, target) pair of a scoring call; the
 //     decoder itself runs lanes in lock-step (comaid/batch_inference.cc).
 //
-// Invalidation contract: the pool is a function of the encoder weights.
-// ComAidModel::NotifyWeightsChanged() (called by the trainer after every
-// optimizer step, by InitializeEmbeddings, and by model loading) bumps the
-// model's weights version and empties the pool. Weight mutation must not
-// run concurrently with scoring — same contract as training itself.
+// Invalidation contract: the pool and the packed weights are functions of
+// the weights. ComAidModel::NotifyWeightsChanged() (called by the trainer
+// after every optimizer step, by InitializeEmbeddings, and by model
+// loading) bumps the model's weights version, empties the pool and
+// releases the packed weights. Weight mutation must not run concurrently
+// with scoring — same contract as training itself.
 
 #pragma once
 

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "comaid/inference.h"
+#include "nn/gemm.h"
 #include "nn/lstm.h"
 #include "nn/parameter.h"
 #include "nn/tape.h"
@@ -65,11 +66,13 @@ std::string VariantName(const ComAidConfig& config);
 /// EncodeConcept / NextWordLogProbs) are safe to call concurrently. The tape
 /// paths read parameter values through private tapes; the batched scorer
 /// additionally shares the concept-encoding row pool (one row per distinct
-/// description prefix), which its first call fills under a mutex and later
-/// calls read after one acquire load.
+/// description prefix) and the decoder weights packed for nn::GemmNTPacked,
+/// which its first call fills under a mutex and later calls read after one
+/// acquire load.
 /// Weight mutation — training, InitializeEmbeddings, model loading — must be
 /// single-threaded and must not overlap any scoring call; each mutation ends
-/// with NotifyWeightsChanged(), which empties the pool.
+/// with NotifyWeightsChanged(), which empties the pool and releases the
+/// packed weights.
 class ComAidModel {
  public:
   /// Special decoder tokens (always present in the model vocabulary).
@@ -124,10 +127,10 @@ class ComAidModel {
   /// builds no autodiff graph; a call that finds the pool empty first runs
   /// PrecomputeConceptEncodings. Stacks up to `max_lanes` candidates per
   /// decode step into one activation matrix, so the LSTM/composite/softmax
-  /// weights are applied by GemmNT calls that stream each weight once per
-  /// step for the whole tile. Ragged target lengths are masked by sorting
-  /// lanes longest first and shrinking the active row prefix as short lanes
-  /// emit <eos>. Every lane reduces in the same canonical order, so results
+  /// weights, packed by that warm-up, are applied by GemmNTPacked calls
+  /// that stream each weight once per step for the whole tile. Ragged
+  /// target lengths are masked by sorting lanes longest first and
+  /// shrinking the active row prefix as short lanes emit <eos>. Every lane reduces in the same canonical order, so results
   /// are bit-identical under any lane order, batch composition, or
   /// `max_lanes` (max_lanes = 1 is the per-candidate computation), and agree
   /// with ScoreLogProbIds within 1e-5 (both pinned by tests). Decoder
@@ -142,21 +145,23 @@ class ComAidModel {
   /// warm.
   ///
   /// Runs under a mutex, so concurrent callers and first scoring calls warm
-  /// the pool once. One pass over the prefix trie's first-word subtrees
-  /// encodes each distinct description prefix once; structural-context
-  /// slots name their ancestors' final rows, so nothing is copied. The
-  /// calling thread allocates the pool and the helpers only fill values.
-  /// Counts `fills` (concepts) and `encoder_steps` (rows), not hits or
-  /// misses.
+  /// the pool once. It first packs the decoder's fixed weights (its LSTM
+  /// gates, W_d and W_s) for the scorer and the encoder's gates for its own
+  /// pass. One pass over the prefix trie's first-word subtrees encodes
+  /// each distinct description prefix once; structural-context slots name
+  /// their ancestors' final rows, so nothing is copied. The calling thread
+  /// allocates the pool and the helpers only fill values. Counts `fills`
+  /// (concepts) and `encoder_steps` (rows), not hits or misses.
   size_t PrecomputeConceptEncodings() const;
 
-  /// Empty the row pool (the next scoring call warms it again).
+  /// Empty the row pool and release the packed decoder weights (the next
+  /// scoring call warms both again).
   void InvalidateConceptEncodings() const;
 
   /// \brief Record that parameter values changed (optimizer step, embedding
   /// initialisation, checkpoint load): bumps the weights version and
-  /// empties the concept-encoding pool. Must not run concurrently with
-  /// scoring.
+  /// empties the concept-encoding pool and the packed weights. Must not run
+  /// concurrently with scoring.
   void NotifyWeightsChanged();
 
   /// Monotone counter of weight mutations (cache-coherency diagnostics).
@@ -297,6 +302,15 @@ class ComAidModel {
   /// then sets pool_ready_; scorers read it after an acquire load of the
   /// flag.
   mutable std::vector<float> rows_;
+  /// The decoder's fixed weights packed for nn::GemmNTPacked: derived from
+  /// the weights like the pool, and written, released and read under the
+  /// same protocol.
+  struct PackedDecoder {
+    nn::LstmCell::PackedGates gates;
+    nn::PackedNT w_d;
+    nn::PackedNT w_s;
+  };
+  mutable PackedDecoder packed_;
   mutable std::mutex pool_mutex_;
   mutable std::atomic<bool> pool_ready_{false};
   std::atomic<uint64_t> weights_version_{0};

@@ -8,11 +8,12 @@
 // batched-vs-single determinism tests in tests/nn/gemm_test.cc and
 // tests/comaid/batch_inference_test.cc pin them.
 //
-// The NT band/tile driver is written once over a kernel set: ScalarKernels
-// for the baseline target, and on x86-64 Avx2Kernels, 8-wide intrinsics
-// under [[gnu::target("avx2")]] with a separate multiply and add (no FMA).
-// Both reduce every element in the same order, so they give the same bits
-// and simd.h can pick either at run time (tests/nn/simd_parity_test.cc). The
+// The NT band/tile loops and the packed panel loops are each written once
+// over a kernel set: ScalarKernels for the baseline target, and on x86-64
+// Avx2Kernels, 8-wide intrinsics under [[gnu::target("avx2")]] with a
+// separate multiply and add (no FMA). Both reduce every element in the same
+// order, so they give the same bits and simd.h can pick either at run time
+// (tests/nn/simd_parity_test.cc). The
 // AVX2 entries inline the whole driver, call no SSE-encoded code, and return
 // through _mm256_zeroupper(): GCC does not reliably emit vzeroupper for
 // target("avx2") code, and a dirty upper YMM state slows the SSE-encoded
@@ -20,6 +21,8 @@
 
 #include "nn/gemm.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "nn/simd.h"
@@ -80,6 +83,37 @@ struct ScalarKernels {
     for (int i = 0; i < MR; ++i) {
       for (int j = 0; j < 4; ++j) out[i][j] = Dot(arows[i], brows[j], kdim);
     }
+  }
+
+  /// One A row against one PackNT panel: column j of the panel reduces in
+  /// Dot's order, with lane l's partial sums in acc[l][j]. The 8 columns
+  /// run innermost, which the autovectoriser turns into two XMM operations;
+  /// a column-outer loop (Dot per column over the panel) ran 1.8-2.3x
+  /// slower on the decoder's logits shapes.
+  /// Writes (or adds, under Accum) the first `cols` columns to c.
+  template <bool Accum>
+  static void PanelRow(const float* a, const float* panel, size_t kdim,
+                       float* c, size_t cols) {
+    float acc[8][8] = {};
+    size_t k = 0;
+    for (; k + 8 <= kdim; k += 8) {
+      for (size_t l = 0; l < 8; ++l) {
+        const float s = a[k + l];
+        const float* w = panel + (k + l) * 8;
+        for (size_t j = 0; j < 8; ++j) acc[l][j] += s * w[j];
+      }
+    }
+    float total[8];
+    for (size_t j = 0; j < 8; ++j) {
+      total[j] = ((acc[0][j] + acc[4][j]) + (acc[2][j] + acc[6][j])) +
+                 ((acc[1][j] + acc[5][j]) + (acc[3][j] + acc[7][j]));
+    }
+    for (; k < kdim; ++k) {
+      const float s = a[k];
+      const float* w = panel + k * 8;
+      for (size_t j = 0; j < 8; ++j) total[j] += s * w[j];
+    }
+    for (size_t j = 0; j < cols; ++j) c[j] = Accum ? c[j] + total[j] : total[j];
   }
 };
 
@@ -155,6 +189,55 @@ struct Avx2Kernels {
       }
     }
   }
+
+  /// a[k] times the panel's k-th 8 values.
+  [[gnu::target("avx2")]] static __m256 PanelTerm(const float* a,
+                                                  const float* panel,
+                                                  size_t k) {
+    return _mm256_mul_ps(_mm256_broadcast_ss(a + k),
+                         _mm256_loadu_ps(panel + k * 8));
+  }
+
+  /// ScalarKernels::PanelRow with one vector accumulator per lane, each
+  /// holding the panel's 8 columns: a broadcast of a[k] times the panel's
+  /// k-th 8 values, added separately. The tree is 7 vertical adds, so no
+  /// column is folded horizontally. Named accumulators, not an array: GCC
+  /// 12 at -O2 keeps an array of __m256 on the stack and reloads and
+  /// stores it around every add.
+  template <bool Accum>
+  [[gnu::target("avx2")]] static void PanelRow(const float* a,
+                                               const float* panel,
+                                               size_t kdim, float* c,
+                                               size_t cols) {
+    __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
+    __m256 acc2 = _mm256_setzero_ps(), acc3 = _mm256_setzero_ps();
+    __m256 acc4 = _mm256_setzero_ps(), acc5 = _mm256_setzero_ps();
+    __m256 acc6 = _mm256_setzero_ps(), acc7 = _mm256_setzero_ps();
+    size_t k = 0;
+    for (; k + 8 <= kdim; k += 8) {
+      acc0 = _mm256_add_ps(acc0, PanelTerm(a, panel, k));
+      acc1 = _mm256_add_ps(acc1, PanelTerm(a, panel, k + 1));
+      acc2 = _mm256_add_ps(acc2, PanelTerm(a, panel, k + 2));
+      acc3 = _mm256_add_ps(acc3, PanelTerm(a, panel, k + 3));
+      acc4 = _mm256_add_ps(acc4, PanelTerm(a, panel, k + 4));
+      acc5 = _mm256_add_ps(acc5, PanelTerm(a, panel, k + 5));
+      acc6 = _mm256_add_ps(acc6, PanelTerm(a, panel, k + 6));
+      acc7 = _mm256_add_ps(acc7, PanelTerm(a, panel, k + 7));
+    }
+    // ReduceAdd8's tree, one column per vector lane.
+    __m256 total = _mm256_add_ps(
+        _mm256_add_ps(_mm256_add_ps(acc0, acc4), _mm256_add_ps(acc2, acc6)),
+        _mm256_add_ps(_mm256_add_ps(acc1, acc5), _mm256_add_ps(acc3, acc7)));
+    for (; k < kdim; ++k) total = _mm256_add_ps(total, PanelTerm(a, panel, k));
+    if (cols == 8) {
+      if constexpr (Accum) total = _mm256_add_ps(_mm256_loadu_ps(c), total);
+      _mm256_storeu_ps(c, total);
+      return;
+    }
+    float out[8];
+    _mm256_storeu_ps(out, total);
+    for (size_t j = 0; j < cols; ++j) c[j] = Accum ? c[j] + out[j] : out[j];
+  }
 };
 
 #endif  // __x86_64__
@@ -215,6 +298,21 @@ void GemmNTImpl(size_t m, size_t n, size_t k, const float* a, size_t lda,
   }
 }
 
+/// The packed product over a kernel set: panels outside, rows inside, so
+/// each panel stays in L1 while every row reads it.
+template <bool Accum, class Kernels>
+void GemmNTPackedImpl(size_t m, const float* a, size_t lda, const PackedNT& b,
+                      float* c, size_t ldc) {
+  for (size_t j = 0; j < b.n; j += 8) {
+    const float* panel = b.panel(j / 8);
+    const size_t cols = std::min<size_t>(8, b.n - j);
+    for (size_t i = 0; i < m; ++i) {
+      Kernels::template PanelRow<Accum>(a + i * lda, panel, b.k,
+                                        c + i * ldc + j, cols);
+    }
+  }
+}
+
 #if defined(__x86_64__)
 
 // AVX2 entries: flatten inlines the whole driver and its kernels, so they
@@ -224,6 +322,14 @@ template <bool Accum>
     size_t m, size_t n, size_t k, const float* a, size_t lda, const float* b,
     size_t ldb, float* c, size_t ldc) {
   GemmNTImpl<Accum, Avx2Kernels>(m, n, k, a, lda, b, ldb, c, ldc);
+  _mm256_zeroupper();
+}
+
+template <bool Accum>
+[[gnu::target("avx2"), gnu::flatten]] void GemmNTPackedAvx2(
+    size_t m, const float* a, size_t lda, const PackedNT& b, float* c,
+    size_t ldc) {
+  GemmNTPackedImpl<Accum, Avx2Kernels>(m, a, lda, b, c, ldc);
   _mm256_zeroupper();
 }
 
@@ -248,6 +354,23 @@ void GemmNTDispatch(size_t m, size_t n, size_t k, const float* a, size_t lda,
   GemmNTImpl<Accum, ScalarKernels>(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
+template <bool Accum>
+void GemmNTPackedDispatch(size_t m, const float* a, size_t lda,
+                          const PackedNT& b, float* c, size_t ldc) {
+#if defined(__FMA__)
+  // PackNT kept B row-major: run the register tile (see gemm.h).
+  GemmNTDispatch<Accum>(m, b.n, b.k, a, lda, b.rows, b.ldb, c, ldc);
+#else
+#if defined(__x86_64__)
+  if (internal::UseAvx2Kernels()) {
+    GemmNTPackedAvx2<Accum>(m, a, lda, b, c, ldc);
+    return;
+  }
+#endif
+  GemmNTPackedImpl<Accum, ScalarKernels>(m, a, lda, b, c, ldc);
+#endif
+}
+
 }  // namespace
 
 float DotCanonical(const float* a, const float* b, size_t n) {
@@ -265,6 +388,38 @@ void GemmNT(size_t m, size_t n, size_t k, const float* a, size_t lda,
 void GemmNTAccum(size_t m, size_t n, size_t k, const float* a, size_t lda,
                  const float* b, size_t ldb, float* c, size_t ldc) {
   GemmNTDispatch<true>(m, n, k, a, lda, b, ldb, c, ldc);
+}
+
+PackedNT PackNT(const float* b, size_t n, size_t k, size_t ldb) {
+  PackedNT packed;
+  packed.n = n;
+  packed.k = k;
+#if defined(__FMA__)
+  packed.rows = b;
+  packed.ldb = ldb;
+#else
+  // 7 spare floats let the panels start on a 32-byte boundary.
+  packed.storage.assign((n + 7) / 8 * 8 * k + 7, 0.0f);
+  const auto address = reinterpret_cast<uintptr_t>(packed.storage.data());
+  packed.offset = (32 - address % 32) % 32 / sizeof(float);
+  for (size_t j = 0; j < n; ++j) {
+    float* column = packed.storage.data() + packed.offset + j / 8 * 8 * k +
+                    j % 8;
+    const float* row = b + j * ldb;
+    for (size_t kk = 0; kk < k; ++kk) column[kk * 8] = row[kk];
+  }
+#endif
+  return packed;
+}
+
+void GemmNTPacked(size_t m, const float* a, size_t lda, const PackedNT& b,
+                  float* c, size_t ldc) {
+  GemmNTPackedDispatch<false>(m, a, lda, b, c, ldc);
+}
+
+void GemmNTPackedAccum(size_t m, const float* a, size_t lda, const PackedNT& b,
+                       float* c, size_t ldc) {
+  GemmNTPackedDispatch<true>(m, a, lda, b, c, ldc);
 }
 
 void GemmNN(size_t m, size_t n, size_t k, const float* a, size_t lda,

@@ -26,6 +26,18 @@
 //   * GemmTN packs 4-column panels of A into a contiguous buffer (the
 //     strided column walk is what makes the naive version slow), then runs
 //     the NT kernel against them.
+//   * GemmNTPacked is the NT product against a fixed weight that PackNT laid
+//     out once as B^T in 8-column panels. It vectorises across 8 output
+//     columns instead of across k: lane l of DotCanonical's 8-way split is
+//     one vector accumulator of 8 columns, so the fixed tree becomes 7
+//     vertical adds and no output is folded horizontally. Panels run in the
+//     outer loop and rows in the inner one, so a panel stays in L1 while
+//     every row reads it and the weight streams once per call. Each element
+//     keeps DotCanonical's order and bits. In a build that fuses
+//     multiply-adds (__FMA__, the native preset) PackNT keeps B's row-major
+//     pointer instead and the packed entries run GemmNT's tile: there FMA
+//     and 32 vector registers make the tile load-efficient, while a panel
+//     needs two loads per FMA.
 //
 // All kernels take leading dimensions, so callers can run them over a
 // prefix of rows — that is how the batched ED scorer masks ragged candidate
@@ -38,6 +50,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 namespace ncl::nn {
 
@@ -62,5 +75,39 @@ void GemmNTAccum(size_t m, size_t n, size_t k, const float* a, size_t lda,
 /// C(m,n) = A(k,m)^T * B(k,n).
 void GemmTN(size_t m, size_t n, size_t k, const float* a, size_t lda,
             const float* b, size_t ldb, float* c, size_t ldc);
+
+/// \brief An n x k weight B laid out for GemmNTPacked.
+///
+/// Panel p holds, for each kk in [0, k), the 8 values B[8p..8p+7][kk],
+/// zero-padded past n. In a build that fuses multiply-adds it holds B's
+/// row-major pointer and leading dimension instead, and B must outlive it.
+/// A default-constructed one is empty (n = k = 0).
+struct PackedNT {
+  size_t n = 0;
+  size_t k = 0;
+  /// The panels, starting at storage.data() + offset (32-byte aligned when
+  /// packed; a copy keeps its values but not necessarily the alignment).
+  std::vector<float> storage;
+  size_t offset = 0;
+  /// B and its leading dimension, in a build that fuses multiply-adds.
+  const float* rows = nullptr;
+  size_t ldb = 0;
+
+  const float* panel(size_t p) const {
+    return storage.data() + offset + p * 8 * k;
+  }
+};
+
+/// Pack the n x k row-major weight `b` (leading dimension ldb).
+PackedNT PackNT(const float* b, size_t n, size_t k, size_t ldb);
+
+/// C(m,n) = A(m,k) * B(n,k)^T with B packed by PackNT; every element equals
+/// GemmNT's (and so DotCanonical's) bit for bit.
+void GemmNTPacked(size_t m, const float* a, size_t lda, const PackedNT& b,
+                  float* c, size_t ldc);
+
+/// C(m,n) += A(m,k) * B(n,k)^T with B packed by PackNT; equals GemmNTAccum.
+void GemmNTPackedAccum(size_t m, const float* a, size_t lda, const PackedNT& b,
+                       float* c, size_t ldc);
 
 }  // namespace ncl::nn

@@ -61,21 +61,30 @@ LstmState LstmCell::Step(Tape& tape, VarId x, const LstmState& prev) const {
   return next;
 }
 
-void LstmCell::StepValueBatch(size_t rows, const float* x, const float* h_prev,
+LstmCell::PackedGates LstmCell::Pack() const {
+  auto pack = [](const Parameter* p) {
+    return PackNT(p->value.data(), p->value.rows(), p->value.cols(),
+                  p->value.cols());
+  };
+  return {pack(w_i_), pack(u_i_), pack(w_f_), pack(u_f_),
+          pack(w_o_), pack(u_o_), pack(w_c_), pack(u_c_)};
+}
+
+void LstmCell::StepValueBatch(const PackedGates& gates, size_t rows,
+                              const float* x, const float* h_prev,
                               const float* c_prev, float* h_out, float* c_out,
                               float* scratch) const {
   const size_t d = hidden_dim_;
   const size_t total = rows * d;
   float* buf0 = scratch;          // gate activations, rows x d
   float* buf1 = scratch + total;  // second gate when two are live at once
-  auto gate = [&](const Parameter* w, const Parameter* u, const Parameter* b,
+  auto gate = [&](const PackedNT& w, const PackedNT& u, const Parameter* b,
                   float* out) {
     // out = X W^T; out += H U^T; out += bias (broadcast per row): per
     // element, the full W x dot, then the full U h dot added, then the
     // bias — the tape's order.
-    GemmNT(rows, d, input_dim_, x, input_dim_, w->value.data(), input_dim_, out,
-           d);
-    GemmNTAccum(rows, d, d, h_prev, d, u->value.data(), d, out, d);
+    GemmNTPacked(rows, x, input_dim_, w, out, d);
+    GemmNTPackedAccum(rows, h_prev, d, u, out, d);
     const float* bias = b->value.data();
     for (size_t r = 0; r < rows; ++r) {
       float* row = out + r * d;
@@ -87,17 +96,17 @@ void LstmCell::StepValueBatch(size_t rows, const float* x, const float* h_prev,
   // alias). The activations are position-independent (vecmath.h), so
   // applying them over the packed rows x d buffer gives each lane the
   // values it would get alone.
-  gate(w_f_, u_f_, b_f_, buf0);
+  gate(gates.w_f, gates.u_f, b_f_, buf0);
   SigmoidInplace(buf0, total);
   for (size_t j = 0; j < total; ++j) c_out[j] = buf0[j] * c_prev[j];
 
-  gate(w_i_, u_i_, b_i_, buf0);
+  gate(gates.w_i, gates.u_i, b_i_, buf0);
   SigmoidInplace(buf0, total);
-  gate(w_c_, u_c_, b_c_, buf1);
+  gate(gates.w_c, gates.u_c, b_c_, buf1);
   TanhInplace(buf1, total);
   for (size_t j = 0; j < total; ++j) c_out[j] += buf0[j] * buf1[j];
 
-  gate(w_o_, u_o_, b_o_, buf0);
+  gate(gates.w_o, gates.u_o, b_o_, buf0);
   SigmoidInplace(buf0, total);
   MulTanhInto(buf0, c_out, h_out, total);
 }

@@ -12,12 +12,14 @@
 // Step records the gates on an autodiff tape (training and the reference
 // scorer); StepValueBatch is the one value-only step, used with one lane by
 // the concept-encoding warm-up and with a tile of lanes by the Phase-II
-// decoder.
+// decoder. It runs on the gate weights Pack() lays out for GemmNTPacked,
+// which both callers pack once per warm-up.
 
 #pragma once
 
 #include <string>
 
+#include "nn/gemm.h"
 #include "nn/parameter.h"
 #include "nn/tape.h"
 #include "util/random.h"
@@ -50,20 +52,27 @@ class LstmCell {
   /// state; return the new state.
   LstmState Step(Tape& tape, VarId x, const LstmState& prev) const;
 
+  /// The eight gate weights, packed by PackNT. Derived from the weights:
+  /// pack again after they change.
+  struct PackedGates {
+    PackedNT w_i, u_i, w_f, u_f, w_o, u_o, w_c, u_c;
+  };
+  PackedGates Pack() const;
+
   /// \brief Value-only step over `rows` independent lanes, for tape-free
   /// inference (the concept encoder steps one lane, the Phase-II decoder a
-  /// tile of them).
+  /// tile of them), on this cell's gate weights packed by Pack().
   ///
   /// Row-major buffers: x is rows x input_dim, the states are rows x
   /// hidden_dim, `scratch` holds at least 2 * rows * hidden_dim floats.
   /// Allocates nothing and records no autodiff graph. The gate mat-vecs
-  /// become two GemmNT calls per gate (X W^T + H U^T), whose elements are
-  /// canonical dots (DotCanonical), so a lane's result does not depend on
-  /// how many other lanes ride in the batch. h_out/c_out may alias
+  /// become two GemmNTPacked calls per gate (X W^T + H U^T), whose elements
+  /// are canonical dots (DotCanonical), so a lane's result does not depend
+  /// on how many other lanes ride in the batch. h_out/c_out may alias
   /// h_prev/c_prev; x must not alias any output.
-  void StepValueBatch(size_t rows, const float* x, const float* h_prev,
-                      const float* c_prev, float* h_out, float* c_out,
-                      float* scratch) const;
+  void StepValueBatch(const PackedGates& gates, size_t rows, const float* x,
+                      const float* h_prev, const float* c_prev, float* h_out,
+                      float* c_out, float* scratch) const;
 
   size_t input_dim() const { return input_dim_; }
   size_t hidden_dim() const { return hidden_dim_; }

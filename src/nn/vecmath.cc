@@ -13,9 +13,11 @@
 
 #include "nn/vecmath.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "nn/simd.h"
 
@@ -88,6 +90,16 @@ inline float TanhScalar(float x) {
 
 inline float SigmoidScalar(float x) {
   return 1.0f / (1.0f + ExpScalar(0.0f - x));
+}
+
+/// std::max(m, x), which is _mm256_max_ps(x, m) lane for lane: m unless x
+/// is larger, so a NaN x is skipped.
+inline float MaxScalar(float m, float x) { return x > m ? x : m; }
+
+/// AddBiasMax's lane maxima combined in DotCanonical's tree.
+inline float MaxTree(const float m[8]) {
+  return MaxScalar(MaxScalar(MaxScalar(m[0], m[4]), MaxScalar(m[2], m[6])),
+                   MaxScalar(MaxScalar(m[1], m[5]), MaxScalar(m[3], m[7])));
 }
 
 #if defined(__x86_64__)
@@ -187,6 +199,20 @@ inline float SigmoidScalar(float x) {
   return total;
 }
 
+/// AddBiasMax's whole chunks: stores the 8 lane maxima to `lanes`.
+[[gnu::target("avx2")]] void AddBiasMaxAvx2(float* v, const float* bias,
+                                            size_t whole, float lanes[8]) {
+  __m256 m = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+  for (size_t j = 0; j < whole; j += 8) {
+    const __m256 x =
+        _mm256_add_ps(_mm256_loadu_ps(v + j), _mm256_loadu_ps(bias + j));
+    _mm256_storeu_ps(v + j, x);
+    m = _mm256_max_ps(x, m);
+  }
+  _mm256_storeu_ps(lanes, m);
+  _mm256_zeroupper();
+}
+
 /// The elements the AVX2 loops cover: every whole 8-element chunk when
 /// simd.h picks them, none otherwise.
 inline size_t Avx2Span(size_t n) {
@@ -231,6 +257,28 @@ void ExpShiftedInplace(float* v, size_t n, float shift) {
   if (j > 0) ExpShiftedAvx2(v, j, shift);
 #endif
   for (; j < n; ++j) v[j] = ExpScalar(v[j] - shift);
+}
+
+float AddBiasMax(float* v, const float* bias, size_t n) {
+  float lanes[8];
+  std::fill(lanes, lanes + 8, -std::numeric_limits<float>::infinity());
+  size_t j = 0;
+#if defined(__x86_64__)
+  j = Avx2Span(n);
+  if (j > 0) AddBiasMaxAvx2(v, bias, j, lanes);
+#endif
+  for (; j + 8 <= n; j += 8) {
+    for (size_t l = 0; l < 8; ++l) {
+      v[j + l] += bias[j + l];
+      lanes[l] = MaxScalar(lanes[l], v[j + l]);
+    }
+  }
+  float max = MaxTree(lanes);
+  for (; j < n; ++j) {
+    v[j] += bias[j];
+    max = MaxScalar(max, v[j]);
+  }
+  return max;
 }
 
 double SumExpShifted(const float* v, size_t n, float shift) {

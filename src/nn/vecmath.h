@@ -44,6 +44,15 @@ void MulTanhInto(const float* o, const float* c, float* h, size_t n);
 /// v[j] = exp(v[j] - shift) (softmax numerator pass).
 void ExpShiftedInplace(float* v, size_t n, float shift);
 
+/// v[j] += bias[j] for every j, then return the largest v[j] (-inf when
+/// n = 0): a logits row's bias add and softmax shift in one pass. NaN
+/// entries are skipped, as std::max(max, v[j]) skips them. Lane l of an
+/// 8-way split takes the max of the whole chunks' elements j ≡ l (mod 8),
+/// the lanes combine in DotCanonical's tree, and the tail follows in order,
+/// on both kernel sets. The max of non-NaN floats is the same in any order
+/// except for the sign of a tied zero.
+float AddBiasMax(float* v, const float* bias, size_t n);
+
 /// Sum of exp(v[j] - shift) (softmax denominator), accumulated in double —
 /// the cross-entropy loop's precision. Each whole 8-element chunk is folded
 /// in a fixed tree before widening, and the tail is added one element at a

@@ -3,8 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 namespace ncl::baselines {
+
+// Prints a WmdMethodTest parameter by name. gtest_discover_tests names each
+// case by its printed parameter (Methods/WmdMethodTest.OovDropped/Relaxed);
+// without a printer the name holds the enum's raw bytes. A name generator
+// would not do: CMake then keeps gtest's "# GetParam() = ..." comment in
+// the test name.
+void PrintTo(WmdMethod method, std::ostream* os) {
+  *os << (method == WmdMethod::kRelaxed ? "Relaxed" : "Sinkhorn");
+}
+
 namespace {
 
 /// Embeddings with controlled geometry: kidney/renal close together,

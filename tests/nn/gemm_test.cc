@@ -3,7 +3,8 @@
 // degenerate/empty shapes, the accumulate variant, leading-dimension
 // (row-prefix) operation, and the determinism contract the batched scorer
 // relies on: GemmNT row values are bit-identical to DotCanonical whatever
-// the matrix shape, so results do not depend on how work is tiled.
+// the matrix shape, so results do not depend on how work is tiled. The
+// packed panel product must give GemmNT's bits on every shape.
 
 #include "nn/gemm.h"
 
@@ -229,6 +230,47 @@ TEST(GemmTest, NTInvariantToBatchRowCount) {
     GemmNT(1, n, k, a.data() + r * k, k, b.data(), k, one.data(), n);
     for (size_t j = 0; j < n; ++j) {
       ASSERT_EQ(big[r * n + j], one[j]) << "row " << r << " col " << j;
+    }
+  }
+}
+
+TEST(GemmTest, PackedMatchesGemmNT) {
+  // GemmNTPacked(Accum) against GemmNT(Accum), element for element: m from
+  // no row to past a 32-lane tile, n below, at and past one 8-column panel,
+  // k below, at and past one 8-wide step, with and without a tail. Padded
+  // lda/ldb/ldc address submatrices, and C's padding must stay untouched.
+  Rng rng(49);
+  for (size_t m : {0, 1, 2, 3, 4, 5, 20, 33}) {
+    for (size_t n : {1, 7, 8, 9, 31, 133}) {
+      for (size_t k : {1, 7, 8, 9, 32, 37, 96}) {
+        const size_t lda = k + 3, ldb = k + 2, ldc = n + 5;
+        const auto a = RandomBuffer(m * lda, rng);
+        const auto b = RandomBuffer(n * ldb, rng);
+        const auto seed = RandomBuffer(m * ldc, rng);
+        const PackedNT packed = PackNT(b.data(), n, k, ldb);
+        if (packed.rows == nullptr) {
+          // Panels (a build without FMA): B^T, zero past n.
+          for (size_t j = 0; j < (n + 7) / 8 * 8; ++j) {
+            for (size_t kk = 0; kk < k; ++kk) {
+              ASSERT_EQ(packed.panel(j / 8)[kk * 8 + j % 8],
+                        j < n ? b[j * ldb + kk] : 0.0f)
+                  << "n=" << n << " k=" << k << " column " << j << " kk=" << kk;
+            }
+          }
+        }
+        std::vector<float> want(m * ldc, -7.0f), got = want;
+        GemmNT(m, n, k, a.data(), lda, b.data(), ldb, want.data(), ldc);
+        GemmNTPacked(m, a.data(), lda, packed, got.data(), ldc);
+        std::vector<float> want_acc = seed, got_acc = seed;
+        GemmNTAccum(m, n, k, a.data(), lda, b.data(), ldb, want_acc.data(), ldc);
+        GemmNTPackedAccum(m, a.data(), lda, packed, got_acc.data(), ldc);
+        for (size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(got[i], want[i])
+              << "m=" << m << " n=" << n << " k=" << k << " i=" << i;
+          ASSERT_EQ(got_acc[i], want_acc[i])
+              << "accum m=" << m << " n=" << n << " k=" << k << " i=" << i;
+        }
+      }
     }
   }
 }

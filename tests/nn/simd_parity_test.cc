@@ -1,12 +1,13 @@
-// Parity of the two kernel sets (simd.h): on an AVX2 host, every NT product,
-// dot and activation must give the same bits with the AVX2 set chosen and
-// with the scalar set forced. Shapes cover every tile and tail path: m and n
-// below, at and past the 4-wide register tile, k below, at and past the
-// 8-wide vector step, n = 1,828 (the perfbench vocabulary) and k = 96 (the
-// composite width at d = 32). Each case skips on a host without AVX2, where
-// only the scalar set runs, and in a -ffast-math build (the native preset),
-// where GCC contracts and reassociates each set differently; CI fails the
-// tier-1 job on any skip here.
+// Parity of the two kernel sets (simd.h): on an AVX2 host, every NT product
+// (row-major and packed), dot, activation and reduction must give the same
+// bits with the AVX2 set chosen and with the scalar set forced. Shapes cover
+// every tile and tail path: m and n below, at and past the 4-wide register
+// tile and the 8-column panel, k below, at and past the 8-wide vector step,
+// n = 1,828 (the perfbench vocabulary) and k = 96 (the composite width at
+// d = 32). Each case skips on a host without AVX2, where only the scalar
+// set runs, and in a -ffast-math build (the native preset), where GCC
+// contracts and reassociates each set differently; CI fails the tier-1 job
+// on any skip here.
 
 #include <gtest/gtest.h>
 
@@ -123,6 +124,33 @@ TEST(SimdParityTest, GemmNTAndAccum) {
   }
 }
 
+TEST(SimdParityTest, GemmNTPacked) {
+  if (const char* reason = SkipReason()) GTEST_SKIP() << reason;
+  Rng rng(75);
+  for (size_t m : kRows) {
+    for (size_t n : kCols) {
+      for (size_t k : kDepths) {
+        auto a = RandomBuffer(m * k, rng);
+        auto b = RandomBuffer(n * k, rng);
+        const auto seed = RandomBuffer(m * n, rng);
+        const PackedNT packed = PackNT(b.data(), n, k, k);
+        auto [avx2, scalar] = OnBothSets([&] {
+          std::vector<float> c(m * n, -1.0f);
+          GemmNTPacked(m, a.data(), k, packed, c.data(), n);
+          std::vector<float> acc = seed;
+          GemmNTPackedAccum(m, a.data(), k, packed, acc.data(), n);
+          c.insert(c.end(), acc.begin(), acc.end());
+          return c;
+        });
+        const std::string shape = "m=" + std::to_string(m) +
+                                  " n=" + std::to_string(n) +
+                                  " k=" + std::to_string(k);
+        ExpectSameBits(avx2, scalar, shape.c_str());
+      }
+    }
+  }
+}
+
 /// Random pre-activations plus every special value, at a length that leaves
 /// a scalar tail on the AVX2 set.
 std::vector<float> ActivationInputs() {
@@ -172,6 +200,32 @@ TEST(SimdParityTest, SumExpShifted) {
     EXPECT_EQ(std::bit_cast<uint64_t>(avx2), std::bit_cast<uint64_t>(scalar))
         << "n=" << n << ": " << avx2 << " vs " << scalar;
   }
+}
+
+TEST(SimdParityTest, AddBiasMax) {
+  if (const char* reason = SkipReason()) GTEST_SKIP() << reason;
+  const std::vector<float> x = ActivationInputs();
+  Rng rng(76);
+  const std::vector<float> bias = RandomBuffer(x.size(), rng);
+  // Signed zeros only, with a -0 bias: the max is a tied zero whose sign
+  // depends on the order the lanes meet it.
+  std::vector<float> zeros(19, 0.0f);
+  for (size_t j = 0; j < zeros.size(); j += 3) zeros[j] = -0.0f;
+  const std::vector<float> minus_zero(zeros.size(), -0.0f);
+  auto check = [](const std::vector<float>& v, const std::vector<float>& b,
+                  size_t n, const std::string& what) {
+    auto [avx2, scalar] = OnBothSets([&] {
+      std::vector<float> out(v.begin(), v.begin() + n);
+      out.push_back(AddBiasMax(out.data(), b.data(), n));
+      return out;
+    });
+    ExpectSameBits(avx2, scalar, what.c_str());
+  };
+  for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                   size_t{17}, size_t{1828}, x.size()}) {
+    check(x, bias, n, "n=" + std::to_string(n));
+  }
+  check(zeros, minus_zero, zeros.size(), "signed zeros");
 }
 
 }  // namespace

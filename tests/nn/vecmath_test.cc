@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -195,6 +196,63 @@ TEST(VecMathTest, SpecialValuesArePositionIndependent) {
                     std::bit_cast<uint32_t>(alone[0]))
               << name << "(" << x << ") at offset " << offset << ": "
               << buf[offset] << " vs " << alone[0];
+        }
+      }
+    }
+  });
+}
+
+TEST(VecMathTest, AddBiasMaxMatchesLoops) {
+  // One pass of AddBiasMax equals the bias loop and a std::max loop from
+  // -inf: the same values, and the same max up to the sign of a tied zero,
+  // which leaves the softmax denominator unchanged.
+  const float inf = std::numeric_limits<float>::infinity();
+  struct Row {
+    const char* name;
+    std::vector<float> v;
+    std::vector<float> bias;
+  };
+  Rng rng(12);
+  OnEachSet([&] {
+    for (size_t n : {0, 1, 7, 8, 9, 1828}) {
+      std::vector<float> random(n), bias(n);
+      for (size_t j = 0; j < n; ++j) {
+        random[j] = static_cast<float>(rng.Normal(0.0, 4.0));
+        bias[j] = static_cast<float>(rng.Normal(0.0, 1.0));
+      }
+      Row rows[] = {{"random", random, bias},
+                    {"-inf entries", random, bias},
+                    {"all -inf", std::vector<float>(n, -inf), bias},
+                    {"all negative", random, bias},
+                    {"zero tie", random, bias}};
+      for (size_t j = 0; j < n; ++j) {
+        if (j % 3 == 0) rows[1].v[j] = -inf;
+        rows[3].v[j] = -1.0f - std::abs(random[j]);
+        // -0 and +0 entries among negative ones, with a -0 bias on them,
+        // which keeps each zero's sign.
+        rows[4].v[j] = j % 2 == 1   ? -1.0f - std::abs(random[j])
+                       : j % 4 == 0 ? -0.0f
+                                    : 0.0f;
+        if (j % 2 == 0) rows[4].bias[j] = -0.0f;
+      }
+      for (Row& row : rows) {
+        std::vector<float> want = row.v;
+        float want_max = -inf;
+        for (size_t j = 0; j < n; ++j) {
+          want[j] += row.bias[j];
+          want_max = std::max(want_max, want[j]);
+        }
+        const float got_max = AddBiasMax(row.v.data(), row.bias.data(), n);
+        for (size_t j = 0; j < n; ++j) {
+          ASSERT_EQ(std::bit_cast<uint32_t>(row.v[j]),
+                    std::bit_cast<uint32_t>(want[j]))
+              << row.name << " n=" << n << " j=" << j;
+        }
+        EXPECT_EQ(got_max, want_max) << row.name << " n=" << n;
+        if (want_max > -inf) {
+          EXPECT_EQ(SumExpShifted(row.v.data(), n, got_max),
+                    SumExpShifted(want.data(), n, want_max))
+              << row.name << " n=" << n;
         }
       }
     }
