@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -50,13 +49,15 @@ const std::vector<text::WordId>* BuildTarget(
     ontology::ConceptId id, const std::vector<text::WordId>& query_ids,
     std::vector<text::WordId>* storage) {
   if (!config.remove_shared_words) return &query_ids;
+  // A description is a few words, so a linear scan beats building a set.
   const auto& description = model.ConceptWords(id);
-  std::unordered_set<text::WordId> shared(description.begin(),
-                                          description.end());
   storage->clear();
   storage->reserve(query_ids.size());
   for (text::WordId word : query_ids) {
-    if (shared.count(word) == 0) storage->push_back(word);
+    if (std::find(description.begin(), description.end(), word) ==
+        description.end()) {
+      storage->push_back(word);
+    }
   }
   // An empty residue (every query word appears in the description) is the
   // strongest possible lexical evidence; the model scores it as

@@ -6,10 +6,16 @@
 // embedding space Ω' (Eq. 13). When w is not even in Ω' (e.g. a typo), it
 // is first mapped to its textually closest word in Ω' by edit distance, and
 // then Eq. 13 applies.
+//
+// Eq. 13 can only answer with a word of Ω, so the rewriter records the Ω'
+// ids of Ω's words once, in ascending order, and scores cosines against
+// those alone; it keeps the first maximum in that order. Nothing is
+// precomputed per Ω' word, and a call allocates nothing but its result.
 
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pretrain/embeddings.h"
@@ -30,8 +36,8 @@ struct QueryRewriterConfig {
 class QueryRewriter {
  public:
   /// \param retrieval_vocab Ω — the vocabulary of the candidate index.
-  /// \param embeddings Ω' with vectors — the pre-training output; must
-  ///        outlive the rewriter.
+  /// \param embeddings Ω' with vectors — the pre-training output.
+  /// Both must outlive the rewriter and stay unchanged while it lives.
   QueryRewriter(const text::Vocabulary& retrieval_vocab,
                 const pretrain::WordEmbeddings& embeddings,
                 QueryRewriterConfig config = {});
@@ -43,9 +49,23 @@ class QueryRewriter {
   std::string RewriteWord(const std::string& word) const;
 
  private:
+  /// The rewrite of `word`: `word` itself or a word of Ω'.
+  std::string_view RewriteView(std::string_view word) const;
+
+  /// Typo path: the Ω' word closest to `word` within max_edit_distance
+  /// (lower distance, then higher count, then lower id), or kUnknown.
+  text::WordId ClosestBySpelling(std::string_view word) const;
+
+  /// Eq. 13: the Ω word whose vector has the largest cosine with Ω' word
+  /// `id`'s (the first in ascending id on a tie), or kUnknown when Ω and Ω'
+  /// share no word.
+  text::WordId NearestInOmega(text::WordId id) const;
+
   const text::Vocabulary& retrieval_vocab_;
   const pretrain::WordEmbeddings& embeddings_;
   QueryRewriterConfig config_;
+  /// Ω' ids of the Ω words Ω' holds, ascending: Eq. 13's candidates.
+  std::vector<text::WordId> omega_ids_;
 };
 
 }  // namespace ncl::linking

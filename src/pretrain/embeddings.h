@@ -34,6 +34,9 @@ class WordEmbeddings {
   /// Row view of a word's vector. Requires a valid id.
   const float* VectorOf(text::WordId id) const;
 
+  /// L2 norm of a word's vector (precomputed). Requires a valid id.
+  double NormOf(text::WordId id) const { return norms_[static_cast<size_t>(id)]; }
+
   /// Cosine similarity between two in-vocabulary words.
   double Cosine(text::WordId a, text::WordId b) const;
 

@@ -1,6 +1,7 @@
 #include "text/edit_distance.h"
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 namespace ncl::text {
@@ -25,6 +26,14 @@ size_t Levenshtein(std::string_view a, std::string_view b) {
   return row[n];
 }
 
+namespace {
+
+/// Strings up to this many bytes (the shorter of the pair) run on a stack
+/// row; longer ones (a query token may be up to 256 bytes) take a heap row.
+constexpr size_t kStackRowBytes = 63;
+
+}  // namespace
+
 size_t BoundedLevenshtein(std::string_view a, std::string_view b,
                           size_t max_distance) {
   if (a.size() > b.size()) std::swap(a, b);
@@ -33,7 +42,13 @@ size_t BoundedLevenshtein(std::string_view a, std::string_view b,
   if (m - n > max_distance) return max_distance + 1;
   if (n == 0) return m;
 
-  std::vector<size_t> row(n + 1);
+  size_t stack_row[kStackRowBytes + 1];
+  std::unique_ptr<size_t[]> heap_row;
+  size_t* row = stack_row;
+  if (n > kStackRowBytes) {
+    heap_row = std::make_unique<size_t[]>(n + 1);
+    row = heap_row.get();
+  }
   for (size_t i = 0; i <= n; ++i) row[i] = i;
   for (size_t j = 1; j <= m; ++j) {
     size_t diag = row[0];

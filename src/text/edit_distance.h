@@ -16,7 +16,8 @@ size_t Levenshtein(std::string_view a, std::string_view b);
 
 /// \brief Levenshtein with early exit: returns max_distance + 1 as soon as
 /// the true distance provably exceeds max_distance. Useful for nearest-word
-/// scans over a vocabulary.
+/// scans over a vocabulary: it allocates nothing when the shorter string is
+/// at most 63 bytes.
 size_t BoundedLevenshtein(std::string_view a, std::string_view b,
                           size_t max_distance);
 

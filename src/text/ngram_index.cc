@@ -30,14 +30,22 @@ constexpr size_t kMinPostingsForParallelFinalize = size_t{1} << 15;
 
 /// Per-thread query scratch. It grows to the largest collection the thread
 /// has queried and is clean between queries: every accumulator -1 (not
-/// admitted; scores are never negative), every query weight 0, both lists
-/// empty.
+/// admitted; scores are never negative), every query weight 0, the admitted
+/// list empty.
 struct QueryScratch {
   std::vector<double> accums;         // by doc id
   std::vector<int32_t> admitted;      // doc ids with accums >= 0
-  std::vector<double> theta_pool;     // accumulators still in reach of theta
+  /// Slots for the admitted doc ids at or above theta, plus one: once theta
+  /// exists, the walk writes each posting's doc id into the next slot and
+  /// keeps it only when the posting lifts the document across theta.
+  std::vector<int32_t> above;
+  std::vector<double> theta_pool;     // their accumulators, for nth_element
   std::vector<double> query_weights;  // by term id
 };
+
+/// Documents rescored ahead of the one being summed whose forward entries
+/// are prefetched.
+constexpr size_t kRescorePrefetchDistance = 8;
 
 }  // namespace
 
@@ -168,14 +176,12 @@ void NgramIndex::Finalize() {
     for (size_t d = 1; d < doc_offsets_.size(); ++d) {
       doc_offsets_[d] += doc_offsets_[d - 1];
     }
-    fwd_terms_.resize(num_postings_);
-    fwd_impacts_.resize(num_postings_);
+    fwd_.resize(num_postings_);
     std::vector<uint32_t> cursor(doc_offsets_.begin(), doc_offsets_.end() - 1);
     for (size_t t = 0; t < postings_.size(); ++t) {
       for (const Posting& p : postings_[t]) {
         const uint32_t at = cursor[static_cast<size_t>(p.doc_id)]++;
-        fwd_terms_[at] = static_cast<int32_t>(t);
-        fwd_impacts_[at] = p.impact;
+        fwd_[at] = ForwardEntry{static_cast<int32_t>(t), p.impact};
       }
     }
   }
@@ -240,6 +246,13 @@ std::vector<ScoredDoc> NgramIndex::RunTopK(const std::vector<std::string>& query
   if (rescore && scratch.query_weights.size() < postings_.size()) {
     scratch.query_weights.resize(postings_.size(), 0.0);
   }
+  // The above list holds at most every admitted document (only when theta
+  // is taken), plus the slot the walk writes past its end.
+  const size_t max_admitted = max_accums > 0
+                                  ? std::min(max_accums, doc_norms_.size())
+                                  : doc_norms_.size();
+  const size_t above_slots = (epsilon > 0.0 ? max_admitted : 0) + 1;
+  if (scratch.above.size() < above_slots) scratch.above.resize(above_slots);
   // Leaves the scratch clean however this call exits.
   struct ScratchReset {
     QueryScratch& scratch;
@@ -255,8 +268,10 @@ std::vector<ScoredDoc> NgramIndex::RunTopK(const std::vector<std::string>& query
       }
     }
   } reset{scratch};
-  std::vector<double>& accums = scratch.accums;
+  double* const accums = scratch.accums.data();
   std::vector<int32_t>& admitted = scratch.admitted;
+  int32_t* const above = scratch.above.data();
+  size_t num_above = 0;
 
   // suffix_ub[i]: the most any document could still gain from terms i..end.
   std::vector<double> suffix_ub(terms.size() + 1, 0.0);
@@ -273,43 +288,82 @@ std::vector<ScoredDoc> NgramIndex::RunTopK(const std::vector<std::string>& query
     // postings cannot meaningfully reorder the top-k.
     if (epsilon > 0.0 && have_theta && suffix_ub[i] < epsilon * theta) break;
     const QueryTerm& qt = terms[i];
+    const double weight = qt.weight;
+    const double reach = suffix_ub[i + 1];
     const auto& plist = postings_[static_cast<size_t>(qt.term_id)];
     const size_t limit =
         (budget > 0 && budget < plist.size()) ? budget : plist.size();
-    for (size_t p = 0; p < limit; ++p) {
+    // A posting that lifts a document from below theta to at or above it
+    // appends the document to the above list. Before the first theta none
+    // can, so the walk skips the list (the exhaustive walk never has one).
+    const bool track_above = have_theta;
+
+    // Admission phase. It ends at the first new document it may not admit:
+    // the table is full, or the document could not reach theta (a document
+    // first seen at term i can *accumulate* at most delta + suffix_ub[i+1]
+    // more; theta only ever underestimates the k-th best final
+    // accumulation, and >= keeps potential exact ties). Theta is fixed
+    // within a term, the table only fills, and impacts descend along the
+    // list, so no later posting of this term could admit a document either.
+    size_t p = 0;
+    for (; p < limit; ++p) {
       const Posting& post = plist[p];
-      const double delta = qt.weight * static_cast<double>(post.impact);
-      double& accum = accums[static_cast<size_t>(post.doc_id)];
-      if (accum >= 0.0) {
-        accum += delta;
-      } else if (max_accums == 0 || admitted.size() < max_accums) {
-        // Maxscore admission: a document first seen at term i can
-        // *accumulate* at most delta + suffix_ub[i+1] more. Once a
-        // threshold is known, documents that cannot reach it are not
-        // admitted (theta only ever underestimates the k-th best final
-        // accumulation, and >= keeps potential exact ties), reserving the
-        // accumulator table for documents that can still make the top-k.
-        if (!have_theta || delta + suffix_ub[i + 1] >= theta) {
-          accum = delta;
-          admitted.push_back(post.doc_id);
-        }
+      const double delta = weight * static_cast<double>(post.impact);
+      const auto d = static_cast<size_t>(post.doc_id);
+      const double before = accums[d];
+      double after = before + delta;
+      if (before < 0.0) {
+        if (max_accums > 0 && admitted.size() >= max_accums) break;
+        if (have_theta && delta + reach < theta) break;
+        after = delta;
+        admitted.push_back(post.doc_id);
+      }
+      accums[d] = after;
+      if (track_above) {
+        above[num_above] = post.doc_id;
+        num_above += static_cast<size_t>((before < theta) & (after >= theta));
       }
     }
+    // Update-only phase, with no branch on the data: an admitted document
+    // gains delta, and a -1 (not admitted) gains +0.0 and stays -1.
+    for (; p < limit; ++p) {
+      const Posting& post = plist[p];
+      const double delta = weight * static_cast<double>(post.impact);
+      const auto d = static_cast<size_t>(post.doc_id);
+      const double before = accums[d];
+      const double after = before + (before >= 0.0 ? delta : 0.0);
+      accums[d] = after;
+      if (track_above) {
+        above[num_above] = post.doc_id;
+        num_above += static_cast<size_t>((before < theta) & (after >= theta));
+      }
+    }
+
     if (epsilon > 0.0 && admitted.size() >= k) {
       // theta = the k-th largest accumulator. Accumulators only grow and
       // admitted documents stay, so the k that reached the previous theta
       // still do, and the new k-th largest is among the documents at or
-      // above it.
+      // above it: the above list (every admitted document the first time).
+      const int32_t* from = have_theta ? above : admitted.data();
+      const size_t count = have_theta ? num_above : admitted.size();
       std::vector<double>& pool = scratch.theta_pool;
-      pool.clear();
-      for (int32_t doc : admitted) {
-        const double score = accums[static_cast<size_t>(doc)];
-        if (!have_theta || score >= theta) pool.push_back(score);
+      pool.resize(count);
+      for (size_t j = 0; j < count; ++j) {
+        pool[j] = accums[static_cast<size_t>(from[j])];
       }
       auto kth = pool.begin() + static_cast<ptrdiff_t>(k - 1);
       std::nth_element(pool.begin(), kth, pool.end(), std::greater<>());
       theta = *kth;
       have_theta = true;
+      // Keep the documents at or above the new theta (in place when `from`
+      // is the above list: a slot is written only after it is read).
+      size_t kept = 0;
+      for (size_t j = 0; j < count; ++j) {
+        const int32_t doc = from[j];
+        above[kept] = doc;
+        kept += static_cast<size_t>(accums[static_cast<size_t>(doc)] >= theta);
+      }
+      num_above = kept;
     }
   }
 
@@ -319,25 +373,61 @@ std::vector<ScoredDoc> NgramIndex::RunTopK(const std::vector<std::string>& query
   // table restores the full cosine, so admission knobs never mis-rank a
   // kept candidate. Terms outside the query weigh 0 and add +0.0 to a
   // non-negative sum, so each score has the bits of a merge-join over the
-  // shared terms in ascending term id.
+  // shared terms in ascending term id. Four documents are summed at once,
+  // each in its own order, so their dependent add chains overlap.
   if (rescore) {
-    std::vector<double>& weights = scratch.query_weights;
     reset.weighted = &terms;
-    int32_t last_term = 0;
+    double* const weights = scratch.query_weights.data();
     for (const QueryTerm& qt : terms) {
       weights[static_cast<size_t>(qt.term_id)] = qt.weight;
-      last_term = std::max(last_term, qt.term_id);
     }
-    for (int32_t doc : admitted) {
-      const auto d = static_cast<size_t>(doc);
-      double exact = 0.0;
-      for (uint32_t e = doc_offsets_[d]; e < doc_offsets_[d + 1]; ++e) {
-        const int32_t term_id = fwd_terms_[e];
-        if (term_id > last_term) break;
-        exact += weights[static_cast<size_t>(term_id)] *
-                 static_cast<double>(fwd_impacts_[e]);
+    const ForwardEntry* const fwd = fwd_.data();
+    const uint32_t* const offsets = doc_offsets_.data();
+    const auto add_entries = [weights](const ForwardEntry* e,
+                                       const ForwardEntry* end, double sum) {
+      for (; e < end; ++e) {
+        sum += weights[static_cast<size_t>(e->term_id)] *
+               static_cast<double>(e->impact);
       }
-      accums[d] = exact;
+      return sum;
+    };
+    const size_t n = admitted.size();
+    size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+      for (size_t ahead = j + kRescorePrefetchDistance;
+           ahead < std::min(j + kRescorePrefetchDistance + 4, n); ++ahead) {
+        __builtin_prefetch(fwd + offsets[static_cast<size_t>(admitted[ahead])]);
+      }
+      const auto d0 = static_cast<size_t>(admitted[j]);
+      const auto d1 = static_cast<size_t>(admitted[j + 1]);
+      const auto d2 = static_cast<size_t>(admitted[j + 2]);
+      const auto d3 = static_cast<size_t>(admitted[j + 3]);
+      const ForwardEntry* e0 = fwd + offsets[d0];
+      const ForwardEntry* e1 = fwd + offsets[d1];
+      const ForwardEntry* e2 = fwd + offsets[d2];
+      const ForwardEntry* e3 = fwd + offsets[d3];
+      const size_t shared = std::min(
+          std::min(offsets[d0 + 1] - offsets[d0], offsets[d1 + 1] - offsets[d1]),
+          std::min(offsets[d2 + 1] - offsets[d2], offsets[d3 + 1] - offsets[d3]));
+      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+      for (size_t t = 0; t < shared; ++t) {
+        s0 += weights[static_cast<size_t>(e0[t].term_id)] *
+              static_cast<double>(e0[t].impact);
+        s1 += weights[static_cast<size_t>(e1[t].term_id)] *
+              static_cast<double>(e1[t].impact);
+        s2 += weights[static_cast<size_t>(e2[t].term_id)] *
+              static_cast<double>(e2[t].impact);
+        s3 += weights[static_cast<size_t>(e3[t].term_id)] *
+              static_cast<double>(e3[t].impact);
+      }
+      accums[d0] = add_entries(e0 + shared, fwd + offsets[d0 + 1], s0);
+      accums[d1] = add_entries(e1 + shared, fwd + offsets[d1 + 1], s1);
+      accums[d2] = add_entries(e2 + shared, fwd + offsets[d2 + 1], s2);
+      accums[d3] = add_entries(e3 + shared, fwd + offsets[d3 + 1], s3);
+    }
+    for (; j < n; ++j) {
+      const auto d = static_cast<size_t>(admitted[j]);
+      accums[d] = add_entries(fwd + offsets[d], fwd + offsets[d + 1], 0.0);
     }
   }
 

@@ -100,6 +100,10 @@ NgramIndexConfig ExhaustiveTokenConfig();
 /// \brief Inverted index over token (+ padded char-ngram) terms, TF-IDF
 /// cosine scored, with optional top-m pruned retrieval.
 class NgramIndex {
+  /// Test-only access to the postings and the forward index, for a
+  /// reference walk kept beside the tests.
+  friend struct NgramIndexTestPeer;
+
  public:
   explicit NgramIndex(NgramIndexConfig config = {});
 
@@ -142,6 +146,12 @@ class NgramIndex {
     float impact;  // tf * idf / ||d||, i.e. the cosine contribution
   };
 
+  /// One forward-index entry: a term of the document and its impact.
+  struct ForwardEntry {
+    int32_t term_id;
+    float impact;
+  };
+
   /// One analyzed query term with its normalised query-side weight.
   struct QueryTerm {
     int32_t term_id;
@@ -170,13 +180,12 @@ class NgramIndex {
   /// norm of the stored float impacts, which final scores are divided by.
   std::vector<double> doc_norms_;
   /// Forward index for exact rescoring, in CSR layout: document d's terms
-  /// are entries [doc_offsets_[d], doc_offsets_[d + 1]) of fwd_terms_ and
-  /// fwd_impacts_, in ascending term id. Only built when a pruning knob is
-  /// active — the zero-knob configuration never truncates accumulation and
-  /// needs no second pass.
+  /// are entries [doc_offsets_[d], doc_offsets_[d + 1]) of fwd_, in
+  /// ascending term id. Only built when a pruning knob is active — the
+  /// zero-knob configuration never truncates accumulation and needs no
+  /// second pass.
   std::vector<uint32_t> doc_offsets_;
-  std::vector<int32_t> fwd_terms_;
-  std::vector<float> fwd_impacts_;
+  std::vector<ForwardEntry> fwd_;
   /// Build-time memo (freed by Finalize): by token id, the token's term ids
   /// in analyzer order.
   std::vector<std::vector<int32_t>> token_terms_;

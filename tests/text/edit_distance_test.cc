@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 
@@ -37,6 +38,27 @@ TEST(BoundedLevenshteinTest, SaturatesAboveBound) {
 TEST(BoundedLevenshteinTest, LengthGapShortCircuits) {
   // |len difference| > bound: must bail out immediately.
   EXPECT_EQ(BoundedLevenshtein("a", "aaaaaaaa", 3), 4u);
+}
+
+TEST(BoundedLevenshteinTest, TokenPastTheStackRowUsesItsHeapRow) {
+  // Both strings exceed 63 bytes, so the scan runs on a heap row.
+  std::string a;
+  for (size_t i = 0; i < 100; ++i) a += static_cast<char>('a' + (i * 7) % 26);
+  // b: a with byte 10 substituted, byte 50 deleted and a byte inserted
+  // before byte 81 (built by appending: GCC 12 at -O3 warns falsely on
+  // std::string::insert of a literal).
+  std::string b;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (i == 50) continue;
+    if (i == 81) b += '!';
+    b += i == 10 ? '#' : a[i];
+  }
+  ASSERT_GT(std::min(a.size(), b.size()), 63u);
+  EXPECT_EQ(Levenshtein(a, b), 3u);
+  EXPECT_EQ(BoundedLevenshtein(a, b, 3), 3u);
+  EXPECT_EQ(BoundedLevenshtein(b, a, 5), 3u);
+  EXPECT_EQ(BoundedLevenshtein(a, b, 2), 3u);  // = bound + 1
+  EXPECT_EQ(BoundedLevenshtein(a, a, 0), 0u);
 }
 
 // Property: triangle inequality holds for Levenshtein on random strings.
