@@ -1,10 +1,10 @@
 // Figure 11 (Appendix B.1) — online concept linking time analysis.
 //
 // The online pipeline splits into OR (out-of-vocabulary word replacement),
-// CR (candidate retrieval), ED (encode-decode scoring, multithreaded), and
-// RT (ranking). Reported: mean per-query time of each part (a, b) as the
-// candidate count k grows from 10 to 50, and (c, d) as the query length |q|
-// grows from 1 to 6, on both datasets.
+// CR (candidate retrieval), ED (encode-decode scoring), and RT (ranking).
+// Reported: mean per-query time of each part (a, b) as the candidate count
+// k grows from 10 to 50, and (c, d) as the query length |q| grows from 1 to
+// 6, on both datasets.
 //
 // Expected shape: total time grows with k, dominated by ED (more candidate
 // encode-decode runs); ED and CR grow with |q| (longer decode sequences and
@@ -12,7 +12,9 @@
 // canonical descriptions are longer.
 //
 // ED runs the serving scorer (cached concept encodings + the lock-step
-// batched decoder). The whole sweep is also emitted as machine-readable
+// batched decoder) on the calling thread; the paper's ten scoring threads
+// have no counterpart, so a k above 32 runs its lanes' tiles one after
+// another. The whole sweep is also emitted as machine-readable
 // BENCH_fig11.json.
 
 #include <algorithm>
@@ -100,7 +102,6 @@ int main() {
     for (size_t k : {10u, 20u, 30u, 40u, 50u}) {
       linking::NclConfig link_config;
       link_config.k = k;
-      link_config.scoring_threads = 10;  // Appendix B.1 thread count
       linking::NclLinker linker = pipeline->MakeLinker(link_config);
       linking::PhaseTimings t = MeanTimings(linker, queries);
       table_k.AddRow(std::to_string(k),
@@ -134,7 +135,6 @@ int main() {
       if (sized.empty()) continue;
       linking::NclConfig link_config;
       link_config.k = 20;
-      link_config.scoring_threads = 10;
       linking::NclLinker linker = pipeline->MakeLinker(link_config);
       linking::PhaseTimings t = MeanTimings(linker, sized);
       table_q.AddRow(std::to_string(len),
@@ -158,9 +158,8 @@ int main() {
     if (corpus == Corpus::kHospitalX) {
       linking::NclConfig link_config;
       link_config.k = 20;
-      link_config.scoring_threads = 10;
       linking::NclLinker linker = pipeline->MakeLinker(link_config);
-      MeanTimings(linker, queries);  // warm up caches and pool
+      MeanTimings(linker, queries);  // warm up caches
 
       const int rounds = 5;
       double ed_off = 0.0, ed_metrics = 0.0, ed_sampled = 0.0, ed_trace = 0.0;

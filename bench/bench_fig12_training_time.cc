@@ -3,7 +3,7 @@
 // (a) Word-embedding pre-training time and (b) COM-AID refinement time, as
 // the number of involved concepts grows (25% → 100% of each ontology).
 // Pre-training uses the Appendix-B.2 hyperparameters (window 10, 10
-// negatives, lr 0.05) and the multithreaded CBOW trainer.
+// negatives, lr 0.05) and the one-thread CBOW trainer.
 //
 // Expected shape: pre-training is fast (seconds) and scales with corpus
 // size — hospital-x costs more than MIMIC-III because it has far more

@@ -1,19 +1,17 @@
 // ncl::serve load generator — closed-loop throughput/latency sweep of the
-// LinkingService against a serialized per-query baseline at equal thread
-// budget.
+// LinkingService against a serialized per-query baseline on one thread.
 //
 // Three measurements, emitted as BENCH_serve.json:
 //
-//   * serial: one caller looping NclLinker::LinkDetailed with the linker's
-//     own ThreadPool fanning each query's k candidates out over T threads —
+//   * serial: one caller looping NclLinker::LinkDetailed on one thread —
 //     the pre-serve deployment model.
 //   * service: the micro-batched LinkingService with T single-threaded
 //     shards, swept over closed-loop client counts. Parallelism across
-//     queries amortises per-query synchronisation, so throughput should
-//     clear 2x the serial baseline once clients >= shards (the acceptance
-//     bar). The bar presumes real cores: on a machine with fewer than T
-//     hardware threads the sweep degenerates to the single-shard rate, so
-//     the JSON records hardware_concurrency and the console flags it.
+//     queries comes from the shards, so throughput should clear 2x the
+//     serial baseline once clients >= shards (the acceptance bar). The bar
+//     presumes real cores: on a machine with fewer than T hardware threads
+//     the sweep degenerates to the single-shard rate, so the JSON records
+//     hardware_concurrency and the console flags it.
 //     Shed rate is 0 below saturation regardless.
 //   * overload: ~4x more closed-loop clients than shards against a small
 //     shed-oldest queue — queue depth stays bounded, so the p99 of served
@@ -191,11 +189,8 @@ int main() {
   sampler_config.interval_ms = 50;
   obs::MetricsSampler sampler(&obs::MetricsRegistry::Global(), sampler_config);
 
-  // --- Baseline: serialized per-query loop, linker fans k candidates out
-  // over the full thread budget.
-  linking::NclConfig serial_config;
-  serial_config.scoring_threads = shards;
-  linking::NclLinker serial_linker = pipeline->MakeLinker(serial_config);
+  // --- Baseline: serialized per-query loop on one thread.
+  linking::NclLinker serial_linker = pipeline->MakeLinker();
   pipeline->model->PrecomputeConceptEncodings();  // warm, as serving would be
   const size_t serial_rounds = full ? 4 : 2;
   Stopwatch serial_watch;
@@ -209,8 +204,7 @@ int main() {
   const double serial_elapsed = serial_watch.ElapsedSeconds();
   const double serial_qps = static_cast<double>(serial_queries) / serial_elapsed;
   std::cout << "serial baseline: " << FormatDouble(serial_qps, 1)
-            << " qps over " << serial_queries << " queries (threads="
-            << shards << ")\n";
+            << " qps over " << serial_queries << " queries (threads=1)\n";
 
   // --- Service: T single-threaded shards, snapshot shared by every level.
   // The pipeline outlives every snapshot, so alias into it without
@@ -397,8 +391,8 @@ int main() {
             << hardware_threads << ")\n";
   if (hardware_threads < 2) {
     std::cout << "note: single-core host — cross-query parallelism cannot "
-                 "materialise; the speedup shown is the per-query fan-out "
-                 "overhead the serving path avoids.\n";
+                 "materialise; the speedup shown is what micro-batching "
+                 "alone buys.\n";
   }
 
   JsonWriter json;
@@ -414,7 +408,7 @@ int main() {
   json.EndObject();
   json.Key("serial").BeginObject();
   json.Key("qps").Value(serial_qps);
-  json.Key("threads").Value(static_cast<uint64_t>(shards));
+  json.Key("threads").Value(uint64_t{1});
   json.Key("queries").Value(static_cast<uint64_t>(serial_queries));
   json.EndObject();
   json.Key("service").BeginArray();

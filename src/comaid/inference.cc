@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "comaid/model.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace ncl::comaid {
 

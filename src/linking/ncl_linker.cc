@@ -66,27 +66,6 @@ const std::vector<text::WordId>* BuildTarget(
   return storage;
 }
 
-/// ED core of LinkBatchDetailed: fill `lanes[i].log_prob` for every lane.
-/// Each kDefaultScoreLanes-wide lock-step tile is one pool task, so threads
-/// and batching compose; scores are bit-identical however the lanes are
-/// split.
-void ScoreLanes(const comaid::ComAidModel& model, ThreadPool* pool,
-                std::vector<comaid::BatchScoreLane>& lanes) {
-  constexpr size_t kGrain = comaid::ComAidModel::kDefaultScoreLanes;
-  const size_t n = lanes.size();
-  const size_t chunks = (n + kGrain - 1) / kGrain;
-  auto score_chunk = [&](size_t c) {
-    const size_t start = c * kGrain;
-    model.ScoreLogProbFastBatch(lanes.data() + start,
-                                std::min(kGrain, n - start));
-  };
-  if (pool != nullptr && chunks > 1) {
-    pool->ParallelFor(chunks, score_chunk);
-  } else {
-    for (size_t c = 0; c < chunks; ++c) score_chunk(c);
-  }
-}
-
 /// Post-scoring per-candidate pass: the optional MAP concept prior (Eq. 11).
 ScoredCandidate Finalize(const NclConfig& config,
                          const comaid::BatchScoreLane& lane) {
@@ -129,9 +108,6 @@ NclLinker::NclLinker(const comaid::ComAidModel* model,
   NCL_CHECK(model_ != nullptr);
   NCL_CHECK(candidates_ != nullptr);
   NCL_CHECK(config_.k > 0) << "NclConfig::k must be positive";
-  if (config_.scoring_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(config_.scoring_threads);
-  }
 }
 
 std::vector<ScoredCandidate> NclLinker::LinkDetailed(
@@ -198,7 +174,7 @@ std::vector<std::vector<ScoredCandidate>> NclLinker::LinkBatchDetailed(
   watch.Reset();
   {
     NCL_TRACE_SPAN("ncl.link.score");
-    ScoreLanes(*model_, pool_.get(), lanes);
+    model_->ScoreLogProbFastBatch(lanes.data(), lanes.size());
   }
   const double score_us = watch.ElapsedMicros();
   for (size_t q = 0; q < num_queries; ++q) {

@@ -3,10 +3,13 @@
 // Phase I rewrites out-of-vocabulary query words (QueryRewriter) and
 // retrieves k candidate concepts by TF-IDF cosine (CandidateGenerator).
 // Phase II evaluates p(q|c; Θ) with the trained COM-AID model for each
-// candidate — on a thread pool, as the paper's ten-thread encode-decode
-// stage does (Appendix B.1) — and returns the candidates re-ranked by
-// descending probability. Per §5, words appearing in both the canonical
-// description and the query are temporarily removed before scoring.
+// candidate and returns the candidates re-ranked by descending
+// probability. Per §5, words appearing in both the canonical description
+// and the query are temporarily removed before scoring. The paper scores a
+// query's k candidates on ten threads (Appendix B.1); here one call of the
+// batched scorer runs every candidate on the calling thread, in lock-step
+// tiles of ComAidModel::kDefaultScoreLanes lanes, and serving runs queries
+// in parallel on its shards (src/serve).
 // LinkBatchDetailed is the one implementation of the four phases; it
 // exposes per-phase wall-clock timings (the OR / CR / ED / RT split of
 // Fig. 11) and per-candidate losses for the feedback controller.
@@ -17,20 +20,18 @@
 // registry. A call runs under an `ncl.link_batch` trace span, with one
 // `ncl.link.query` span per query (OR + CR) and one `ncl.link.score` span
 // for the pooled ED pass (see src/obs/). The config is immutable after
-// construction — a linker is shared across scoring threads.
+// construction — a linker is shared across serving shards.
 
 #pragma once
 
-#include <memory>
-#include <unordered_map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "comaid/model.h"
 #include "linking/candidate_generator.h"
 #include "linking/linker_interface.h"
 #include "linking/query_rewriter.h"
-#include "util/thread_pool.h"
 
 namespace ncl::linking {
 
@@ -41,9 +42,6 @@ struct NclConfig {
   /// §5 Phase II: drop words shared with the candidate's canonical
   /// description before scoring.
   bool remove_shared_words = true;
-  /// Threads for parallel encode-decode scoring (paper uses ten). Lanes
-  /// split across threads in ComAidModel::kDefaultScoreLanes-wide tiles.
-  size_t scoring_threads = 10;
   /// Optional non-uniform concept prior for MAP estimation (Eq. 11): maps
   /// concept id -> prior probability. Candidates absent from the map get
   /// `default_prior`. When empty, the uniform-prior MLE of Eq. 12 applies.
@@ -114,7 +112,6 @@ class NclLinker : public ConceptLinker {
   const CandidateGenerator* candidates_;
   const QueryRewriter* rewriter_;
   NclConfig config_;
-  mutable std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace ncl::linking

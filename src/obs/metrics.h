@@ -14,7 +14,7 @@
 //     which is the usual monitoring trade-off.
 //
 // Naming scheme: `ncl.<subsystem>.<metric>[_<unit>]`, e.g.
-// `ncl.link.score_us`, `ncl.concept_cache.hits`, `ncl.pool.queue_depth`.
+// `ncl.link.score_us`, `ncl.concept_cache.hits`, `ncl.serve.queue_depth`.
 // Units are suffixes (`_us` microseconds); unsuffixed metrics are counts.
 //
 // Export: `MetricsSnapshot` renders aligned tables (util/table_writer) for

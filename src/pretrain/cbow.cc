@@ -1,9 +1,7 @@
 #include "pretrain/cbow.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <thread>
 
 #include "text/vocabulary.h"
 #include "util/logging.h"
@@ -79,98 +77,68 @@ WordEmbeddings TrainCbow(const std::vector<std::vector<std::string>>& corpus,
 
   const double total_work = static_cast<double>(config.epochs) *
                             static_cast<double>(id_corpus.total_tokens);
-  std::atomic<uint64_t> work_done{0};
+  uint64_t work_done = 0;
+  Rng rng(config.seed + 1);
+  std::vector<float> hidden(dim);
+  std::vector<float> hidden_grad(dim);
 
-  auto train_sentences = [&](size_t first, size_t last, uint64_t worker_seed) {
-    Rng rng(worker_seed);
-    std::vector<float> hidden(dim);
-    std::vector<float> hidden_grad(dim);
+  for (size_t epoch = 0; epoch < config.epochs; ++epoch) {
+    for (const auto& sentence : id_corpus.sentences) {
+      for (size_t center = 0; center < sentence.size(); ++center) {
+        const uint64_t done = work_done++;
+        float lr = static_cast<float>(
+            config.learning_rate *
+            std::max(1.0 - static_cast<double>(done) / (total_work + 1.0), 1e-4));
+        const text::WordId center_word = sentence[center];
 
-    for (size_t epoch = 0; epoch < config.epochs; ++epoch) {
-      for (size_t s = first; s < last; ++s) {
-        const auto& sentence = id_corpus.sentences[s];
-        for (size_t center = 0; center < sentence.size(); ++center) {
-          uint64_t done = work_done.fetch_add(1, std::memory_order_relaxed);
-          float lr = static_cast<float>(
-              config.learning_rate *
-              std::max(1.0 - static_cast<double>(done) / (total_work + 1.0), 1e-4));
+        // Dynamic window (word2vec trick): radius in [1, window].
+        size_t radius = 1 + rng.Index(config.window);
+        size_t begin = center >= radius ? center - radius : 0;
+        size_t end = std::min(sentence.size(), center + radius + 1);
 
-          // Optional frequent-word subsampling on the center word.
-          text::WordId center_word = sentence[center];
-          if (config.subsample > 0.0) {
-            double freq =
-                static_cast<double>(id_corpus.vocab.CountOf(center_word)) /
-                static_cast<double>(id_corpus.vocab.total_count());
-            double keep = std::sqrt(config.subsample / freq);
-            if (keep < 1.0 && rng.Uniform() >= keep) continue;
+        std::fill(hidden.begin(), hidden.end(), 0.0f);
+        size_t context_count = 0;
+        for (size_t j = begin; j < end; ++j) {
+          if (j == center) continue;
+          const float* vec = input.row_data(static_cast<size_t>(sentence[j]));
+          for (size_t k = 0; k < dim; ++k) hidden[k] += vec[k];
+          ++context_count;
+        }
+        if (context_count == 0) continue;
+        float inv = 1.0f / static_cast<float>(context_count);
+        for (size_t k = 0; k < dim; ++k) hidden[k] *= inv;
+        std::fill(hidden_grad.begin(), hidden_grad.end(), 0.0f);
+
+        // One positive + `negatives` sampled targets.
+        for (size_t n = 0; n <= config.negatives; ++n) {
+          size_t target;
+          float label;
+          if (n == 0) {
+            target = static_cast<size_t>(center_word);
+            label = 1.0f;
+          } else {
+            target = noise.Sample(rng);
+            if (target == static_cast<size_t>(center_word)) continue;
+            label = 0.0f;
           }
-
-          // Dynamic window (word2vec trick): radius in [1, window].
-          size_t radius = 1 + rng.Index(config.window);
-          size_t begin = center >= radius ? center - radius : 0;
-          size_t end = std::min(sentence.size(), center + radius + 1);
-
-          std::fill(hidden.begin(), hidden.end(), 0.0f);
-          size_t context_count = 0;
-          for (size_t j = begin; j < end; ++j) {
-            if (j == center) continue;
-            const float* vec = input.row_data(static_cast<size_t>(sentence[j]));
-            for (size_t k = 0; k < dim; ++k) hidden[k] += vec[k];
-            ++context_count;
+          float* out_vec = output.row_data(target);
+          float dot = 0.0f;
+          for (size_t k = 0; k < dim; ++k) dot += hidden[k] * out_vec[k];
+          float grad = (label - FastSigmoid(dot)) * lr;
+          for (size_t k = 0; k < dim; ++k) {
+            hidden_grad[k] += grad * out_vec[k];
+            out_vec[k] += grad * hidden[k];
           }
-          if (context_count == 0) continue;
-          float inv = 1.0f / static_cast<float>(context_count);
-          for (size_t k = 0; k < dim; ++k) hidden[k] *= inv;
-          std::fill(hidden_grad.begin(), hidden_grad.end(), 0.0f);
+        }
 
-          // One positive + `negatives` sampled targets.
-          for (size_t n = 0; n <= config.negatives; ++n) {
-            size_t target;
-            float label;
-            if (n == 0) {
-              target = static_cast<size_t>(center_word);
-              label = 1.0f;
-            } else {
-              target = noise.Sample(rng);
-              if (target == static_cast<size_t>(center_word)) continue;
-              label = 0.0f;
-            }
-            float* out_vec = output.row_data(target);
-            float dot = 0.0f;
-            for (size_t k = 0; k < dim; ++k) dot += hidden[k] * out_vec[k];
-            float grad = (label - FastSigmoid(dot)) * lr;
-            for (size_t k = 0; k < dim; ++k) {
-              hidden_grad[k] += grad * out_vec[k];
-              out_vec[k] += grad * hidden[k];
-            }
-          }
-
-          // Propagate to the context words' input vectors.
-          for (size_t j = begin; j < end; ++j) {
-            if (j == center) continue;
-            float* vec = input.row_data(static_cast<size_t>(sentence[j]));
-            for (size_t k = 0; k < dim; ++k) vec[k] += hidden_grad[k];
-          }
+        // Propagate to the context words' input vectors.
+        for (size_t j = begin; j < end; ++j) {
+          if (j == center) continue;
+          float* vec = input.row_data(static_cast<size_t>(sentence[j]));
+          for (size_t k = 0; k < dim; ++k) vec[k] += hidden_grad[k];
         }
       }
     }
-  };
-
-  size_t threads = std::max<size_t>(1, config.num_threads);
-  threads = std::min(threads, id_corpus.sentences.size());
-  if (threads <= 1) {
-    train_sentences(0, id_corpus.sentences.size(), config.seed + 1);
-  } else {
-    // Hogwild: workers update shared matrices without locks.
-    std::vector<std::thread> workers;
-    size_t chunk = (id_corpus.sentences.size() + threads - 1) / threads;
-    for (size_t t = 0; t < threads; ++t) {
-      size_t first = t * chunk;
-      size_t last = std::min(id_corpus.sentences.size(), first + chunk);
-      if (first >= last) break;
-      workers.emplace_back(train_sentences, first, last, config.seed + 1 + t);
-    }
-    for (auto& w : workers) w.join();
   }
 
   return WordEmbeddings(std::move(id_corpus.vocab), std::move(input));

@@ -4,8 +4,8 @@
 // applying the continuous bag-of-words model to the (concept-id-injected)
 // text snippets. Negative sampling follows Mikolov et al.; the paper's
 // Appendix B.2 settings (window 10, 10 negatives, 10 iterations, lr 0.05)
-// are the defaults. Training can run hogwild-parallel over sentences, which
-// the offline-efficiency experiment (Fig. 12a) exercises.
+// are the defaults. Training runs on the calling thread, so a seed fixes
+// every trained weight.
 
 #pragma once
 
@@ -25,8 +25,6 @@ struct CbowConfig {
   size_t epochs = 10;          ///< full passes over the corpus
   double learning_rate = 0.05; ///< initial lr, decayed linearly to lr/1e4
   uint64_t min_count = 1;      ///< prune words rarer than this
-  double subsample = 0.0;      ///< frequent-word subsampling threshold (0 = off)
-  size_t num_threads = 1;      ///< hogwild workers (>1 is non-deterministic)
   uint64_t seed = 42;
 };
 

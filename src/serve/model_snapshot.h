@@ -83,10 +83,8 @@ class ModelSnapshot {
 /// everything it scores with alive for as long as any request holds it.
 /// Phase-I components are usually shared across snapshots — retraining
 /// changes the weights, not the TF-IDF index — while the model is fresh per
-/// publish. The linker is configured with `scoring_threads = 1` by default
-/// overrideable via `config`: under the serving scheduler, parallelism comes
-/// from batching *across* queries, so per-query fan-out would only add
-/// synchronisation overhead.
+/// publish. Under the serving scheduler, parallelism comes from the shards,
+/// which score their micro-batches concurrently.
 class NclSnapshot : public ModelSnapshot {
  public:
   /// \param model must not be mutated after this call (weights frozen).
@@ -96,7 +94,7 @@ class NclSnapshot : public ModelSnapshot {
   NclSnapshot(std::shared_ptr<const comaid::ComAidModel> model,
               std::shared_ptr<const linking::CandidateGenerator> candidates,
               std::shared_ptr<const linking::QueryRewriter> rewriter,
-              linking::NclConfig config = MakeServingConfig(),
+              linking::NclConfig config = {},
               bool warm_cache = false);
 
   std::vector<linking::ScoredCandidate> Link(
@@ -114,13 +112,9 @@ class NclSnapshot : public ModelSnapshot {
   const comaid::ComAidModel& model() const { return *model_; }
   const linking::NclLinker& linker() const { return *linker_; }
 
-  /// The NclConfig defaults appropriate for a serving shard: scoring is
-  /// single-threaded per query (the service parallelises across queries).
-  static linking::NclConfig MakeServingConfig() {
-    linking::NclConfig config;
-    config.scoring_threads = 1;
-    return config;
-  }
+  /// The NclConfig defaults. Serving needs no setting of its own; this
+  /// stays because the serving benchmark's fixtures (perfbench/) call it.
+  static linking::NclConfig MakeServingConfig() { return {}; }
 
  private:
   std::shared_ptr<const comaid::ComAidModel> model_;

@@ -8,7 +8,7 @@
 
 #include "text/tokenizer.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace ncl::text {
 

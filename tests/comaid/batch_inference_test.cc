@@ -12,13 +12,13 @@
 #include <bit>
 #include <cstdint>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "comaid/inference.h"
 #include "comaid/model.h"
 #include "comaid/trainer.h"
 #include "nn/simd.h"
-#include "util/thread_pool.h"
 
 namespace ncl::comaid {
 namespace {
@@ -229,10 +229,13 @@ TEST(BatchInferenceTest, ConcurrentBatchesMatchSerial) {
   constexpr size_t kThreads = 4;
   std::vector<LaneSet> sets;
   for (size_t i = 0; i < kThreads; ++i) sets.push_back(MakeLanes(model, onto));
-  ThreadPool pool(kThreads);
-  pool.ParallelFor(kThreads, [&](size_t i) {
-    model.ScoreLogProbFastBatch(sets[i].lanes.data(), sets[i].lanes.size());
-  });
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      model.ScoreLogProbFastBatch(sets[t].lanes.data(), sets[t].lanes.size());
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
   for (const LaneSet& set : sets) {
     for (size_t i = 0; i < set.lanes.size(); ++i) {
       EXPECT_EQ(set.lanes[i].log_prob, serial.lanes[i].log_prob);

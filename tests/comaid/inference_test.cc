@@ -20,7 +20,6 @@
 #include "comaid/trainer.h"
 #include "nn/optimizer.h"
 #include "obs/metrics.h"
-#include "util/thread_pool.h"
 
 namespace ncl::comaid {
 namespace {
@@ -288,7 +287,7 @@ TEST(InferenceTest, TrainingInvalidatesCacheAndKeepsParity) {
 }
 
 TEST(InferenceTest, ConcurrentScoringMatchesSerial) {
-  // Phase II scores k candidates concurrently on a pool; racing first-use
+  // Serving shards score concurrently against one model; racing first-use
   // warm-ups and shared encoding reads must produce identical scores. Run
   // under the `tsan` preset to check the synchronisation.
   ontology::Ontology onto = MakeOntology();
@@ -308,11 +307,17 @@ TEST(InferenceTest, ConcurrentScoringMatchesSerial) {
   // Empty pool so the concurrent pass races the first-use warm-up.
   model.InvalidateConceptEncodings();
   std::vector<double> concurrent(work.size());
-  ThreadPool pool(8);
+  constexpr size_t kThreads = 8;
   for (int repeat = 0; repeat < 4; ++repeat) {
-    pool.ParallelFor(work.size(), [&](size_t i) {
-      concurrent[i] = Score(model, work[i].first, work[i].second);
-    });
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (size_t i = t; i < work.size(); i += kThreads) {
+          concurrent[i] = Score(model, work[i].first, work[i].second);
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
     for (size_t i = 0; i < work.size(); ++i) {
       EXPECT_NEAR(concurrent[i], serial[i], 1e-5) << "work item " << i;
     }

@@ -167,14 +167,12 @@ TEST(LinkingAllocTest, RewriteAllocatesOnlyItsResult) {
 
 TEST(LinkingAllocTest, WarmedLinkStaysUnderItsAllocationBound) {
   // With GCC 12's libstdc++ these queries made 26-36 allocations each
-  // (one scoring thread, k = 20, rewriting on), against 32-58 while the
-  // rewriter scanned Ω' and the shared-word filter built a set per
-  // candidate. The count depends on the standard library, so this is an
-  // upper bound.
+  // (k = 20, rewriting on), against 32-58 while the rewriter scanned Ω'
+  // and the shared-word filter built a set per candidate. The count
+  // depends on the standard library, so this is an upper bound.
   constexpr size_t kMaxAllocationsPerQuery = 44;
   const Fixture f;
   NclConfig config;
-  config.scoring_threads = 1;
   config.k = 20;
   const NclLinker linker(f.model.get(), f.candidates.get(), f.rewriter.get(),
                          config);

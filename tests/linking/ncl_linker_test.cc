@@ -58,9 +58,7 @@ struct Fixture {
 
 TEST(NclLinkerTest, LinksTrainedAlias) {
   Fixture f;
-  NclConfig config;
-  config.scoring_threads = 2;
-  NclLinker linker(f.model.get(), f.candidates.get(), nullptr, config);
+  NclLinker linker(f.model.get(), f.candidates.get(), nullptr);
   auto ranking = linker.Link({"ckd", "5"}, 3);
   ASSERT_FALSE(ranking.empty());
   EXPECT_EQ(f.onto.Get(ranking[0].concept_id).code, "N18.5");
@@ -154,23 +152,6 @@ TEST(NclLinkerTest, FastAndTapeScoringAgree) {
   }
 }
 
-TEST(NclLinkerTest, SingleAndMultiThreadAgree) {
-  Fixture f;
-  NclConfig serial;
-  serial.scoring_threads = 1;
-  NclConfig parallel;
-  parallel.scoring_threads = 4;
-  NclLinker a(f.model.get(), f.candidates.get(), nullptr, serial);
-  NclLinker b(f.model.get(), f.candidates.get(), nullptr, parallel);
-  auto ra = a.LinkDetailed({"iron", "anemia", "nos"});
-  auto rb = b.LinkDetailed({"iron", "anemia", "nos"});
-  ASSERT_EQ(ra.size(), rb.size());
-  for (size_t i = 0; i < ra.size(); ++i) {
-    EXPECT_EQ(ra[i].concept_id, rb[i].concept_id);
-    EXPECT_DOUBLE_EQ(ra[i].log_prob, rb[i].log_prob);
-  }
-}
-
 TEST(NclLinkerTest, RemoveSharedWordsChangesScores) {
   Fixture f;
   NclConfig with;
@@ -234,11 +215,10 @@ TEST(NclLinkerTest, NoCandidatesYieldsEmptyRanking) {
   EXPECT_TRUE(linker.Link({"xylophone"}, 3).empty());
 }
 
-TEST(NclLinkerTest, BatchedEdInvariantToLaneWidthAndThreads) {
+TEST(NclLinkerTest, BatchedEdInvariantToLaneWidth) {
   // A pooled LinkBatchDetailed pass spans more than one kDefaultScoreLanes
-  // tile, so its lanes split into several pool tasks. Its scores must be
-  // bit-identical to per-query LinkDetailed (one narrow tile per query),
-  // on one thread and on four.
+  // tile. Its scores must be bit-identical to per-query LinkDetailed (one
+  // narrow tile per query).
   Fixture f;
   std::vector<std::vector<std::string>> queries;
   for (int repeat = 0; repeat < 4; ++repeat) {
@@ -246,31 +226,23 @@ TEST(NclLinkerTest, BatchedEdInvariantToLaneWidthAndThreads) {
     queries.push_back({"anemia", "blood", "loss", "chronic", "5"});
     queries.push_back({"deficiency", "kidney", "unspecified"});
   }
-  NclConfig serial;
-  serial.scoring_threads = 1;
-  NclLinker reference(f.model.get(), f.candidates.get(), nullptr, serial);
+  NclLinker linker(f.model.get(), f.candidates.get(), nullptr);
   std::vector<std::vector<ScoredCandidate>> expected;
   size_t total_lanes = 0;
   for (const auto& query : queries) {
-    expected.push_back(reference.LinkDetailed(query));
+    expected.push_back(linker.LinkDetailed(query));
     total_lanes += expected.back().size();
   }
   ASSERT_GT(total_lanes, comaid::ComAidModel::kDefaultScoreLanes);
 
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    NclConfig config;
-    config.scoring_threads = threads;
-    NclLinker linker(f.model.get(), f.candidates.get(), nullptr, config);
-    auto got = linker.LinkBatchDetailed(queries);
-    ASSERT_EQ(got.size(), queries.size());
-    for (size_t q = 0; q < queries.size(); ++q) {
-      ASSERT_EQ(got[q].size(), expected[q].size()) << "query " << q;
-      for (size_t i = 0; i < got[q].size(); ++i) {
-        EXPECT_EQ(got[q][i].concept_id, expected[q][i].concept_id)
-            << "threads=" << threads << " query " << q;
-        EXPECT_EQ(got[q][i].log_prob, expected[q][i].log_prob)
-            << "threads=" << threads << " query " << q;
-      }
+  auto got = linker.LinkBatchDetailed(queries);
+  ASSERT_EQ(got.size(), queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    ASSERT_EQ(got[q].size(), expected[q].size()) << "query " << q;
+    for (size_t i = 0; i < got[q].size(); ++i) {
+      EXPECT_EQ(got[q][i].concept_id, expected[q][i].concept_id)
+          << "query " << q;
+      EXPECT_EQ(got[q][i].log_prob, expected[q][i].log_prob) << "query " << q;
     }
   }
 }
@@ -295,9 +267,7 @@ TEST(NclLinkerTest, RankingsIdenticalOnScalarAndAvx2Paths) {
       {"deficiency"}};
   auto link_all = [&] {
     f.model->InvalidateConceptEncodings();
-    NclConfig config;
-    config.scoring_threads = 2;
-    NclLinker linker(f.model.get(), f.candidates.get(), nullptr, config);
+    NclLinker linker(f.model.get(), f.candidates.get(), nullptr);
     return linker.LinkBatchDetailed(queries);
   };
   const auto avx2 = link_all();

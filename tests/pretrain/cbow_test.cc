@@ -79,18 +79,6 @@ TEST(CbowTest, EmptyCorpusYieldsEmptyEmbeddings) {
   EXPECT_EQ(emb.size(), 0u);
 }
 
-TEST(CbowTest, MultiThreadedTrainsAllWords) {
-  CbowConfig config = SmallConfig();
-  config.num_threads = 4;
-  WordEmbeddings emb = TrainCbow(TwoTopicCorpus(20), config);
-  EXPECT_EQ(emb.size(), 8u);
-  auto id = emb.vocabulary().Lookup("kidney");
-  const float* v = emb.VectorOf(id);
-  double norm = 0.0;
-  for (size_t c = 0; c < emb.dim(); ++c) norm += static_cast<double>(v[c]) * v[c];
-  EXPECT_GT(norm, 0.0);
-}
-
 TEST(CbowTest, ConceptInjectionSeparatesSiblingDiscriminators) {
   // The §4.2 motivating case: "protein/iron/folate deficiency anemia" under
   // plain CBOW share contexts; with injected cids their contexts diverge.

@@ -122,7 +122,7 @@ TEST(TenantRegistryTest, WarmCacheFillsEveryConceptBeforePublish) {
       onto, Aliases(onto));
   auto model = TrainModel(onto, 1, 3);
   auto snapshot = std::make_shared<NclSnapshot>(
-      model, candidates, nullptr, NclSnapshot::MakeServingConfig(),
+      model, candidates, nullptr, linking::NclConfig{},
       /*warm_cache=*/true);
   EXPECT_GT(model->num_cached_encodings(), 0u);
 }

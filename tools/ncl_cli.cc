@@ -404,10 +404,10 @@ std::shared_ptr<serve::NclSnapshot> MakeSnapshot(
       link_config, /*warm_cache=*/true);
 }
 
-/// --k for the serving commands' linker, on top of the serving defaults.
+/// --k for the serving commands' linker, on top of the defaults.
 Result<linking::NclConfig> ServingLinkConfig(
     const std::unordered_map<std::string, std::string>& flags) {
-  linking::NclConfig config = serve::NclSnapshot::MakeServingConfig();
+  linking::NclConfig config;
   NCL_ASSIGN_OR_RETURN(int64_t k, FlagInt(flags, "k", 20, /*min=*/1));
   config.k = static_cast<size_t>(k);
   return config;
