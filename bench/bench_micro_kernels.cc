@@ -6,9 +6,12 @@
 // The custom main additionally times the inference-critical kernels with a
 // plain stopwatch loop (each row the median of five timed windows) and
 // writes matmul/matvec GFLOP/s (and LSTM steps/s) to BENCH_kernels.json so
-// kernel throughput is tracked across PRs. The report names the kernel set
-// that ran ("simd") and the build ("build": "default" or "native"); the
-// decoder's GEMM shapes get a gemm_nt row and a gemm_nt_packed row each.
+// kernel throughput is tracked across PRs. The report names the host's best
+// kernel set ("simd") and the build ("build": "default" or "native"). The
+// decoder's rows — a gemm_nt_packed row per GEMM shape beside its gemm_nt
+// row, lstm_step_value, sum_exp_shifted (ns per logits row) and
+// sigmoid/tanh (ns per element) — run under every kernel set the host has,
+// in alternating windows, and each names its set ("simd").
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +20,7 @@
 #include <iostream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/pkduck_linker.h"
@@ -25,6 +29,7 @@
 #include "nn/lstm.h"
 #include "nn/simd.h"
 #include "nn/tape.h"
+#include "nn/vecmath.h"
 #include "pretrain/cbow.h"
 #include "text/edit_distance.h"
 #include "text/ngram_index.h"
@@ -247,25 +252,47 @@ BENCHMARK(BM_CbowEpoch)->Unit(benchmark::kMillisecond);
 /// Timed windows per report row; the row is their median.
 constexpr size_t kTimedWindows = 5;
 
-/// Seconds per call of `fn`: the median over kTimedWindows windows of ~50ms
-/// each, so one window disturbed by another process cannot move a row.
+/// Seconds per call of fn(s) under each kernel set sets[s], each the median
+/// over kTimedWindows windows of ~50ms, so one window disturbed by another
+/// process cannot move a row. The sets' windows alternate (window w of every
+/// set runs before window w + 1 of any), so a drift in the host's speed
+/// moves every set's row alike.
+template <typename Fn>
+std::vector<double> TimePerCallOnEachSet(const std::vector<nn::KernelSet>& sets,
+                                         Fn&& fn) {
+  // Warm up and pick an iteration count targeting ~50ms of work per window.
+  std::vector<size_t> iters(sets.size());
+  for (size_t s = 0; s < sets.size(); ++s) {
+    nn::ScopedKernelCap cap(sets[s]);
+    fn(s);
+    Stopwatch probe;
+    fn(s);
+    const double once = probe.ElapsedSeconds();
+    iters[s] = once > 0 ? static_cast<size_t>(0.05 / once) + 1 : 1000;
+  }
+  std::vector<std::array<double, kTimedWindows>> per_call(sets.size());
+  for (size_t w = 0; w < kTimedWindows; ++w) {
+    for (size_t s = 0; s < sets.size(); ++s) {
+      nn::ScopedKernelCap cap(sets[s]);
+      Stopwatch watch;
+      for (size_t i = 0; i < iters[s]; ++i) fn(s);
+      per_call[s][w] = watch.ElapsedSeconds() / static_cast<double>(iters[s]);
+    }
+  }
+  std::vector<double> medians;
+  for (auto& windows : per_call) {
+    auto median = windows.begin() + kTimedWindows / 2;
+    std::nth_element(windows.begin(), median, windows.end());
+    medians.push_back(*median);
+  }
+  return medians;
+}
+
+/// Seconds per call of `fn` on the set this process runs.
 template <typename Fn>
 double TimePerCall(Fn&& fn) {
-  // Warm up and pick an iteration count targeting ~50ms of work per window.
-  fn();
-  Stopwatch probe;
-  fn();
-  double once = probe.ElapsedSeconds();
-  size_t iters = once > 0 ? static_cast<size_t>(0.05 / once) + 1 : 1000;
-  std::array<double, kTimedWindows> per_call;
-  for (double& sec : per_call) {
-    Stopwatch watch;
-    for (size_t i = 0; i < iters; ++i) fn();
-    sec = watch.ElapsedSeconds() / static_cast<double>(iters);
-  }
-  auto median = per_call.begin() + kTimedWindows / 2;
-  std::nth_element(per_call.begin(), median, per_call.end());
-  return *median;
+  return TimePerCallOnEachSet({nn::ActiveKernelSet()},
+                              [&](size_t) { fn(); })[0];
 }
 
 /// Naive i-k-j triple loop, the pre-blocking baseline GemmNN replaced.
@@ -297,12 +324,15 @@ void NaiveGemmNT(size_t m, size_t n, size_t k, const float* a, const float* b,
   }
 }
 
-/// One blocked-vs-naive GEMM comparison row.
+/// One blocked-vs-naive GEMM comparison row; `simd` names the kernel set
+/// it ran under, or is null for the set this process runs.
 void EmitGemmEntry(JsonWriter& json, const char* kernel, size_t m, size_t n,
-                   size_t k, double blocked_sec, double naive_sec) {
+                   size_t k, double blocked_sec, double naive_sec,
+                   const char* simd = nullptr) {
   const double flops = 2.0 * static_cast<double>(m * n * k);
   json.BeginObject();
   json.Key("kernel").Value(kernel);
+  if (simd != nullptr) json.Key("simd").Value(simd);
   json.Key("shape").Value(std::to_string(m) + "x" + std::to_string(n) + "x" +
                           std::to_string(k));
   json.Key("gflops").Value(flops / blocked_sec / 1e9);
@@ -315,6 +345,8 @@ void EmitGemmEntry(JsonWriter& json, const char* kernel, size_t m, size_t n,
 /// as one array entry per kernel/shape.
 void WriteKernelReport() {
   Rng rng(42);
+  // The decoder's rows run under each of these, best first.
+  const std::vector<nn::KernelSet> sets = nn::RunnableKernelSets();
   JsonWriter json;
   json.BeginObject();
   json.Key("bench").Value("micro_kernels");
@@ -416,49 +448,112 @@ void WriteKernelReport() {
     // The batched decoder's products, row-major (GemmNT) against packed
     // (GemmNTPacked) weights: a 20-lane tile's logits at V = 1,828 and
     // V = 133, its LSTM gate and W_d products at d = 32, one lane's gate,
-    // and a 10-lane gate at d = 128.
+    // and a 10-lane gate at d = 128. The packed rows run under every kernel
+    // set, each on weights packed under it, as the warm-up would pack them.
     const GemmShape decoder[] = {{20, 1828, 32}, {20, 133, 32}, {20, 32, 32},
                                  {20, 32, 96},   {1, 32, 32},   {10, 128, 128}};
     for (const auto& [m, n, k] : decoder) {
       nn::Matrix a = nn::Matrix::RandomUniform(m, k, 1.0f, rng);
       nn::Matrix b = nn::Matrix::RandomUniform(n, k, 1.0f, rng);
-      const nn::PackedNT packed = nn::PackNT(b.data(), n, k, k);
+      std::vector<nn::PackedNT> packed;
+      for (nn::KernelSet set : sets) {
+        nn::ScopedKernelCap cap(set);
+        packed.push_back(nn::PackNT(b.data(), n, k, k));
+      }
       std::vector<float> c(m * n);
       double nt_sec = TimePerCall([&] {
         nn::GemmNT(m, n, k, a.data(), k, b.data(), k, c.data(), n);
         benchmark::DoNotOptimize(c.data());
       });
-      double packed_sec = TimePerCall([&] {
-        nn::GemmNTPacked(m, a.data(), k, packed, c.data(), n);
-        benchmark::DoNotOptimize(c.data());
-      });
+      const std::vector<double> packed_sec =
+          TimePerCallOnEachSet(sets, [&](size_t s) {
+            nn::GemmNTPacked(m, a.data(), k, packed[s], c.data(), n);
+            benchmark::DoNotOptimize(c.data());
+          });
       double naive_sec = TimePerCall([&] {
         NaiveGemmNT(m, n, k, a.data(), b.data(), c.data());
         benchmark::DoNotOptimize(c.data());
       });
       EmitGemmEntry(json, "gemm_nt", m, n, k, nt_sec, naive_sec);
-      EmitGemmEntry(json, "gemm_nt_packed", m, n, k, packed_sec, naive_sec);
+      for (size_t s = 0; s < sets.size(); ++s) {
+        EmitGemmEntry(json, "gemm_nt_packed", m, n, k, packed_sec[s],
+                      naive_sec, nn::KernelSetName(sets[s]));
+      }
     }
   }
 
-  // Tape-free one-lane LSTM step throughput.
+  // Tape-free one-lane LSTM step throughput under every kernel set, each on
+  // gates packed under it.
   for (size_t d : {32u, 64u, 128u}) {
     nn::ParameterStore store;
     nn::LstmCell cell("report", d, d, &store, rng);
-    const nn::LstmCell::PackedGates gates = cell.Pack();
+    std::vector<nn::LstmCell::PackedGates> gates;
+    for (nn::KernelSet set : sets) {
+      nn::ScopedKernelCap cap(set);
+      gates.push_back(cell.Pack());
+    }
     std::vector<float> x(d, 0.3f), h(d, 0.0f), c(d, 0.0f), scratch(2 * d);
-    double sec = TimePerCall([&] {
-      cell.StepValueBatch(gates, 1, x.data(), h.data(), c.data(), h.data(),
+    const std::vector<double> sec = TimePerCallOnEachSet(sets, [&](size_t s) {
+      cell.StepValueBatch(gates[s], 1, x.data(), h.data(), c.data(), h.data(),
                           c.data(), scratch.data());
       benchmark::DoNotOptimize(h.data());
     });
-    json.BeginObject();
-    json.Key("kernel").Value("lstm_step_value");
-    json.Key("shape").Value("d=" + std::to_string(d));
-    json.Key("steps_per_second").Value(1.0 / sec);
-    // 8 matvecs dominate: 4 gates x (W x + U h).
-    json.Key("gflops").Value(16.0 * d * d / sec / 1e9);
-    json.EndObject();
+    for (size_t s = 0; s < sets.size(); ++s) {
+      json.BeginObject();
+      json.Key("kernel").Value("lstm_step_value");
+      json.Key("simd").Value(nn::KernelSetName(sets[s]));
+      json.Key("shape").Value("d=" + std::to_string(d));
+      json.Key("steps_per_second").Value(1.0 / sec[s]);
+      // 8 matvecs dominate: 4 gates x (W x + U h).
+      json.Key("gflops").Value(16.0 * d * d / sec[s] / 1e9);
+      json.EndObject();
+    }
+  }
+
+  // The softmax denominator of one logits row (Eq. 9) at the perfbench and
+  // hospital-x vocabularies, under every kernel set.
+  for (size_t vocab : {1828u, 133u}) {
+    std::vector<float> logits(vocab);
+    for (float& v : logits) v = static_cast<float>(rng.Normal(0.0, 2.0));
+    const std::vector<double> sec = TimePerCallOnEachSet(sets, [&](size_t) {
+      benchmark::DoNotOptimize(
+          nn::SumExpShifted(logits.data(), logits.size(), 1.5f));
+    });
+    for (size_t s = 0; s < sets.size(); ++s) {
+      json.BeginObject();
+      json.Key("kernel").Value("sum_exp_shifted");
+      json.Key("simd").Value(nn::KernelSetName(sets[s]));
+      json.Key("shape").Value("n=" + std::to_string(vocab));
+      json.Key("ns_per_row").Value(sec[s] * 1e9);
+      json.EndObject();
+    }
+  }
+
+  // The LSTM gate activations over a 20-lane tile's gates at d = 32, under
+  // every kernel set. Each call restores its input, so every call sees the
+  // same values; the copy is timed too.
+  {
+    const size_t n = 20 * 32;
+    std::vector<float> input(n), v(n);
+    for (float& x : input) x = static_cast<float>(rng.Normal(0.0, 2.0));
+    using Activation = void (*)(float*, size_t);
+    const std::pair<const char*, Activation> activations[] = {
+        {"sigmoid", nn::SigmoidInplace}, {"tanh", nn::TanhInplace}};
+    for (const auto& [name, activation] : activations) {
+      const std::vector<double> sec = TimePerCallOnEachSet(sets, [&](size_t) {
+        std::copy(input.begin(), input.end(), v.begin());
+        activation(v.data(), n);
+        benchmark::DoNotOptimize(v.data());
+      });
+      for (size_t s = 0; s < sets.size(); ++s) {
+        json.BeginObject();
+        json.Key("kernel").Value(name);
+        json.Key("simd").Value(nn::KernelSetName(sets[s]));
+        json.Key("shape").Value("n=" + std::to_string(n));
+        json.Key("ns_per_element").Value(sec[s] * 1e9 / static_cast<double>(n));
+        json.EndObject();
+      }
+    }
   }
 
   json.EndArray().EndObject();

@@ -4,7 +4,8 @@
 // Three measurements, emitted as BENCH_serve.json:
 //
 //   * serial: one caller looping NclLinker::LinkDetailed on one thread —
-//     the pre-serve deployment model.
+//     the pre-serve deployment model — in whole passes over the queries
+//     for at least 0.5 s.
 //   * service: the micro-batched LinkingService with T single-threaded
 //     shards, swept over closed-loop client counts. Parallelism across
 //     queries comes from the shards, so throughput should clear 2x the
@@ -189,22 +190,28 @@ int main() {
   sampler_config.interval_ms = 50;
   obs::MetricsSampler sampler(&obs::MetricsRegistry::Global(), sampler_config);
 
-  // --- Baseline: serialized per-query loop on one thread.
+  // --- Baseline: serialized per-query loop on one thread, in whole passes
+  // over the queries until kSerialWindowSeconds have passed. A fixed two
+  // passes (160 calls, ~20 ms) let serial.qps, and so speedup_vs_serial,
+  // swing ~10% between back-to-back runs.
+  constexpr double kSerialWindowSeconds = 0.5;
   linking::NclLinker serial_linker = pipeline->MakeLinker();
   pipeline->model->PrecomputeConceptEncodings();  // warm, as serving would be
-  const size_t serial_rounds = full ? 4 : 2;
   Stopwatch serial_watch;
   size_t serial_queries = 0;
-  for (size_t round = 0; round < serial_rounds; ++round) {
+  size_t serial_passes = 0;
+  do {
     for (const auto& query : queries) {
       serial_linker.LinkDetailed(query.tokens);
       ++serial_queries;
     }
-  }
+    ++serial_passes;
+  } while (serial_watch.ElapsedSeconds() < kSerialWindowSeconds);
   const double serial_elapsed = serial_watch.ElapsedSeconds();
   const double serial_qps = static_cast<double>(serial_queries) / serial_elapsed;
   std::cout << "serial baseline: " << FormatDouble(serial_qps, 1)
-            << " qps over " << serial_queries << " queries (threads=1)\n";
+            << " qps over " << serial_queries << " queries in "
+            << serial_passes << " passes (threads=1)\n";
 
   // --- Service: T single-threaded shards, snapshot shared by every level.
   // The pipeline outlives every snapshot, so alias into it without
@@ -410,6 +417,8 @@ int main() {
   json.Key("qps").Value(serial_qps);
   json.Key("threads").Value(uint64_t{1});
   json.Key("queries").Value(static_cast<uint64_t>(serial_queries));
+  json.Key("window_s").Value(kSerialWindowSeconds);
+  json.Key("passes").Value(static_cast<uint64_t>(serial_passes));
   json.EndObject();
   json.Key("service").BeginArray();
   for (const LevelResult& level : service_levels) {

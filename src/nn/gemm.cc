@@ -10,14 +10,15 @@
 //
 // The NT band/tile loops and the packed panel loops are each written once
 // over a kernel set: ScalarKernels for the baseline target, and on x86-64
-// Avx2Kernels, 8-wide intrinsics under [[gnu::target("avx2")]] with a
-// separate multiply and add (no FMA). Both reduce every element in the same
-// order, so they give the same bits and simd.h can pick either at run time
-// (tests/nn/simd_parity_test.cc). The
-// AVX2 entries inline the whole driver, call no SSE-encoded code, and return
-// through _mm256_zeroupper(): GCC does not reliably emit vzeroupper for
-// target("avx2") code, and a dirty upper YMM state slows the SSE-encoded
-// code that runs next.
+// Avx2Kernels, 8-wide intrinsics under [[gnu::target("avx2")]], and for the
+// panel product Avx512Kernels, 16-wide intrinsics under
+// [[gnu::target("avx512f")]], each with a separate multiply and add (no
+// FMA). All reduce every element in the same order, so they give the same
+// bits and simd.h can pick any of them at run time
+// (tests/nn/simd_parity_test.cc). The vector entries inline the whole
+// driver, call no SSE-encoded code, and return through _mm256_zeroupper():
+// GCC does not reliably emit vzeroupper for target("avx2") code, and a
+// dirty upper YMM state slows the SSE-encoded code that runs next.
 
 #include "nn/gemm.h"
 
@@ -28,7 +29,12 @@
 #include "nn/simd.h"
 
 #if defined(__x86_64__)
+// GCC 12's AVX-512 headers build some intrinsics on _mm512_undefined_*,
+// which -Wmaybe-uninitialized then reports inside them.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 #endif
 
 namespace ncl::nn {
@@ -85,13 +91,13 @@ struct ScalarKernels {
     }
   }
 
-  /// One A row against one PackNT panel: column j of the panel reduces in
-  /// Dot's order, with lane l's partial sums in acc[l][j]. The 8 columns
-  /// run innermost, which the autovectoriser turns into two XMM operations;
-  /// a column-outer loop (Dot per column over the panel) ran 1.8-2.3x
-  /// slower on the decoder's logits shapes.
+  /// One A row against 8 columns of a PackNT panel kStride columns wide:
+  /// column j reduces in Dot's order, with lane l's partial sums in
+  /// acc[l][j]. The 8 columns run innermost, which the autovectoriser turns
+  /// into two XMM operations; a column-outer loop (Dot per column over the
+  /// panel) ran 1.8-2.3x slower on the decoder's logits shapes.
   /// Writes (or adds, under Accum) the first `cols` columns to c.
-  template <bool Accum>
+  template <bool Accum, size_t kStride>
   static void PanelRow(const float* a, const float* panel, size_t kdim,
                        float* c, size_t cols) {
     float acc[8][8] = {};
@@ -99,7 +105,7 @@ struct ScalarKernels {
     for (; k + 8 <= kdim; k += 8) {
       for (size_t l = 0; l < 8; ++l) {
         const float s = a[k + l];
-        const float* w = panel + (k + l) * 8;
+        const float* w = panel + (k + l) * kStride;
         for (size_t j = 0; j < 8; ++j) acc[l][j] += s * w[j];
       }
     }
@@ -110,7 +116,7 @@ struct ScalarKernels {
     }
     for (; k < kdim; ++k) {
       const float s = a[k];
-      const float* w = panel + k * 8;
+      const float* w = panel + k * kStride;
       for (size_t j = 0; j < 8; ++j) total[j] += s * w[j];
     }
     for (size_t j = 0; j < cols; ++j) c[j] = Accum ? c[j] + total[j] : total[j];
@@ -190,21 +196,22 @@ struct Avx2Kernels {
     }
   }
 
-  /// a[k] times the panel's k-th 8 values.
+  /// a[k] times the 8 values of the panel's k-th row.
+  template <size_t kStride>
   [[gnu::target("avx2")]] static __m256 PanelTerm(const float* a,
                                                   const float* panel,
                                                   size_t k) {
     return _mm256_mul_ps(_mm256_broadcast_ss(a + k),
-                         _mm256_loadu_ps(panel + k * 8));
+                         _mm256_loadu_ps(panel + k * kStride));
   }
 
   /// ScalarKernels::PanelRow with one vector accumulator per lane, each
-  /// holding the panel's 8 columns: a broadcast of a[k] times the panel's
-  /// k-th 8 values, added separately. The tree is 7 vertical adds, so no
-  /// column is folded horizontally. Named accumulators, not an array: GCC
-  /// 12 at -O2 keeps an array of __m256 on the stack and reloads and
-  /// stores it around every add.
-  template <bool Accum>
+  /// holding the 8 columns: a broadcast of a[k] times the panel row's 8
+  /// values, added separately. The tree is 7 vertical adds, so no column is
+  /// folded horizontally. Named accumulators, not an array: GCC 12 at -O2
+  /// keeps an array of __m256 on the stack and reloads and stores it around
+  /// every add.
+  template <bool Accum, size_t kStride>
   [[gnu::target("avx2")]] static void PanelRow(const float* a,
                                                const float* panel,
                                                size_t kdim, float* c,
@@ -215,20 +222,22 @@ struct Avx2Kernels {
     __m256 acc6 = _mm256_setzero_ps(), acc7 = _mm256_setzero_ps();
     size_t k = 0;
     for (; k + 8 <= kdim; k += 8) {
-      acc0 = _mm256_add_ps(acc0, PanelTerm(a, panel, k));
-      acc1 = _mm256_add_ps(acc1, PanelTerm(a, panel, k + 1));
-      acc2 = _mm256_add_ps(acc2, PanelTerm(a, panel, k + 2));
-      acc3 = _mm256_add_ps(acc3, PanelTerm(a, panel, k + 3));
-      acc4 = _mm256_add_ps(acc4, PanelTerm(a, panel, k + 4));
-      acc5 = _mm256_add_ps(acc5, PanelTerm(a, panel, k + 5));
-      acc6 = _mm256_add_ps(acc6, PanelTerm(a, panel, k + 6));
-      acc7 = _mm256_add_ps(acc7, PanelTerm(a, panel, k + 7));
+      acc0 = _mm256_add_ps(acc0, PanelTerm<kStride>(a, panel, k));
+      acc1 = _mm256_add_ps(acc1, PanelTerm<kStride>(a, panel, k + 1));
+      acc2 = _mm256_add_ps(acc2, PanelTerm<kStride>(a, panel, k + 2));
+      acc3 = _mm256_add_ps(acc3, PanelTerm<kStride>(a, panel, k + 3));
+      acc4 = _mm256_add_ps(acc4, PanelTerm<kStride>(a, panel, k + 4));
+      acc5 = _mm256_add_ps(acc5, PanelTerm<kStride>(a, panel, k + 5));
+      acc6 = _mm256_add_ps(acc6, PanelTerm<kStride>(a, panel, k + 6));
+      acc7 = _mm256_add_ps(acc7, PanelTerm<kStride>(a, panel, k + 7));
     }
     // ReduceAdd8's tree, one column per vector lane.
     __m256 total = _mm256_add_ps(
         _mm256_add_ps(_mm256_add_ps(acc0, acc4), _mm256_add_ps(acc2, acc6)),
         _mm256_add_ps(_mm256_add_ps(acc1, acc5), _mm256_add_ps(acc3, acc7)));
-    for (; k < kdim; ++k) total = _mm256_add_ps(total, PanelTerm(a, panel, k));
+    for (; k < kdim; ++k) {
+      total = _mm256_add_ps(total, PanelTerm<kStride>(a, panel, k));
+    }
     if (cols == 8) {
       if constexpr (Accum) total = _mm256_add_ps(_mm256_loadu_ps(c), total);
       _mm256_storeu_ps(c, total);
@@ -237,6 +246,54 @@ struct Avx2Kernels {
     float out[8];
     _mm256_storeu_ps(out, total);
     for (size_t j = 0; j < cols; ++j) c[j] = Accum ? c[j] + out[j] : out[j];
+  }
+};
+
+/// The panel product only, 16 columns per vector over 16-column panels.
+struct Avx512Kernels {
+  /// a[k] times the 16 values of the panel's k-th row.
+  template <size_t kStride>
+  [[gnu::target("avx512f")]] static __m512 PanelTerm(const float* a,
+                                                     const float* panel,
+                                                     size_t k) {
+    return _mm512_mul_ps(_mm512_set1_ps(a[k]),
+                         _mm512_loadu_ps(panel + k * kStride));
+  }
+
+  /// Avx2Kernels::PanelRow 16 columns wide: the same 8 accumulators, tree
+  /// and k tail. A partial panel's first `cols` columns are stored under a
+  /// mask.
+  template <bool Accum, size_t kStride>
+  [[gnu::target("avx512f")]] static void PanelRow(const float* a,
+                                                  const float* panel,
+                                                  size_t kdim, float* c,
+                                                  size_t cols) {
+    __m512 acc0 = _mm512_setzero_ps(), acc1 = _mm512_setzero_ps();
+    __m512 acc2 = _mm512_setzero_ps(), acc3 = _mm512_setzero_ps();
+    __m512 acc4 = _mm512_setzero_ps(), acc5 = _mm512_setzero_ps();
+    __m512 acc6 = _mm512_setzero_ps(), acc7 = _mm512_setzero_ps();
+    size_t k = 0;
+    for (; k + 8 <= kdim; k += 8) {
+      acc0 = _mm512_add_ps(acc0, PanelTerm<kStride>(a, panel, k));
+      acc1 = _mm512_add_ps(acc1, PanelTerm<kStride>(a, panel, k + 1));
+      acc2 = _mm512_add_ps(acc2, PanelTerm<kStride>(a, panel, k + 2));
+      acc3 = _mm512_add_ps(acc3, PanelTerm<kStride>(a, panel, k + 3));
+      acc4 = _mm512_add_ps(acc4, PanelTerm<kStride>(a, panel, k + 4));
+      acc5 = _mm512_add_ps(acc5, PanelTerm<kStride>(a, panel, k + 5));
+      acc6 = _mm512_add_ps(acc6, PanelTerm<kStride>(a, panel, k + 6));
+      acc7 = _mm512_add_ps(acc7, PanelTerm<kStride>(a, panel, k + 7));
+    }
+    __m512 total = _mm512_add_ps(
+        _mm512_add_ps(_mm512_add_ps(acc0, acc4), _mm512_add_ps(acc2, acc6)),
+        _mm512_add_ps(_mm512_add_ps(acc1, acc5), _mm512_add_ps(acc3, acc7)));
+    for (; k < kdim; ++k) {
+      total = _mm512_add_ps(total, PanelTerm<kStride>(a, panel, k));
+    }
+    const __mmask16 mask = static_cast<__mmask16>((1u << cols) - 1);
+    if constexpr (Accum) {
+      total = _mm512_add_ps(_mm512_maskz_loadu_ps(mask, c), total);
+    }
+    _mm512_mask_storeu_ps(c, mask, total);
   }
 };
 
@@ -298,25 +355,30 @@ void GemmNTImpl(size_t m, size_t n, size_t k, const float* a, size_t lda,
   }
 }
 
-/// The packed product over a kernel set: panels outside, rows inside, so
-/// each panel stays in L1 while every row reads it.
-template <bool Accum, class Kernels>
-void GemmNTPackedImpl(size_t m, const float* a, size_t lda, const PackedNT& b,
-                      float* c, size_t ldc) {
-  for (size_t j = 0; j < b.n; j += 8) {
-    const float* panel = b.panel(j / 8);
-    const size_t cols = std::min<size_t>(8, b.n - j);
+/// The packed product over a kernel set whose PanelRow covers kCols columns
+/// of a panel kStride wide (Avx512Kernels all 16 columns of a 16-column
+/// panel, the other sets 8 columns of either width): panels outside, rows
+/// inside, so each panel stays in L1 while every row reads it.
+template <bool Accum, class Kernels, size_t kCols, size_t kStride>
+void PackedPanels(size_t m, const float* a, size_t lda, const PackedNT& b,
+                  float* c, size_t ldc) {
+  for (size_t j = 0; j < b.n; j += kCols) {
+    // b.width == kStride here, so the panel's offset needs no multiply by
+    // the stored width.
+    const float* panel = b.storage.data() + b.offset +
+                         j / kStride * kStride * b.k + j % kStride;
+    const size_t cols = std::min(kCols, b.n - j);
     for (size_t i = 0; i < m; ++i) {
-      Kernels::template PanelRow<Accum>(a + i * lda, panel, b.k,
-                                        c + i * ldc + j, cols);
+      Kernels::template PanelRow<Accum, kStride>(a + i * lda, panel, b.k,
+                                                 c + i * ldc + j, cols);
     }
   }
 }
 
 #if defined(__x86_64__)
 
-// AVX2 entries: flatten inlines the whole driver and its kernels, so they
-// compile for AVX2 as one function.
+// Vector entries: flatten inlines the whole driver and its kernels, so each
+// compiles for its target as one function.
 template <bool Accum>
 [[gnu::target("avx2"), gnu::flatten]] void GemmNTAvx2(
     size_t m, size_t n, size_t k, const float* a, size_t lda, const float* b,
@@ -325,11 +387,21 @@ template <bool Accum>
   _mm256_zeroupper();
 }
 
-template <bool Accum>
+/// 8 columns at a time of kStride-column panels.
+template <bool Accum, size_t kStride>
 [[gnu::target("avx2"), gnu::flatten]] void GemmNTPackedAvx2(
     size_t m, const float* a, size_t lda, const PackedNT& b, float* c,
     size_t ldc) {
-  GemmNTPackedImpl<Accum, Avx2Kernels>(m, a, lda, b, c, ldc);
+  PackedPanels<Accum, Avx2Kernels, 8, kStride>(m, a, lda, b, c, ldc);
+  _mm256_zeroupper();
+}
+
+/// 16-column panels only.
+template <bool Accum>
+[[gnu::target("avx512f"), gnu::flatten]] void GemmNTPackedAvx512(
+    size_t m, const float* a, size_t lda, const PackedNT& b, float* c,
+    size_t ldc) {
+  PackedPanels<Accum, Avx512Kernels, 16, 16>(m, a, lda, b, c, ldc);
   _mm256_zeroupper();
 }
 
@@ -346,12 +418,23 @@ template <bool Accum>
 void GemmNTDispatch(size_t m, size_t n, size_t k, const float* a, size_t lda,
                     const float* b, size_t ldb, float* c, size_t ldc) {
 #if defined(__x86_64__)
-  if (internal::UseAvx2Kernels()) {
+  if (internal::Active() >= KernelSet::kAvx2) {
     GemmNTAvx2<Accum>(m, n, k, a, lda, b, ldb, c, ldc);
     return;
   }
 #endif
   GemmNTImpl<Accum, ScalarKernels>(m, n, k, a, lda, b, ldb, c, ldc);
+}
+
+/// The scalar set's packed product over panels kStride columns wide. Out of
+/// line, so GemmNTPackedDispatch stays a few tests and tail calls: with
+/// the scalar loops inlined, its register saves ran before the tests and
+/// cost the 1-row products ~5% on the vector sets.
+template <bool Accum, size_t kStride>
+[[gnu::noinline]] void GemmNTPackedScalar(size_t m, const float* a,
+                                          size_t lda, const PackedNT& b,
+                                          float* c, size_t ldc) {
+  PackedPanels<Accum, ScalarKernels, 8, kStride>(m, a, lda, b, c, ldc);
 }
 
 template <bool Accum>
@@ -362,12 +445,25 @@ void GemmNTPackedDispatch(size_t m, const float* a, size_t lda,
   GemmNTDispatch<Accum>(m, b.n, b.k, a, lda, b.rows, b.ldb, c, ldc);
 #else
 #if defined(__x86_64__)
-  if (internal::UseAvx2Kernels()) {
-    GemmNTPackedAvx2<Accum>(m, a, lda, b, c, ldc);
+  const KernelSet set = internal::Active();
+  if (set == KernelSet::kAvx512 && b.width == 16) {
+    GemmNTPackedAvx512<Accum>(m, a, lda, b, c, ldc);
+    return;
+  }
+  if (set >= KernelSet::kAvx2) {
+    if (b.width == 8) {
+      GemmNTPackedAvx2<Accum, 8>(m, a, lda, b, c, ldc);
+    } else {
+      GemmNTPackedAvx2<Accum, 16>(m, a, lda, b, c, ldc);
+    }
     return;
   }
 #endif
-  GemmNTPackedImpl<Accum, ScalarKernels>(m, a, lda, b, c, ldc);
+  if (b.width == 8) {
+    GemmNTPackedScalar<Accum, 8>(m, a, lda, b, c, ldc);
+  } else {
+    GemmNTPackedScalar<Accum, 16>(m, a, lda, b, c, ldc);
+  }
 #endif
 }
 
@@ -375,7 +471,7 @@ void GemmNTPackedDispatch(size_t m, const float* a, size_t lda,
 
 float DotCanonical(const float* a, const float* b, size_t n) {
 #if defined(__x86_64__)
-  if (internal::UseAvx2Kernels()) return DotAvx2(a, b, n);
+  if (internal::Active() >= KernelSet::kAvx2) return DotAvx2(a, b, n);
 #endif
   return ScalarKernels::Dot(a, b, n);
 }
@@ -398,15 +494,19 @@ PackedNT PackNT(const float* b, size_t n, size_t k, size_t ldb) {
   packed.rows = b;
   packed.ldb = ldb;
 #else
-  // 7 spare floats let the panels start on a 32-byte boundary.
-  packed.storage.assign((n + 7) / 8 * 8 * k + 7, 0.0f);
+  packed.width = internal::Active() == KernelSet::kAvx512 ? 16 : 8;
+  const size_t width = packed.width;
+  // width - 1 spare floats let the panels start on a 4 * width byte
+  // boundary, so no panel row straddles a cache line.
+  packed.storage.assign((n + width - 1) / width * width * k + width - 1, 0.0f);
+  const size_t align = width * sizeof(float);
   const auto address = reinterpret_cast<uintptr_t>(packed.storage.data());
-  packed.offset = (32 - address % 32) % 32 / sizeof(float);
+  packed.offset = (align - address % align) % align / sizeof(float);
   for (size_t j = 0; j < n; ++j) {
-    float* column = packed.storage.data() + packed.offset + j / 8 * 8 * k +
-                    j % 8;
+    float* column = packed.storage.data() + packed.offset +
+                    j / width * width * k + j % width;
     const float* row = b + j * ldb;
-    for (size_t kk = 0; kk < k; ++kk) column[kk * 8] = row[kk];
+    for (size_t kk = 0; kk < k; ++kk) column[kk * width] = row[kk];
   }
 #endif
   return packed;

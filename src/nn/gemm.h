@@ -13,10 +13,11 @@
 // blocking"):
 //   * GemmNT tiles C into 4x4 register blocks; each block walks the full
 //     reduction dimension once with 8-wide SIMD (AVX2 intrinsics when the
-//     host has AVX2, an 8-accumulator scalar pattern the autovectoriser
-//     turns into the same shape otherwise; simd.h picks one at run time).
-//     Every C element is a complete dot product with a fixed reduction
-//     order, the same on both kernel sets — the value of C(i,j) is
+//     host has AVX2, AVX-512 hosts included, an 8-accumulator scalar
+//     pattern the autovectoriser turns into the same shape otherwise;
+//     simd.h picks one at run time). Every C element is a complete dot
+//     product with a fixed reduction order, the same on every kernel set —
+//     the value of C(i,j) is
 //     independent of the tile it lands in and of the host, so batched
 //     scoring is bit-stable under any lane count or tiling (pinned by
 //     tests).
@@ -27,13 +28,16 @@
 //     strided column walk is what makes the naive version slow), then runs
 //     the NT kernel against them.
 //   * GemmNTPacked is the NT product against a fixed weight that PackNT laid
-//     out once as B^T in 8-column panels. It vectorises across 8 output
-//     columns instead of across k: lane l of DotCanonical's 8-way split is
-//     one vector accumulator of 8 columns, so the fixed tree becomes 7
-//     vertical adds and no output is folded horizontally. Panels run in the
-//     outer loop and rows in the inner one, so a panel stays in L1 while
-//     every row reads it and the weight streams once per call. Each element
-//     keeps DotCanonical's order and bits. In a build that fuses
+//     out once as B^T in panels of 8 columns, or of 16 when the AVX-512 set
+//     runs. It vectorises across output columns instead of across k: lane l
+//     of DotCanonical's 8-way split is one vector accumulator of 8 (or 16)
+//     columns, so the fixed tree becomes 7 vertical adds and no output is
+//     folded horizontally. Panels run in the outer loop and rows in the
+//     inner one, so a panel stays in L1 while every row reads it and the
+//     weight streams once per call. Each element keeps DotCanonical's order
+//     and bits. Every kernel set reads either width (the AVX2 and scalar
+//     sets read a 16-column panel as two 8-column halves), since a test can
+//     cap the set after a model was warmed. In a build that fuses
 //     multiply-adds (__FMA__, the native preset) PackNT keeps B's row-major
 //     pointer instead and the packed entries run GemmNT's tile: there FMA
 //     and 32 vector registers make the tile load-efficient, while a panel
@@ -78,15 +82,20 @@ void GemmTN(size_t m, size_t n, size_t k, const float* a, size_t lda,
 
 /// \brief An n x k weight B laid out for GemmNTPacked.
 ///
-/// Panel p holds, for each kk in [0, k), the 8 values B[8p..8p+7][kk],
-/// zero-padded past n. In a build that fuses multiply-adds it holds B's
-/// row-major pointer and leading dimension instead, and B must outlive it.
-/// A default-constructed one is empty (n = k = 0).
+/// Panel p holds, for each kk in [0, k), the `width` values
+/// B[width*p .. width*p + width-1][kk], zero-padded past n. The width is 16
+/// when PackNT ran under the AVX-512 set and 8 otherwise. In a build that
+/// fuses multiply-adds it holds B's row-major pointer and leading dimension
+/// instead, and B must outlive it. A default-constructed one is empty
+/// (n = k = 0).
 struct PackedNT {
   size_t n = 0;
   size_t k = 0;
-  /// The panels, starting at storage.data() + offset (32-byte aligned when
-  /// packed; a copy keeps its values but not necessarily the alignment).
+  /// Columns per panel: 8 or 16.
+  size_t width = 8;
+  /// The panels, starting at storage.data() + offset (aligned to 4 * width
+  /// bytes when packed; a copy keeps its values but not necessarily the
+  /// alignment).
   std::vector<float> storage;
   size_t offset = 0;
   /// B and its leading dimension, in a build that fuses multiply-adds.
@@ -94,7 +103,7 @@ struct PackedNT {
   size_t ldb = 0;
 
   const float* panel(size_t p) const {
-    return storage.data() + offset + p * 8 * k;
+    return storage.data() + offset + p * width * k;
   }
 };
 

@@ -4,9 +4,9 @@
 // The decode loop's non-GEMM cost is almost entirely transcendental:
 // sigmoid/tanh over every LSTM gate element and exp over every vocabulary
 // logit. All of them evaluate a degree-6 polynomial expf (Cephes
-// coefficients, ~2 ulp): 8-wide AVX2 when the host has it, one element at a
-// time otherwise (simd.h picks the set once at start-up). Both sets run the
-// same operations in the same order — a separate multiply and add, never a
+// coefficients, ~2 ulp): 16-wide AVX-512 or 8-wide AVX2 when the host has
+// it, one element at a time otherwise (simd.h picks the set once at
+// start-up). All three sets run the same operations in the same order — a separate multiply and add, never a
 // fused one — so every function here gives the same bits on every host
 // (the native preset, which lets the compiler fuse, is the one exception),
 // and is position-independent: f(v[j]) does not depend on where j falls
@@ -15,7 +15,7 @@
 // call these helpers over differently shaped buffers (lanes x d), and
 // identical inputs must produce identical outputs regardless of offset.
 //
-// Special values follow the vector instructions on both sets. exp clamps
+// Special values follow the vector instructions on every set. exp clamps
 // its argument to [-87.34, 88] with min/max semantics that send NaN to the
 // upper clamp, so exp(NaN) = exp(+inf) ~ 1.65e38; hence sigmoid(NaN) ~ 6e-39.
 // tanh ORs the input's sign bit into (1 - q) / (1 + q) instead of calling
@@ -48,15 +48,16 @@ void ExpShiftedInplace(float* v, size_t n, float shift);
 /// n = 0): a logits row's bias add and softmax shift in one pass. NaN
 /// entries are skipped, as std::max(max, v[j]) skips them. Lane l of an
 /// 8-way split takes the max of the whole chunks' elements j ≡ l (mod 8),
-/// the lanes combine in DotCanonical's tree, and the tail follows in order,
-/// on both kernel sets. The max of non-NaN floats is the same in any order
+/// in order, the lanes combine in DotCanonical's tree, and the tail follows
+/// in order, on every kernel set (AVX-512 adds the bias 16 wide but takes
+/// the maxima 8 wide). The max of non-NaN floats is the same in any order
 /// except for the sign of a tied zero.
 float AddBiasMax(float* v, const float* bias, size_t n);
 
 /// Sum of exp(v[j] - shift) (softmax denominator), accumulated in double —
 /// the cross-entropy loop's precision. Each whole 8-element chunk is folded
-/// in a fixed tree before widening, and the tail is added one element at a
-/// time, on both kernel sets.
+/// in a fixed tree before widening and added in order, and the tail is added
+/// one element at a time, on every kernel set.
 double SumExpShifted(const float* v, size_t n, float shift);
 
 }  // namespace ncl::nn

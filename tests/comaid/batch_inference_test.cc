@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -243,15 +242,16 @@ TEST(BatchInferenceTest, ConcurrentBatchesMatchSerial) {
   }
 }
 
-TEST(BatchInferenceTest, ScalarAndAvx2PathsScoreBitIdentically) {
-  // The kernel set (nn/simd.h) changes speed, never a score: with the
-  // scalar set forced, every lane of a trained model scores the same bits,
-  // concept encodings included. 75 mixed-length lanes, at a width with
-  // vector tails (12) and one without (32).
+TEST(BatchInferenceTest, EveryKernelSetScoresBitIdentically) {
+  // The kernel set (nn/simd.h) changes speed, never a score: under a cap at
+  // each set the host runs, every lane of a trained model scores the same
+  // bits, concept encodings and packed weights re-made under the cap
+  // included. 75 mixed-length lanes, at a width with vector tails and a
+  // partial 16-column panel (12) and one without (32).
 #if defined(__ASSOCIATIVE_MATH__)
-  GTEST_SKIP() << "-ffast-math build: the two sets' bits differ by design";
+  GTEST_SKIP() << "-ffast-math build: the sets' bits differ by design";
 #endif
-  if (std::string_view(nn::SimdPathName()) != "avx2") {
+  if (nn::ActiveKernelSet() == nn::KernelSet::kScalar) {
     GTEST_SKIP() << "host has no AVX2: only the scalar set runs";
   }
   ontology::Ontology onto = MakeOntology();
@@ -291,19 +291,18 @@ TEST(BatchInferenceTest, ScalarAndAvx2PathsScoreBitIdentically) {
       }
       return log_probs;
     };
-    const std::vector<double> avx2 = score();
-    std::vector<double> scalar;
-    {
-      nn::ScopedScalarKernels forced;
-      scalar = score();
-    }
-    ASSERT_GE(avx2.size(), 64u);
-    ASSERT_EQ(avx2.size(), scalar.size());
-    for (size_t i = 0; i < avx2.size(); ++i) {
-      EXPECT_EQ(std::bit_cast<uint64_t>(avx2[i]),
-                std::bit_cast<uint64_t>(scalar[i]))
-          << "dim=" << dim << " lane " << i << ": " << avx2[i] << " vs "
-          << scalar[i];
+    const std::vector<double> best = score();
+    ASSERT_GE(best.size(), 64u);
+    for (nn::KernelSet set : nn::RunnableKernelSets()) {
+      nn::ScopedKernelCap cap(set);
+      const std::vector<double> capped = score();
+      ASSERT_EQ(best.size(), capped.size());
+      for (size_t i = 0; i < best.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(best[i]),
+                  std::bit_cast<uint64_t>(capped[i]))
+            << "dim=" << dim << " lane " << i << ": " << best[i] << " vs "
+            << capped[i] << " on " << nn::SimdPathName();
+      }
     }
   }
 }

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <string_view>
 
 #include "comaid/trainer.h"
 #include "nn/simd.h"
@@ -247,14 +246,15 @@ TEST(NclLinkerTest, BatchedEdInvariantToLaneWidth) {
   }
 }
 
-TEST(NclLinkerTest, RankingsIdenticalOnScalarAndAvx2Paths) {
-  // The kernel set (nn/simd.h) changes speed, never a ranking: with the
-  // scalar set forced and the concept encodings warmed again, every query
-  // returns the same concepts in the same order with the same score bits.
+TEST(NclLinkerTest, RankingsIdenticalOnEveryKernelSet) {
+  // The kernel set (nn/simd.h) changes speed, never a ranking: under a cap
+  // at each set the host runs, with the concept encodings warmed
+  // again, every query returns the same concepts in the same order with the
+  // same score bits.
 #if defined(__ASSOCIATIVE_MATH__)
-  GTEST_SKIP() << "-ffast-math build: the two sets' bits differ by design";
+  GTEST_SKIP() << "-ffast-math build: the sets' bits differ by design";
 #endif
-  if (std::string_view(nn::SimdPathName()) != "avx2") {
+  if (nn::ActiveKernelSet() == nn::KernelSet::kScalar) {
     GTEST_SKIP() << "host has no AVX2: only the scalar set runs";
   }
   Fixture f;
@@ -270,22 +270,21 @@ TEST(NclLinkerTest, RankingsIdenticalOnScalarAndAvx2Paths) {
     NclLinker linker(f.model.get(), f.candidates.get(), nullptr);
     return linker.LinkBatchDetailed(queries);
   };
-  const auto avx2 = link_all();
-  std::vector<std::vector<ScoredCandidate>> scalar;
-  {
-    nn::ScopedScalarKernels forced;
-    scalar = link_all();
-  }
-  ASSERT_EQ(avx2.size(), scalar.size());
-  for (size_t q = 0; q < avx2.size(); ++q) {
-    ASSERT_FALSE(avx2[q].empty()) << "query " << q;
-    ASSERT_EQ(avx2[q].size(), scalar[q].size()) << "query " << q;
-    for (size_t i = 0; i < avx2[q].size(); ++i) {
-      EXPECT_EQ(avx2[q][i].concept_id, scalar[q][i].concept_id)
-          << "query " << q << " rank " << i;
-      EXPECT_EQ(std::bit_cast<uint64_t>(avx2[q][i].log_prob),
-                std::bit_cast<uint64_t>(scalar[q][i].log_prob))
-          << "query " << q << " rank " << i;
+  const auto best = link_all();
+  for (nn::KernelSet set : nn::RunnableKernelSets()) {
+    nn::ScopedKernelCap cap(set);
+    const auto capped = link_all();
+    ASSERT_EQ(best.size(), capped.size());
+    for (size_t q = 0; q < best.size(); ++q) {
+      ASSERT_FALSE(best[q].empty()) << "query " << q;
+      ASSERT_EQ(best[q].size(), capped[q].size()) << "query " << q;
+      for (size_t i = 0; i < best[q].size(); ++i) {
+        EXPECT_EQ(best[q][i].concept_id, capped[q][i].concept_id)
+            << nn::SimdPathName() << " query " << q << " rank " << i;
+        EXPECT_EQ(std::bit_cast<uint64_t>(best[q][i].log_prob),
+                  std::bit_cast<uint64_t>(capped[q][i].log_prob))
+            << nn::SimdPathName() << " query " << q << " rank " << i;
+      }
     }
   }
 }

@@ -236,12 +236,13 @@ TEST(GemmTest, NTInvariantToBatchRowCount) {
 
 TEST(GemmTest, PackedMatchesGemmNT) {
   // GemmNTPacked(Accum) against GemmNT(Accum), element for element: m from
-  // no row to past a 32-lane tile, n below, at and past one 8-column panel,
-  // k below, at and past one 8-wide step, with and without a tail. Padded
-  // lda/ldb/ldc address submatrices, and C's padding must stay untouched.
+  // no row to past a 32-lane tile, n below, at and past one 8- and one
+  // 16-column panel, k below, at and past one 8-wide step, with and without
+  // a tail. Padded lda/ldb/ldc address submatrices, and C's padding must
+  // stay untouched.
   Rng rng(49);
   for (size_t m : {0, 1, 2, 3, 4, 5, 20, 33}) {
-    for (size_t n : {1, 7, 8, 9, 31, 133}) {
+    for (size_t n : {1, 7, 8, 9, 15, 16, 17, 31, 133}) {
       for (size_t k : {1, 7, 8, 9, 32, 37, 96}) {
         const size_t lda = k + 3, ldb = k + 2, ldc = n + 5;
         const auto a = RandomBuffer(m * lda, rng);
@@ -249,10 +250,13 @@ TEST(GemmTest, PackedMatchesGemmNT) {
         const auto seed = RandomBuffer(m * ldc, rng);
         const PackedNT packed = PackNT(b.data(), n, k, ldb);
         if (packed.rows == nullptr) {
-          // Panels (a build without FMA): B^T, zero past n.
-          for (size_t j = 0; j < (n + 7) / 8 * 8; ++j) {
+          // Panels (a build without FMA): B^T in panels of the recorded
+          // width (16 on the AVX-512 set, else 8), zero past n.
+          const size_t w = packed.width;
+          ASSERT_TRUE(w == 8 || w == 16) << w;
+          for (size_t j = 0; j < (n + w - 1) / w * w; ++j) {
             for (size_t kk = 0; kk < k; ++kk) {
-              ASSERT_EQ(packed.panel(j / 8)[kk * 8 + j % 8],
+              ASSERT_EQ(packed.panel(j / w)[kk * w + j % w],
                         j < n ? b[j * ldb + kk] : 0.0f)
                   << "n=" << n << " k=" << k << " column " << j << " kk=" << kk;
             }

@@ -1,8 +1,8 @@
 // Tests for the vectorised activations: accuracy against the libm
 // reference and position-independence — the property the batched scorer's
-// bit-exactness rests on (vecmath.h). Both kernel sets evaluate the same
-// Cephes polynomial, so the same bounds pin both: every test runs on the set
-// the host chose and, on an AVX2 host, again with the scalar set forced.
+// bit-exactness rests on (vecmath.h). Every kernel set evaluates the same
+// Cephes polynomial, so the same bounds pin all of them: every test runs on
+// the set the host chose and again under a cap at each lower set.
 
 #include "nn/vecmath.h"
 
@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -24,17 +23,13 @@
 namespace ncl::nn {
 namespace {
 
-/// Runs `body` on the kernel set this host chose and, on an AVX2 host,
-/// again with the scalar set forced.
+/// Runs `body` on the kernel set this host chose and again under a cap at
+/// each lower set.
 template <class Body>
 void OnEachSet(Body body) {
-  {
+  for (KernelSet set : RunnableKernelSets()) {
+    ScopedKernelCap cap(set);
     SCOPED_TRACE(SimdPathName());
-    body();
-  }
-  if (std::string_view(SimdPathName()) == "avx2") {
-    ScopedScalarKernels scalar;
-    SCOPED_TRACE("scalar (forced)");
     body();
   }
 }
@@ -116,15 +111,15 @@ TEST(VecMathTest, PositionIndependence) {
     // f(x) must not depend on where x sits relative to the vector width: the
     // batched scorer applies these over lanes x d buffers while the single
     // path uses length-d buffers, and the two must agree bit for bit. Run
-    // every value at every offset 0..8 and demand identical bits.
+    // every value at every offset 0..16 and demand identical bits.
     std::vector<float> probe = {-3.7f, -0.002f, 0.0f, 0.41f, 2.9f, 17.0f};
     for (float x : probe) {
       float at_zero[1] = {x};
       TanhInplace(at_zero, 1);
       float sig_zero[1] = {x};
       SigmoidInplace(sig_zero, 1);
-      for (size_t offset = 0; offset < 9; ++offset) {
-        std::vector<float> buf(offset + 9, 0.125f);
+      for (size_t offset = 0; offset < 17; ++offset) {
+        std::vector<float> buf(offset + 17, 0.125f);
         buf[offset] = x;
         std::vector<float> sig = buf;
         TanhInplace(buf.data(), buf.size());
@@ -154,7 +149,7 @@ TEST(VecMathTest, SpecialValuesArePositionIndependent) {
   // NaN, infinities, signed zeros, both clamps, out-of-range and subnormal
   // inputs follow the vector instructions' semantics (vecmath.h), so each
   // gives the same bits in a vector lane as in the scalar tail: at every
-  // offset 0..8 of a 17-wide buffer as alone. A -ffast-math build (the
+  // offset 0..16 of a 33-wide buffer as alone. A -ffast-math build (the
   // native preset) lets GCC contract and reassociate the vector loop, the
   // scalar tail and the constant-folded clamp branches differently, so
   // there the clamped values differ in their low bits.
@@ -188,8 +183,8 @@ TEST(VecMathTest, SpecialValuesArePositionIndependent) {
       for (float x : values) {
         std::vector<float> alone = {x};
         apply(alone);
-        for (size_t offset = 0; offset < 9; ++offset) {
-          std::vector<float> buf(17, 0.125f);
+        for (size_t offset = 0; offset < 17; ++offset) {
+          std::vector<float> buf(33, 0.125f);
           buf[offset] = x;
           apply(buf);
           EXPECT_EQ(std::bit_cast<uint32_t>(buf[offset]),
